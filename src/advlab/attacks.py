@@ -6,6 +6,14 @@ a clamp into [0,1]^d.  With track_best the per-sample iterate with
 maximal CE is returned, and the clean start is always a candidate, so
 CE(output) >= CE(clean) holds per sample by construction.
 
+Each iterate is forwarded once, and that forward serves both its
+track-best CE and the input gradient of the next step.  Gradients use
+mlp.input_grad, the input-only backward, which skips the weight
+gradients an attack would throw away.  A caller that has already
+forwarded the clean batch (the trainer does) passes that trace as
+`clean_trace`; it supplies the clean CE and the first gradient.  The
+outputs are bit-identical to forwarding every iterate twice.
+
 Defaults follow the common l-inf setting eps=8/255, alpha=2/255, k=10.
 """
 
@@ -17,7 +25,7 @@ import numpy as np
 
 from .core import ParameterError, ShapeError, as_matrix
 from .data import LabeledBatch
-from .mlp import backward, forward
+from .mlp import ForwardTrace, forward, input_grad
 from .objectives import ce_logit_grad, ce_loss
 
 
@@ -55,24 +63,22 @@ def project(x0, x, p: str, eps: float) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def _input_grad(weights: list, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    trace = forward(weights, inputs)
-    logit_grad = ce_logit_grad(trace.logits, labels)
-    _, input_grad = backward(weights, trace, logit_grad)
-    return input_grad
-
-
 def fgsm(weights: list, batch: LabeledBatch, eps: float) -> np.ndarray:
     """Single saturated signed-gradient step; sign(0) contributes 0."""
     if eps < 0:
         raise ParameterError("eps must be >= 0")
-    grad = _input_grad(weights, batch.inputs, batch.labels)
+    trace = forward(weights, batch.inputs)
+    grad = input_grad(weights, trace, ce_logit_grad(trace.logits, batch.labels))
     return np.clip(batch.inputs + eps * np.sign(grad), 0.0, 1.0)
 
 
 def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
-        rng: np.random.Generator | None = None) -> np.ndarray:
-    """k-step projected gradient ascent on CE inside the eps-ball."""
+        rng: np.random.Generator | None = None,
+        clean_trace: ForwardTrace | None = None) -> np.ndarray:
+    """k-step projected gradient ascent on CE inside the eps-ball.
+
+    `clean_trace`, if given, must be forward(weights, batch.inputs).
+    """
     x0 = batch.inputs
     labels = batch.labels
     if spec.eps == 0.0:
@@ -91,24 +97,33 @@ def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
     else:
         x = x0.copy()
 
-    best_x = x0.copy()
-    best_loss, _ = ce_loss(forward(weights, x0).logits, labels)
-    if spec.track_best and spec.random_start:
-        start_loss, _ = ce_loss(forward(weights, x).logits, labels)
-        improved = start_loss > best_loss
-        best_x[improved] = x[improved]
-        best_loss = np.maximum(best_loss, start_loss)
+    # The clean forward gives the track-best baseline and, without a
+    # random start, the first iterate's trace as well.
+    if clean_trace is None and (spec.track_best or not spec.random_start):
+        clean_trace = forward(weights, x0)
+    trace = forward(weights, x) if spec.random_start else clean_trace
 
-    for _ in range(spec.k):
-        grad = _input_grad(weights, x, labels)
+    if spec.track_best:
+        best_x = x0.copy()
+        best_loss, _ = ce_loss(clean_trace.logits, labels)
+        if spec.random_start:
+            start_loss, _ = ce_loss(trace.logits, labels)
+            improved = start_loss > best_loss
+            best_x[improved] = x[improved]
+            best_loss = np.maximum(best_loss, start_loss)
+
+    for step in range(spec.k):
+        grad = input_grad(weights, trace, ce_logit_grad(trace.logits, labels))
         if spec.p == "inf":
             x = x + spec.alpha * np.sign(grad)
         else:
             norms = np.linalg.norm(grad, axis=1, keepdims=True)
             x = x + spec.alpha * grad / np.maximum(norms, 1e-300)
         x = project(x0, x, spec.p, spec.eps)
+        if spec.track_best or step < spec.k - 1:
+            trace = forward(weights, x)
         if spec.track_best:
-            loss, _ = ce_loss(forward(weights, x).logits, labels)
+            loss, _ = ce_loss(trace.logits, labels)
             improved = loss > best_loss
             best_x[improved] = x[improved]
             best_loss = np.maximum(best_loss, loss)

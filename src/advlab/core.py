@@ -53,6 +53,29 @@ def softmax_rows(m) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def logsumexp_rows(m, keepdims: bool = False) -> np.ndarray:
+    """Row-wise log(sum(exp(m))) of a matrix with at least one column,
+    bit-identical to scipy.special.logsumexp(m, axis=1).
+
+    Same algorithm as scipy 1.17: with row maximum a and its tie count c,
+    the maxima are split out of the sum, s = sum(exp(m_j - a) for m_j < a) / c
+    and the result is log1p(s) + log(c) + a.  Rows where that is not finite
+    (a +-inf or nan entry) fall back to the direct log(sum(exp(m))), so an
+    all -inf row gives -inf.
+    """
+    m = as_matrix(m)
+    top = m.max(axis=1, keepdims=True)
+    is_top = m == top
+    count = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(is_top, -np.inf, m) - top).sum(axis=1, keepdims=True)
+        out = np.log1p(s / count) + np.log(count) + top
+        bad = ~np.isfinite(out[:, 0])
+        if bad.any():
+            out[bad] = np.log(np.exp(m[bad]).sum(axis=1, keepdims=True))
+    return out if keepdims else out[:, 0]
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 stream.  Single-owner: do not draw concurrently."""
     return np.random.Generator(np.random.PCG64(seed))

@@ -7,6 +7,7 @@ homogeneity).  The ReLU subgradient at exactly 0 is taken as 0.
 
 Checkpoint format (little-endian): magic "AMLP" | u8 version=1 |
 u32 L+1 | (L+1) x u32 widths | per layer row-major float64 entries.
+A file that is shorter or longer than its widths imply is rejected.
 
 Note on figure conventions elsewhere in this project: a "1-layer MLP"
 means one hidden layer, i.e. widths [d, H, K].
@@ -82,20 +83,24 @@ def forward(weights: list, inputs) -> ForwardTrace:
     return ForwardTrace(inputs=inputs, pre_activations=pre, post_activations=post)
 
 
+def _check_logit_grad(trace: ForwardTrace, logit_grad) -> np.ndarray:
+    logit_grad = as_matrix(logit_grad)
+    if logit_grad.shape != trace.logits.shape:
+        raise ShapeError(
+            f"logit_grad shape {logit_grad.shape} != logits shape {trace.logits.shape}"
+        )
+    return logit_grad
+
+
 def backward(weights: list, trace: ForwardTrace, logit_grad):
     """Exact reverse-mode gradients.
 
     Returns (weight_grads, input_grad) for the scalar whose gradient with
     respect to the logits is `logit_grad` (n x K).
     """
-    logit_grad = as_matrix(logit_grad)
-    if logit_grad.shape != trace.logits.shape:
-        raise ShapeError(
-            f"logit_grad shape {logit_grad.shape} != logits shape {trace.logits.shape}"
-        )
+    delta = _check_logit_grad(trace, logit_grad)
     L = len(weights)
     weight_grads = [None] * L
-    delta = logit_grad
     for l in range(L - 1, -1, -1):
         h_prev = trace.post_activations[l - 1] if l > 0 else trace.inputs
         weight_grads[l] = delta.T @ h_prev
@@ -103,6 +108,20 @@ def backward(weights: list, trace: ForwardTrace, logit_grad):
         if l > 0:
             delta = delta * (trace.pre_activations[l - 1] > 0.0)
     return weight_grads, delta
+
+
+def input_grad(weights: list, trace: ForwardTrace, logit_grad) -> np.ndarray:
+    """The input gradient of `backward` alone, bit-identical to backward(...)[1].
+
+    Runs the same delta @ W_l / ReLU-mask chain but skips the weight
+    gradients, which attacks do not use.
+    """
+    delta = _check_logit_grad(trace, logit_grad)
+    for l in range(len(weights) - 1, -1, -1):
+        delta = delta @ weights[l]
+        if l > 0:
+            delta = delta * (trace.pre_activations[l - 1] > 0.0)
+    return delta
 
 
 def save_checkpoint(weights: list, path) -> None:
@@ -117,19 +136,33 @@ def save_checkpoint(weights: list, path) -> None:
 
 
 def load_checkpoint(path) -> list:
+    """Read a checkpoint; ValueError unless the file is exactly one whole checkpoint."""
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {raw[:4]!r}")
+    _check_length(raw, 9, "header")
     version = raw[4]
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (nw,) = struct.unpack("<I", raw[5:9])
-    widths = struct.unpack(f"<{nw}I", raw[9 : 9 + 4 * nw])
+    if nw < 2:
+        raise ValueError(f"checkpoint lists {nw} widths, need at least 2")
     offset = 9 + 4 * nw
+    _check_length(raw, offset, "width table")
+    widths = struct.unpack(f"<{nw}I", raw[9:offset])
+    counts = [widths[l] * widths[l - 1] for l in range(1, nw)]
+    expected = offset + 8 * sum(counts)
+    if len(raw) != expected:
+        raise ValueError(f"checkpoint for widths {list(widths)} is {expected} bytes, "
+                         f"file has {len(raw)}")
     weights = []
-    for l in range(1, nw):
-        count = widths[l] * widths[l - 1]
+    for l, count in enumerate(counts, start=1):
         w = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         weights.append(w.reshape(widths[l], widths[l - 1]).copy())
         offset += 8 * count
     return weights
+
+
+def _check_length(raw: bytes, needed: int, part: str) -> None:
+    if len(raw) < needed:
+        raise ValueError(f"checkpoint {part} needs {needed} bytes, file has {len(raw)}")

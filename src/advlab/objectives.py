@@ -1,7 +1,10 @@
 """Losses, risk accounting, and the cross-algorithm generalization gap.
 
 Cross-entropy is computed as logsumexp(logits) - logits[y] with max
-subtraction, so it is exact under arbitrary logit shifts.  Accuracy uses
+subtraction, so it is exact under arbitrary logit shifts.  The row
+logsumexp is core.logsumexp_rows: scipy's algorithm (split out the row
+maximum a and its tie count c, then log1p(s / c) + log(c) + a), run
+in-package so each call skips scipy's per-call dispatch.  Accuracy uses
 argmax with lowest-index tie-breaking (numpy's argmax convention), which
 also fixes the correct/misclassified split used by the radius metrics.
 """
@@ -11,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import ParameterError, ShapeError, as_matrix, softmax_rows
+from .core import (ParameterError, ShapeError, as_matrix, logsumexp_rows,
+                   softmax_rows)
 from .data import LabeledBatch
 from .mlp import forward
 
@@ -58,7 +61,7 @@ def ce_loss(logits, labels):
     """Per-sample and mean cross-entropy from raw logits."""
     logits = as_matrix(logits)
     labels = _check_labels(logits, labels)
-    per_sample = logsumexp(logits, axis=1) - logits[np.arange(len(labels)), labels]
+    per_sample = logsumexp_rows(logits) - logits[np.arange(len(labels)), labels]
     return per_sample, float(per_sample.mean())
 
 
@@ -116,8 +119,8 @@ def kl_rows(p_logits, q_logits) -> np.ndarray:
     """Row-wise KL(softmax(p) || softmax(q)) in stable log domain."""
     p_logits = as_matrix(p_logits)
     q_logits = as_matrix(q_logits)
-    log_p = p_logits - logsumexp(p_logits, axis=1, keepdims=True)
-    log_q = q_logits - logsumexp(q_logits, axis=1, keepdims=True)
+    log_p = p_logits - logsumexp_rows(p_logits, keepdims=True)
+    log_q = q_logits - logsumexp_rows(q_logits, keepdims=True)
     return (np.exp(log_p) * (log_p - log_q)).sum(axis=1)
 
 
@@ -135,8 +138,8 @@ def trades_from_logits(clean_logits, adv_logits, labels, beta: float):
     q = softmax_rows(clean_logits)
     # d KL / d clean logits = q - p; d KL / d adv logits through softmax(p)
     clean_grad = (ce_logit_grad(clean_logits, labels) + beta * (q - p)) / n
-    log_p = adv_logits - logsumexp(adv_logits, axis=1, keepdims=True)
-    log_q = clean_logits - logsumexp(clean_logits, axis=1, keepdims=True)
+    log_p = adv_logits - logsumexp_rows(adv_logits, keepdims=True)
+    log_q = clean_logits - logsumexp_rows(clean_logits, keepdims=True)
     r = log_p - log_q
     adv_grad = beta / n * p * (r - (r * p).sum(axis=1, keepdims=True))
     return loss, clean_grad, adv_grad

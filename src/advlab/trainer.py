@@ -95,13 +95,12 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
                 attack_rng) -> tuple:
     """One gradient computation; returns (loss, weight_grads)."""
     obj = cfg.objective
-    if obj.needs_attack:
-        adv_inputs = pgd(weights, batch, cfg.attack, attack_rng)
-    else:
-        adv_inputs = batch.inputs
-
     clean_trace = forward(weights, batch.inputs)
-    adv_trace = forward(weights, adv_inputs) if obj.needs_attack else clean_trace
+    if obj.needs_attack:
+        adv_inputs = pgd(weights, batch, cfg.attack, attack_rng, clean_trace=clean_trace)
+        adv_trace = forward(weights, adv_inputs)
+    else:
+        adv_trace = clean_trace
 
     if obj.kind == "trades":
         loss, clean_grad, adv_grad = trades_from_logits(

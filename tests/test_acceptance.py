@@ -304,19 +304,34 @@ def test_criterion_09_slope_trends(mnist_sweep_rows):
 def test_criterion_10_regularizer_overhead():
     """Epoch wall time with LORE active stays within 1.05x of the
     regularizer-off baseline at the reference configuration shape
-    (4000 x 784 inputs, width 256, 10 classes, PGD training)."""
+    (4000 x 784 inputs, width 256, 10 classes, PGD training).
+
+    One epoch is short enough that scheduler noise moves a single
+    OFF/LORE ratio past 1.05, so the gate is the median ratio over
+    interleaved pairs, with the order inside a pair alternating."""
     data = blob_dataset(0, 4000, 100, 784, 10, 0.15)
     base = dict(model=MlpConfig([784, 256, 10], seed=0),
                 objective=ObjectiveSpec(kind="mixture", lam=1.0),
                 attack=AttackSpec(eps=8 / 255, alpha=2 / 255, k=10),
-                epochs=2, batch_size=128, seed=0, metrics_every=2)
+                epochs=1, batch_size=128, seed=0)
+    off = TrainConfig(schedule=LoatSchedule(variant="OFF"), **base)
     # e1 = epochs so every measured epoch runs the penalty branch
-    _, h_off = train(TrainConfig(schedule=LoatSchedule(variant="OFF"), **base), data)
-    _, h_lore = train(TrainConfig(
-        schedule=LoatSchedule(e1=2, e2=100, variant="LORE"), **base), data)
-    t_off = h_off[-1].epoch_wall_ms
-    t_lore = h_lore[-1].epoch_wall_ms
-    ratio = t_lore / t_off
-    assert ratio <= 1.05, f"LORE epoch {t_lore:.0f} ms vs OFF {t_off:.0f} ms " \
-                          f"(ratio {ratio:.3f})"
-    report(10, f"LORE overhead ratio {ratio:.3f} <= 1.05")
+    lore = TrainConfig(schedule=LoatSchedule(e1=1, e2=100, variant="LORE"), **base)
+
+    def epoch_ms(cfg):
+        return train(cfg, data)[1][-1].epoch_wall_ms
+
+    epoch_ms(off)  # warm-up, not measured
+    ratios = []
+    for pair in range(15):
+        if pair % 2 == 0:
+            t_off = epoch_ms(off)
+            t_lore = epoch_ms(lore)
+        else:
+            t_lore = epoch_ms(lore)
+            t_off = epoch_ms(off)
+        ratios.append(t_lore / t_off)
+    ratio = float(np.median(ratios))
+    assert ratio <= 1.05, f"median LORE/OFF epoch ratio {ratio:.3f} over pairs " \
+                          f"{', '.join(f'{r:.3f}' for r in ratios)}"
+    report(10, f"median LORE overhead ratio {ratio:.3f} <= 1.05")

@@ -6,8 +6,8 @@ import pytest
 from advlab.attacks import AttackSpec, fgsm, pgd, project
 from advlab.core import ParameterError, ShapeError, make_rng
 from advlab.data import LabeledBatch, synth_blobs
-from advlab.mlp import MlpConfig, forward, init_weights
-from advlab.objectives import ce_loss
+from advlab.mlp import MlpConfig, backward, forward, init_weights
+from advlab.objectives import ce_logit_grad, ce_loss
 
 
 def corner_search_linf(weights, batch, eps):
@@ -28,6 +28,52 @@ def corner_search_linf(weights, batch, eps):
                 best_loss = loss[0]
                 out[i] = cand
     return out
+
+
+def pgd_two_forward_oracle(weights, batch, spec, rng=None):
+    """PGD as first written: every iterate is forwarded twice (once for
+    its CE, once more for its gradient) and gradients come from the full
+    backward, weight gradients included."""
+
+    def grad_at(x):
+        trace = forward(weights, x)
+        return backward(weights, trace, ce_logit_grad(trace.logits, batch.labels))[1]
+
+    x0, labels = batch.inputs, batch.labels
+    if spec.eps == 0.0:
+        return x0.copy()
+    if spec.random_start:
+        if spec.p == "inf":
+            x = x0 + rng.uniform(-spec.eps, spec.eps, size=x0.shape)
+        else:
+            direction = rng.standard_normal(x0.shape)
+            direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
+            radius = spec.eps * rng.uniform(0.0, 1.0, size=(x0.shape[0], 1)) ** (1.0 / x0.shape[1])
+            x = x0 + radius * direction
+        x = project(x0, x, spec.p, spec.eps)
+    else:
+        x = x0.copy()
+    best_x = x0.copy()
+    best_loss, _ = ce_loss(forward(weights, x0).logits, labels)
+    if spec.track_best and spec.random_start:
+        start_loss, _ = ce_loss(forward(weights, x).logits, labels)
+        improved = start_loss > best_loss
+        best_x[improved] = x[improved]
+        best_loss = np.maximum(best_loss, start_loss)
+    for _ in range(spec.k):
+        grad = grad_at(x)
+        if spec.p == "inf":
+            x = x + spec.alpha * np.sign(grad)
+        else:
+            norms = np.linalg.norm(grad, axis=1, keepdims=True)
+            x = x + spec.alpha * grad / np.maximum(norms, 1e-300)
+        x = project(x0, x, spec.p, spec.eps)
+        if spec.track_best:
+            loss, _ = ce_loss(forward(weights, x).logits, labels)
+            improved = loss > best_loss
+            best_x[improved] = x[improved]
+            best_loss = np.maximum(best_loss, loss)
+    return best_x if spec.track_best else x
 
 
 class TestAttackSpec:
@@ -197,3 +243,42 @@ class TestPgd:
             exact = corner_search_linf(weights, batch, eps)
             loss_exact = ce_loss(forward(weights, exact).logits, labels)[1]
             assert loss_pgd >= 0.99 * loss_exact, f"trial {trial}"
+
+
+class TestOneForwardPerIterate:
+    """The one-forward PGD loop returns exactly what the two-forward loop did."""
+
+    @pytest.mark.parametrize("use_clean_trace", [False, True])
+    @pytest.mark.parametrize("eps", [0.0, 0.07])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("track_best", [False, True])
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("p", ["inf", "two"])
+    def test_bit_identical_to_two_forward_loop(self, p, random_start, track_best, k,
+                                               eps, use_clean_trace):
+        batch = synth_blobs(make_rng(20), 40, 12, 3, 0.3)
+        weights = init_weights(MlpConfig([12, 16, 8, 3], seed=21))
+        alpha = 0.02 if p == "inf" else 0.05
+        spec = AttackSpec(p=p, eps=eps, alpha=alpha, k=k,
+                          random_start=random_start, track_best=track_best)
+        clean_trace = forward(weights, batch.inputs) if use_clean_trace else None
+        got = pgd(weights, batch, spec, make_rng(22), clean_trace=clean_trace)
+        want = pgd_two_forward_oracle(weights, batch, spec, make_rng(22))
+        assert np.array_equal(got, want)
+        if eps > 0:
+            assert not np.array_equal(got, batch.inputs)
+
+    def test_clean_trace_row_mismatch(self):
+        batch = synth_blobs(make_rng(23), 10, 4, 2, 0.1)
+        weights = init_weights(MlpConfig([4, 3, 2], seed=0))
+        trace = forward(weights, batch.inputs[:5])
+        with pytest.raises(ShapeError):
+            pgd(weights, batch, AttackSpec(eps=0.05), clean_trace=trace)
+
+    def test_fgsm_matches_full_backward(self):
+        batch = synth_blobs(make_rng(24), 30, 6, 3, 0.2)
+        weights = init_weights(MlpConfig([6, 5, 3], seed=25))
+        trace = forward(weights, batch.inputs)
+        grad = backward(weights, trace, ce_logit_grad(trace.logits, batch.labels))[1]
+        want = np.clip(batch.inputs + 0.05 * np.sign(grad), 0.0, 1.0)
+        assert np.array_equal(fgsm(weights, batch, 0.05), want)

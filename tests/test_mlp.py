@@ -3,7 +3,7 @@ import pytest
 
 from advlab.core import ShapeError, make_rng
 from advlab.data import synth_blobs
-from advlab.mlp import (MlpConfig, backward, forward, init_weights,
+from advlab.mlp import (MlpConfig, backward, forward, init_weights, input_grad,
                         load_checkpoint, save_checkpoint)
 from advlab.objectives import ce_logit_grad, ce_loss
 
@@ -111,6 +111,22 @@ class TestBackward:
             backward(w, trace, np.zeros((5, 4)))
 
 
+class TestInputGrad:
+    @pytest.mark.parametrize("widths", [[4, 3], [6, 5, 3], [7, 9, 6, 4]])
+    def test_bit_identical_to_backward(self, widths):
+        w = init_weights(MlpConfig(widths, seed=len(widths)))
+        trace = forward(w, make_rng(5).uniform(size=(11, widths[0])))
+        logit_grad = make_rng(6).standard_normal(trace.logits.shape)
+        assert np.array_equal(input_grad(w, trace, logit_grad),
+                              backward(w, trace, logit_grad)[1])
+
+    def test_logit_grad_shape_error(self):
+        w = init_weights(MlpConfig([4, 3], seed=0))
+        trace = forward(w, make_rng(0).uniform(size=(5, 4)))
+        with pytest.raises(ShapeError):
+            input_grad(w, trace, np.zeros((5, 4)))
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         w = init_weights(MlpConfig([7, 5, 3], seed=9))
@@ -124,4 +140,35 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\0" * 16)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_weights(MlpConfig([7, 5, 3], seed=9)), path)
+        return path, path.read_bytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(ValueError, match=f"is {len(raw)} bytes, file has {len(raw) + 1}"):
+            load_checkpoint(path)
+
+    def test_truncated_body_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match=f"is {len(raw)} bytes, file has {len(raw) - 8}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [4, 5, 8, 12, 20])
+    def test_truncated_header_rejected(self, tmp_path, cut):
+        # 9 fixed header bytes, then a 3 x u32 width table ending at byte 21
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=f"file has {cut}"):
+            load_checkpoint(path)
+
+    def test_too_few_widths_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:5] + (1).to_bytes(4, "little") + raw[9:13])
+        with pytest.raises(ValueError, match="need at least 2"):
             load_checkpoint(path)
