@@ -7,7 +7,8 @@ Subcommands:
   bounds      radius estimates and complexity bounds from a logit dump
   plotscript  emit a standalone matplotlib script for a figure
 
-Exit codes: 0 success, 1 validation error, 2 runtime error.
+Exit codes: 0 success, 1 input error (an invalid config, or an input file
+that is missing, unreadable or malformed), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -59,6 +60,18 @@ def _build(cls, section: dict, where: str, renames=()):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _read_input(what: str, load, *args):
+    """load(*args); a file that cannot be read is an input error (exit 1)."""
+    try:
+        return load(*args)
+    except OSError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _read_config(path) -> dict:
+    return json.loads(_read_input("--config", Path(path).read_text))
+
+
 def build_dataset(cfg: dict) -> DatasetHandle:
     kind = _require(cfg, "kind", str, "dataset")
     if kind == "synthetic":
@@ -73,12 +86,14 @@ def build_dataset(cfg: dict) -> DatasetHandle:
         except ParameterError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
     if kind == "idx":
-        trainb = load_idx(_require(cfg, "train_images", str, "dataset"),
-                          _require(cfg, "train_labels", str, "dataset"),
-                          cfg.get("train_limit"))
-        testb = load_idx(_require(cfg, "test_images", str, "dataset"),
-                         _require(cfg, "test_labels", str, "dataset"),
-                         cfg.get("test_limit"))
+        trainb = _read_input("dataset", load_idx,
+                             _require(cfg, "train_images", str, "dataset"),
+                             _require(cfg, "train_labels", str, "dataset"),
+                             cfg.get("train_limit"))
+        testb = _read_input("dataset", load_idx,
+                            _require(cfg, "test_images", str, "dataset"),
+                            _require(cfg, "test_labels", str, "dataset"),
+                            cfg.get("test_limit"))
         return DatasetHandle(trainb, testb, name=cfg.get("name", "idx"), source="idx-files")
     raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
 
@@ -107,40 +122,18 @@ def _content_hash(payload) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _record_to_row(rec, cfg: TrainConfig):
-    widths = cfg.model.layer_widths
-    return {
-        "run_id": f"train_s{cfg.seed}",
-        "width": widths[1] if len(widths) > 2 else widths[0],
-        "lambda": cfg.objective.lam if cfg.objective.kind == "mixture" else None,
-        "seed": cfg.seed,
-        "epoch_budget": cfg.epochs,
-        "epoch": rec.epoch,
-        "clean_train_loss": rec.clean_train_loss,
-        "clean_train_acc": rec.clean_train_acc,
-        "clean_test_loss": rec.clean_test_loss,
-        "clean_test_acc": rec.clean_test_acc,
-        "fgsm_acc": rec.adv_test_acc.get("fgsm"),
-        "pgd_acc": rec.adv_test_acc.get("pgd"),
-        "gamma_hat": rec.gamma_hat,
-        "gamma_hat_c": rec.gamma_hat_c,
-        "gamma_hat_m": rec.gamma_hat_m,
-        "gamma_ce": rec.gamma_ce,
-        "bound_lower": rec.bound_lower,
-        "bound_upper": rec.bound_upper,
-        "gap_ce": None,
-        "epoch_wall_ms": rec.epoch_wall_ms,
-    }
-
-
 def cmd_train(config_path, out_dir) -> int:
-    raw = json.loads(Path(config_path).read_text())
+    raw = _read_config(config_path)
     data = build_dataset(_require(raw, "dataset", dict, "config"))
     cfg = build_train_config(raw)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     weights, history = train(cfg, data)
-    rows = [_record_to_row(rec, cfg) for rec in history]
+    widths = cfg.model.layer_widths
+    width = widths[1] if len(widths) > 2 else widths[0]
+    lam = cfg.objective.lam if cfg.objective.kind == "mixture" else None
+    rows = [sweep_mod.record_row(rec, f"train_s{cfg.seed}", width, lam, cfg.seed, cfg.epochs)
+            for rec in history]
     sweep_mod.write_csv(rows, out / "history.csv")
     save_checkpoint(weights, out / "final.ckpt")
     manifest = {
@@ -158,7 +151,7 @@ def cmd_train(config_path, out_dir) -> int:
 
 
 def cmd_sweep(config_path, out_dir, jobs: int) -> int:
-    raw = json.loads(Path(config_path).read_text())
+    raw = _read_config(config_path)
     data = build_dataset(_require(raw, "dataset", dict, "config"))
     grid = _require(raw, "grid", dict, "config")
     attack = _build(AttackSpec, raw.get("attack", {}), "attack",
@@ -188,14 +181,14 @@ def cmd_sweep(config_path, out_dir, jobs: int) -> int:
 
 
 def cmd_correlate(csv_path, regime) -> int:
-    rows = sweep_mod.read_csv(csv_path)
+    rows = _read_input("csv", sweep_mod.read_csv, csv_path)
     report = sweep_mod.correlate(rows, regime)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 
 
 def cmd_bounds(dump_path) -> int:
-    logits, labels, k = load_array(dump_path)
+    logits, labels, k = _read_input("dump", load_array, dump_path)
     est = radius_estimates_from_logits(logits, labels)
     report = {
         "n": est.n, "n_correct": est.n_correct, "n_wrong": est.n_wrong,
@@ -252,7 +245,7 @@ _FIGURE_COLUMNS = {
 
 
 def cmd_plotscript(csv_path, figure, out_dir) -> int:
-    rows = sweep_mod.read_csv(csv_path)  # validates the schema
+    rows = _read_input("csv", sweep_mod.read_csv, csv_path)  # validates the schema
     needed = _FIGURE_COLUMNS[figure]
     if not any(all(r.get(c) is not None for c in needed) for r in rows):
         raise ParameterError(f"CSV has no usable rows for {figure} (columns {needed})")

@@ -86,7 +86,7 @@ def _read_idx(path, expected_magic: int, what: str):
     count = int(np.prod(dims))
     body = np.frombuffer(raw, dtype=np.uint8, offset=header_len)
     if body.size != count:
-        raise OSError(f"{what}: expected {count} bytes of data, found {body.size}")
+        raise FormatError(f"{what}: expected {count} bytes of data, found {body.size} in {path}")
     return body.reshape(dims)
 
 

@@ -80,12 +80,16 @@ def correct_mask(logits, labels) -> np.ndarray:
     return logits.argmax(axis=1) == labels
 
 
+def risk_from_logits(logits, labels) -> RiskReport:
+    """Empirical CE risk and accuracy from precomputed logits."""
+    _, mean = ce_loss(logits, labels)
+    mask = correct_mask(logits, labels)
+    return RiskReport(mean_loss=mean, accuracy=float(mask.mean()), n=len(mask), correct_mask=mask)
+
+
 def risk(weights: list, batch: LabeledBatch) -> RiskReport:
     """Empirical CE risk and accuracy of a model on a batch."""
-    logits = forward(weights, batch.inputs).logits
-    _, mean = ce_loss(logits, batch.labels)
-    mask = correct_mask(logits, batch.labels)
-    return RiskReport(mean_loss=mean, accuracy=float(mask.mean()), n=batch.n, correct_mask=mask)
+    return risk_from_logits(forward(weights, batch.inputs).logits, batch.labels)
 
 
 def mixture_from_logits(clean_logits, adv_logits, labels, lam: float):

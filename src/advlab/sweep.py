@@ -5,7 +5,9 @@ with the mixture objective, always including a lambda=0 standard-training
 family per (width, seed, budget) so the cross-family generalization gap
 (min test risk over the adversarial family minus min over the standard
 family, at the same epoch budget) can be attached to every adversarial
-cell.  One CSV row per run per recorded epoch.
+cell.  One CSV row per run per recorded epoch.  Each (width, lambda,
+seed) trains once, to the largest budget; the shorter budgets' runs are
+read off that trajectory.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .attacks import AttackSpec
 from .core import ParameterError
@@ -24,7 +25,7 @@ from .data import DatasetHandle
 from .loat import LoatSchedule
 from .mlp import MlpConfig
 from .objectives import ObjectiveSpec, generalization_gap
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, metric_epochs, train
 
 CSV_SCHEMA_VERSION = "v1"
 CSV_COLUMNS = [
@@ -61,6 +62,8 @@ class SweepSpec:
                 object.__setattr__(self, name, tuple(dict.fromkeys(values)))
         if any(not 0.0 <= l <= 1.0 for l in self.lambdas):
             raise ParameterError("lambdas must lie in [0, 1]")
+        if any(b < 1 for b in self.epochs_list):
+            raise ParameterError("epoch budgets must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ def _metrics_every(budget: int) -> int:
 
 
 def _cell_config(spec: SweepSpec, data: DatasetHandle, width: int, lam: float,
-                 seed: int, budget: int) -> TrainConfig:
+                 seed: int, epochs: int) -> TrainConfig:
     eval_pgd = AttackSpec(p=spec.attack.p, eps=spec.attack.eps,
                           alpha=spec.attack.alpha, k=spec.attack.k)
     eval_fgsm = AttackSpec(p="inf", eps=spec.attack.eps, alpha=spec.attack.eps, k=1)
@@ -86,46 +89,65 @@ def _cell_config(spec: SweepSpec, data: DatasetHandle, width: int, lam: float,
         objective=ObjectiveSpec(kind="mixture", lam=lam),
         attack=spec.attack,
         schedule=spec.schedule,
-        epochs=budget,
+        epochs=epochs,
         batch_size=spec.batch_size,
         lr=spec.lr,
         momentum=spec.momentum,
         seed=seed,
-        metrics_every=_metrics_every(budget),
         eval_attacks=(("fgsm", eval_fgsm), ("pgd", eval_pgd)),
     )
 
 
+def record_row(rec, run_id: str, width: int, lam, seed: int, budget: int) -> dict:
+    """One CSV row (schema v1) for a MetricsRecord; gap_ce is left to attach_gaps."""
+    return {
+        "run_id": run_id,
+        "width": width,
+        "lambda": lam,
+        "seed": seed,
+        "epoch_budget": budget,
+        "epoch": rec.epoch,
+        "clean_train_loss": rec.clean_train_loss,
+        "clean_train_acc": rec.clean_train_acc,
+        "clean_test_loss": rec.clean_test_loss,
+        "clean_test_acc": rec.clean_test_acc,
+        "fgsm_acc": rec.adv_test_acc.get("fgsm"),
+        "pgd_acc": rec.adv_test_acc.get("pgd"),
+        "gamma_hat": rec.gamma_hat,
+        "gamma_hat_c": rec.gamma_hat_c,
+        "gamma_hat_m": rec.gamma_hat_m,
+        "gamma_ce": rec.gamma_ce,
+        "bound_lower": rec.bound_lower,
+        "bound_upper": rec.bound_upper,
+        "gap_ce": None,
+        "epoch_wall_ms": rec.epoch_wall_ms,
+    }
+
+
+# The dataset of the running sweep.  Pool workers receive it once through
+# the pool initializer rather than inside every task.
+_data = None
+
+
+def _share_data(data) -> None:
+    global _data
+    _data = data
+
+
 def _run_cell(args):
-    spec, data, width, lam, seed, budget = args
-    cfg = _cell_config(spec, data, width, lam, seed, budget)
-    _, history = train(cfg, data)
-    run_id = f"w{width}_l{lam:g}_s{seed}_e{budget}"
-    rows = []
-    for rec in history:
-        rows.append({
-            "run_id": run_id,
-            "width": width,
-            "lambda": lam,
-            "seed": seed,
-            "epoch_budget": budget,
-            "epoch": rec.epoch,
-            "clean_train_loss": rec.clean_train_loss,
-            "clean_train_acc": rec.clean_train_acc,
-            "clean_test_loss": rec.clean_test_loss,
-            "clean_test_acc": rec.clean_test_acc,
-            "fgsm_acc": rec.adv_test_acc.get("fgsm"),
-            "pgd_acc": rec.adv_test_acc.get("pgd"),
-            "gamma_hat": rec.gamma_hat,
-            "gamma_hat_c": rec.gamma_hat_c,
-            "gamma_hat_m": rec.gamma_hat_m,
-            "gamma_ce": rec.gamma_ce,
-            "bound_lower": rec.bound_lower,
-            "bound_upper": rec.bound_upper,
-            "gap_ce": None,
-            "epoch_wall_ms": rec.epoch_wall_ms,
-        })
-    return rows
+    """Train one (width, lambda, seed) to the largest budget; rows of every budget.
+
+    A run of b epochs is a prefix of the longer run: lr, the LOAT schedule
+    and the per-epoch generators do not depend on the budget.  So each
+    budget's rows are the longer run's records at that budget's epochs.
+    """
+    spec, width, lam, seed = args
+    wanted = {b: metric_epochs(b, _metrics_every(b)) for b in spec.epochs_list}
+    cfg = _cell_config(spec, _data, width, lam, seed, max(spec.epochs_list))
+    _, history = train(cfg, _data, record_epochs=set().union(*wanted.values()))
+    return [record_row(rec, f"w{width}_l{lam:g}_s{seed}_e{budget}", width, lam, seed, budget)
+            for budget in spec.epochs_list
+            for rec in history if rec.epoch in wanted[budget]]
 
 
 def run_sweep(spec: SweepSpec, data: DatasetHandle, jobs: int = 1) -> list:
@@ -133,14 +155,17 @@ def run_sweep(spec: SweepSpec, data: DatasetHandle, jobs: int = 1) -> list:
     lambdas = tuple(spec.lambdas)
     if 0.0 not in lambdas:
         lambdas = (0.0,) + lambdas
-    cells = [(spec, data, w, lam, s, e)
-             for w in spec.widths for lam in lambdas
-             for s in spec.seeds for e in spec.epochs_list]
+    cells = [(spec, w, lam, s) for w in spec.widths for lam in lambdas for s in spec.seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_data,
+                                 initargs=(data,)) as pool:
             per_cell = list(pool.map(_run_cell, cells))
     else:
-        per_cell = [_run_cell(c) for c in cells]
+        _share_data(data)
+        try:
+            per_cell = [_run_cell(c) for c in cells]
+        finally:
+            _share_data(None)
     rows = [r for cell_rows in per_cell for r in cell_rows]
     attach_gaps(rows)
     return rows
@@ -227,6 +252,8 @@ def correlate(rows, regime: str) -> CorrelationReport:
     y = np.array([r["gap_ce"] for r in usable])
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise InsufficientDataError("zero variance in gamma_ce or gap_ce")
+    from scipy import stats  # only here: importing scipy.stats takes ~0.4 s
+
     pearson = stats.pearsonr(x, y).statistic
     spearman = stats.spearmanr(x, y).statistic
     return CorrelationReport(pearson_r=float(pearson), spearman_rho=float(spearman),

@@ -24,11 +24,11 @@ from .attacks import AttackSpec, pgd
 from .core import ParameterError, make_rng, softmax_rows
 from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import (BoundInputs, UndefinedMetricError, complexity_bounds,
-                         gamma_ce, radius_estimates)
+                         gamma_ce, radius_estimates_from_logits)
 from .loat import LoatSchedule, compute_penalties, loat_grad_contrib, loat_loss
 from .mlp import MlpConfig, backward, forward, init_weights
 from .objectives import (ObjectiveSpec, mixture_from_logits, risk,
-                         trades_from_logits)
+                         risk_from_logits, trades_from_logits)
 
 
 class DivergenceError(RuntimeError):
@@ -139,18 +139,24 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
     """Full-split metrics: risks, adversarial accuracies, radius estimates.
 
     Radius estimates (and hence gamma_ce and the complexity bounds) are
-    computed on the training split.  Undefined metrics stay None.
+    computed on the training split.  Undefined metrics stay None.  Each
+    split is forwarded once: the train logits serve the risk and the
+    radius estimates, the test trace the risk and every eval attack's
+    clean start.
     """
-    train_report = risk(weights, data.train)
-    test_report = risk(weights, data.test)
+    train_logits = forward(weights, data.train.inputs).logits
+    train_report = risk_from_logits(train_logits, data.train.labels)
+    test_trace = forward(weights, data.test.inputs)
+    test_report = risk_from_logits(test_trace.logits, data.test.labels)
 
     adv_acc = {}
     for name, spec in eval_attacks:
-        adv_inputs = pgd(weights, data.test, spec, make_rng(attack_seed))
+        adv_inputs = pgd(weights, data.test, spec, make_rng(attack_seed),
+                         clean_trace=test_trace)
         adv_batch = LabeledBatch(adv_inputs, data.test.labels, data.test.num_classes)
         adv_acc[name] = risk(weights, adv_batch).accuracy
 
-    est = radius_estimates(weights, data.train)
+    est = radius_estimates_from_logits(train_logits, data.train.labels)
     g_ce = bound_lo = bound_hi = None
     try:
         g_ce = gamma_ce(est)
@@ -178,8 +184,18 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
     )
 
 
-def train(cfg: TrainConfig, data: DatasetHandle):
-    """Run the full training loop; returns (final_weights, history)."""
+def metric_epochs(epochs: int, every: int) -> set:
+    """Epochs a run of `epochs` evaluates after: every `every`-th and the last."""
+    return {e for e in range(1, epochs + 1) if e % every == 0 or e == epochs}
+
+
+def train(cfg: TrainConfig, data: DatasetHandle, record_epochs=None):
+    """Run the full training loop; returns (final_weights, history).
+
+    `record_epochs` is the set of epochs to evaluate after; it defaults to
+    metric_epochs(cfg.epochs, cfg.metrics_every).  A sweep passes the
+    union of several budgets' epochs to read them off one run.
+    """
     if data.train.dim != cfg.model.layer_widths[0]:
         raise ParameterError("model input width must match dataset dimension")
     if data.train.num_classes != cfg.model.layer_widths[-1]:
@@ -187,6 +203,8 @@ def train(cfg: TrainConfig, data: DatasetHandle):
 
     weights = init_weights(cfg.model)
     velocity = [np.zeros_like(w) for w in weights]
+    if record_epochs is None:
+        record_epochs = metric_epochs(cfg.epochs, cfg.metrics_every)
     history = []
     for epoch in range(1, cfg.epochs + 1):
         shuffle_rng, attack_rng = _epoch_rngs(cfg.seed, epoch)
@@ -195,7 +213,7 @@ def train(cfg: TrainConfig, data: DatasetHandle):
             _, grads = _batch_step(weights, batch, cfg, epoch, attack_rng)
             sgd_step(weights, grads, velocity, cfg.lr, cfg.momentum)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        if epoch % cfg.metrics_every == 0 or epoch == cfg.epochs:
+        if epoch in record_epochs:
             history.append(evaluate(weights, data, cfg.eval_attacks,
                                     epoch=epoch, epoch_wall_ms=wall_ms))
     return weights, history

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advlab
 from advlab.cli import main
 from advlab.data import dump_array
 from advlab.mlp import load_checkpoint
@@ -40,6 +45,15 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["schema_version"] == "v1"
         assert "config_hash" in manifest
+
+    def test_history_rows_name_the_run(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = read_csv(out / "history.csv")
+        assert [(r["run_id"], r["width"], r["lambda"], r["seed"], r["epoch_budget"],
+                 r["epoch"], r["gap_ce"]) for r in rows] == \
+               [("train_s0", 6, 0.5, 0, 2, 1, None), ("train_s0", 6, 0.5, 0, 2, 2, None)]
 
     def test_rerun_reproduces_csv_except_timing(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -252,3 +266,57 @@ class TestDatasetSection:
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 1
         assert "dataset.kind" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """A missing or unreadable input file is an input error: exit 1, `error:`."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_missing_config(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope.json"
+        assert main([command, "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config:") and "nope.json" in err
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        # a directory cannot be read as a file
+        assert main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: --config:")
+
+    @pytest.mark.parametrize("argv", [["correlate", "{missing}", "--regime", "early"],
+                                      ["plotscript", "{missing}", "--figure", "fig2"],
+                                      ["bounds", "{missing}"]])
+    def test_missing_input_file(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "nope.bin")
+        assert main([a.format(missing=missing) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nope.bin" in err
+
+    def test_missing_idx_file(self, tmp_path, capsys):
+        cfg = base_config(dataset={
+            "kind": "idx", "train_images": str(tmp_path / "nope.idx"),
+            "train_labels": str(tmp_path / "nope.idx"),
+            "test_images": str(tmp_path / "nope.idx"),
+            "test_labels": str(tmp_path / "nope.idx")})
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: dataset:")
+
+    def test_truncated_idx_file(self, tmp_path, capsys):
+        img = tmp_path / "img.idx"
+        img.write_bytes(bytes.fromhex("00000803") + (2).to_bytes(4, "big") * 3 + b"\0" * 5)
+        cfg = base_config(dataset={
+            "kind": "idx", "train_images": str(img), "train_labels": str(img),
+            "test_images": str(img), "test_labels": str(img)})
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "expected 8 bytes of data, found 5" in capsys.readouterr().err
+
+
+def test_import_cli_does_not_load_scipy():
+    src = str(Path(advlab.__file__).resolve().parents[1])
+    code = ("import sys, advlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -62,8 +62,23 @@ class TestLoadIdx:
         img_path, lab_path, *_ = idx_pair
         broken = tmp_path / "broken.idx"
         broken.write_bytes(img_path.read_bytes()[:-7])
-        with pytest.raises(OSError):
+        with pytest.raises(FormatError, match="expected 192 bytes of data, found 185"):
             load_idx(broken, lab_path)
+
+    @pytest.mark.parametrize("keep", [2, 6])  # inside the magic, inside the dims
+    def test_truncated_header(self, tmp_path, idx_pair, keep):
+        img_path, lab_path, *_ = idx_pair
+        broken = tmp_path / "broken.idx"
+        broken.write_bytes(img_path.read_bytes()[:keep])
+        with pytest.raises(FormatError, match="truncated"):
+            load_idx(broken, lab_path)
+
+    def test_padded_body(self, tmp_path, idx_pair):
+        img_path, lab_path, *_ = idx_pair
+        padded = tmp_path / "padded.idx"
+        padded.write_bytes(lab_path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="expected 12 bytes of data, found 13"):
+            load_idx(img_path, padded)
 
     def test_count_mismatch(self, tmp_path, idx_pair):
         img_path, _, _, labels = idx_pair

@@ -3,10 +3,18 @@ import pytest
 from advlab.attacks import AttackSpec
 from advlab.core import ParameterError
 from advlab.data import blob_dataset
+from advlab.loat import LoatSchedule
+from advlab.mlp import MlpConfig
+from advlab.objectives import ObjectiveSpec
 from advlab.sweep import (CSV_COLUMNS, InsufficientDataError, SweepSpec,
                           attach_gaps, correlate, least_squares_slope,
-                          read_csv, run_sweep, slopes_by_lambda,
+                          read_csv, record_row, run_sweep, slopes_by_lambda,
                           slopes_by_width, write_csv)
+from advlab.trainer import TrainConfig, train
+
+
+def strip_timing(rows):
+    return [{k: v for k, v in r.items() if k != "epoch_wall_ms"} for r in rows]
 
 
 def tiny_sweep_rows():
@@ -37,6 +45,12 @@ class TestSweepSpec:
     def test_lambda_range(self):
         with pytest.raises(ParameterError):
             SweepSpec(widths=(4,), lambdas=(1.5,), seeds=(0,), epochs_list=(1,))
+
+    def test_budget_below_one_rejected(self):
+        # one run trains to the largest budget, so a zero budget beside it
+        # must be rejected here rather than yield no rows
+        with pytest.raises(ParameterError):
+            SweepSpec(widths=(4,), lambdas=(0.5,), seeds=(0,), epochs_list=(3, 0))
 
 
 class TestRunSweep:
@@ -69,9 +83,52 @@ class TestRunSweep:
                          batch_size=20)
         serial = run_sweep(spec, data, jobs=1)
         parallel = run_sweep(spec, data, jobs=2)
-        strip = lambda rows: [{k: v for k, v in r.items() if k != "epoch_wall_ms"}
-                              for r in rows]
-        assert strip(serial) == strip(parallel)
+        assert strip_timing(serial) == strip_timing(parallel)
+
+
+class TestOneTrajectoryPerCell:
+    """run_sweep trains each (width, lambda, seed) once, to the largest
+    budget, and reads the shorter budgets off that run.  That is only
+    right while a run of b epochs is a prefix of a longer run, so every
+    budget's rows must equal a separate train() run of b epochs."""
+
+    DATA = blob_dataset(2, 48, 24, 4, 3, 0.25)
+    ATTACK = AttackSpec(eps=0.05, alpha=0.02, k=2, random_start=True)
+    SCHEDULE = LoatSchedule(variant="LORE", e1=2, e2=20)
+    # unsorted; 12 and 27 record every 25th epoch plus the last
+    SPEC = SweepSpec(widths=(5,), lambdas=(0.6,), seeds=(3, 1), epochs_list=(12, 3, 27),
+                     attack=ATTACK, schedule=SCHEDULE, batch_size=16)
+
+    @classmethod
+    def separate_runs(cls):
+        """The rows of one train() run per (width, lambda, seed, budget)."""
+        rows = []
+        for lam in (0.0, 0.6):
+            for seed in cls.SPEC.seeds:
+                for budget in cls.SPEC.epochs_list:
+                    cfg = TrainConfig(
+                        model=MlpConfig([4, 5, 3], seed=seed),
+                        objective=ObjectiveSpec(kind="mixture", lam=lam),
+                        attack=cls.ATTACK, schedule=cls.SCHEDULE, epochs=budget,
+                        batch_size=16, seed=seed, metrics_every=1 if budget <= 10 else 25,
+                        eval_attacks=(("fgsm", AttackSpec(eps=0.05, alpha=0.05, k=1)),
+                                      ("pgd", AttackSpec(eps=0.05, alpha=0.02, k=2))))
+                    _, history = train(cfg, cls.DATA)
+                    rows += [record_row(rec, f"w5_l{lam:g}_s{seed}_e{budget}",
+                                        5, lam, seed, budget) for rec in history]
+        attach_gaps(rows)
+        return rows
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return strip_timing(self.separate_runs())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_budgets_equal_separate_runs(self, expected, jobs):
+        got = strip_timing(run_sweep(self.SPEC, self.DATA, jobs=jobs))
+        assert [r["epoch"] for r in got if r["run_id"] == "w5_l0.6_s3_e27"] == [25, 27]
+        assert [r["epoch"] for r in got if r["run_id"] == "w5_l0.6_s3_e12"] == [12]
+        assert got == expected
 
 
 class TestAttachGaps:

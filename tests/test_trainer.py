@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from advlab.attacks import AttackSpec
+from advlab.attacks import AttackSpec, pgd
 from advlab.core import ParameterError, make_rng
-from advlab.data import blob_dataset
+from advlab.data import LabeledBatch, blob_dataset
+from advlab.fisher_rao import (BoundInputs, UndefinedMetricError,
+                               complexity_bounds, gamma_ce, radius_estimates)
 from advlab.loat import LoatSchedule
 from advlab.mlp import MlpConfig, init_weights
 from advlab.objectives import ObjectiveSpec, risk
-from advlab.trainer import (DivergenceError, TrainConfig, evaluate, sgd_step,
-                            train)
+from advlab.trainer import (DivergenceError, MetricsRecord, TrainConfig,
+                            evaluate, metric_epochs, sgd_step, train)
 
 
 def blob_data(seed=0, n_train=120, n_test=60, d=5, k=3, spread=0.08):
@@ -143,6 +145,18 @@ class TestTrain:
                           epochs=7, batch_size=64, seed=0, metrics_every=3)
         _, history = train(cfg, data)
         assert [rec.epoch for rec in history] == [3, 6, 7]
+        assert metric_epochs(7, 3) == {3, 6, 7}
+
+    def test_record_epochs_override_cadence(self):
+        data = blob_data(seed=6)
+        cfg = TrainConfig(model=MlpConfig([5, 4, 3], seed=0),
+                          objective=ObjectiveSpec(kind="standard"),
+                          epochs=7, batch_size=64, seed=0, metrics_every=3)
+        _, default = train(cfg, data)
+        _, chosen = train(cfg, data, record_epochs={1, 6, 7})
+        assert [rec.epoch for rec in chosen] == [1, 6, 7]
+        strip = lambda rec: dataclasses.replace(rec, epoch_wall_ms=0.0)
+        assert [strip(r) for r in chosen[1:]] == [strip(r) for r in default[1:]]
 
     def test_schedule_gate_middle_epochs_bit_exact(self):
         # between E1 and E2 the penalty branch must not touch the update,
@@ -165,7 +179,48 @@ class TestTrain:
                    dataclasses.replace(b, epoch_wall_ms=0.0)
 
 
+def evaluate_oracle(weights, data, eval_attacks, attack_seed=12345):
+    """evaluate() as a separate forward per use: risk() per split, each
+    eval attack forwarding the clean test split itself, and the radius
+    estimates forwarding the training split once more."""
+    train_report = risk(weights, data.train)
+    test_report = risk(weights, data.test)
+    adv_acc = {}
+    for name, spec in eval_attacks:
+        adv = pgd(weights, data.test, spec, make_rng(attack_seed))
+        adv_acc[name] = risk(weights, LabeledBatch(adv, data.test.labels,
+                                                   data.test.num_classes)).accuracy
+    est = radius_estimates(weights, data.train)
+    g_ce = lo = hi = None
+    try:
+        g_ce = gamma_ce(est)
+        lo, hi = complexity_bounds(BoundInputs(
+            n=est.n, n_correct=est.n_correct, n_wrong=est.n_wrong,
+            num_classes=data.train.num_classes,
+            gamma_hat_m=est.gamma_hat_m, gamma_ce=g_ce))
+    except (UndefinedMetricError, ParameterError):
+        pass
+    return MetricsRecord(
+        epoch=0, clean_train_loss=train_report.mean_loss,
+        clean_train_acc=train_report.accuracy, clean_test_loss=test_report.mean_loss,
+        clean_test_acc=test_report.accuracy, adv_test_acc=adv_acc,
+        gamma_hat=est.gamma_hat, gamma_hat_c=est.gamma_hat_c, gamma_hat_m=est.gamma_hat_m,
+        gamma_ce=g_ce, bound_lower=lo, bound_upper=hi, epoch_wall_ms=0.0)
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("p", ["inf", "two"])
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("track_best", [False, True])
+    def test_equals_one_forward_per_use(self, p, random_start, track_best):
+        data = blob_data(seed=11, spread=0.3)
+        weights = init_weights(MlpConfig([5, 7, 3], seed=4))
+        attacks = (("fgsm", AttackSpec(p="inf", eps=0.06, alpha=0.06, k=1)),
+                   ("pgd", AttackSpec(p=p, eps=0.06, alpha=0.02, k=4,
+                                      random_start=random_start, track_best=track_best)),
+                   ("none", AttackSpec(eps=0.0)))
+        assert evaluate(weights, data, attacks) == evaluate_oracle(weights, data, attacks)
+
     def test_zero_model_metrics(self):
         data = blob_data(seed=8, k=3)
         weights = init_weights(MlpConfig([5, 3], seed=0, init_scale=0.0))
