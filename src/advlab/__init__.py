@@ -8,21 +8,19 @@ sweep/correlation tooling (sweep) with a CLI front end (cli).
 """
 
 from .attacks import AttackSpec, fgsm, pgd, project
-from .core import (ParameterError, ShapeError, make_rng, matmul,
-                   rademacher_draw, relu, softmax_rows)
+from .core import ParameterError, ShapeError, make_rng, softmax_rows
 from .data import (DatasetHandle, FormatError, LabeledBatch, batches,
                    blob_dataset, dump_batch, load_batch, load_idx, synth_blobs)
 from .fisher_rao import (BoundInputs, RadiusEstimates, UndefinedMetricError,
                          bound_slope_ratio, complexity_bounds,
                          empirical_rademacher, fr_norm_ce, gamma_ce,
                          radius_estimates)
-from .loat import (EmptySubsetError, LoatSchedule, PenaltyReport,
-                   adversarial_pairing, compute_penalties, loat_grad_contrib,
-                   loat_loss, penalty_correct, penalty_wrong)
+from .loat import (EmptySubsetError, LoatSchedule, adversarial_pairing,
+                   penalty_correct, penalty_wrong)
 from .mlp import (ForwardTrace, MlpConfig, backward, forward, init_weights,
                   load_checkpoint, save_checkpoint)
 from .objectives import (ObjectiveSpec, RiskReport, ce_logit_grad, ce_loss,
-                         generalization_bound, generalization_gap,
+                         ce_loss_and_grad, generalization_bound, generalization_gap,
                          mixture_objective, risk, trades_objective)
 from .trainer import (DivergenceError, MetricsRecord, TrainConfig, evaluate,
                       sgd_step, train)

@@ -26,7 +26,7 @@ import numpy as np
 from .core import ParameterError, ShapeError, as_matrix
 from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, input_grad
-from .objectives import ce_logit_grad, ce_loss
+from .objectives import ce_logit_grad, ce_loss, ce_loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -83,47 +83,49 @@ def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
     labels = batch.labels
     if spec.eps == 0.0:
         return x0.copy()
+    if spec.p == "inf":
+        # The l-inf projection acts per coordinate and is monotone, so it
+        # equals one clip between the projections of the box corners 0 and 1.
+        lo = project(x0, np.zeros_like(x0), "inf", spec.eps)
+        hi = project(x0, np.ones_like(x0), "inf", spec.eps)
     if spec.random_start:
         if rng is None:
             raise ParameterError("random_start requires an rng")
         if spec.p == "inf":
-            x = x0 + rng.uniform(-spec.eps, spec.eps, size=x0.shape)
+            x = np.clip(x0 + rng.uniform(-spec.eps, spec.eps, size=x0.shape), lo, hi)
         else:
             direction = rng.standard_normal(x0.shape)
             direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
             radius = spec.eps * rng.uniform(0.0, 1.0, size=(x0.shape[0], 1)) ** (1.0 / x0.shape[1])
-            x = x0 + radius * direction
-        x = project(x0, x, spec.p, spec.eps)
+            x = project(x0, x0 + radius * direction, "two", spec.eps)
     else:
         x = x0.copy()
 
     # The clean forward gives the track-best baseline and, without a
-    # random start, the first iterate's trace as well.
+    # random start, the first iterate's trace as well.  Every iterate's
+    # one CE pass gives its track-best loss and the next step's gradient.
     if clean_trace is None and (spec.track_best or not spec.random_start):
         clean_trace = forward(weights, x0)
     trace = forward(weights, x) if spec.random_start else clean_trace
-
+    loss, logit_grad = ce_loss_and_grad(trace.logits, labels)
     if spec.track_best:
         best_x = x0.copy()
-        best_loss, _ = ce_loss(clean_trace.logits, labels)
-        if spec.random_start:
-            start_loss, _ = ce_loss(trace.logits, labels)
-            improved = start_loss > best_loss
-            best_x[improved] = x[improved]
-            best_loss = np.maximum(best_loss, start_loss)
+        best_loss = ce_loss(clean_trace.logits, labels)[0] if spec.random_start else loss
+        improved = loss > best_loss
+        best_x[improved] = x[improved]
+        best_loss = np.maximum(best_loss, loss)
 
     for step in range(spec.k):
-        grad = input_grad(weights, trace, ce_logit_grad(trace.logits, labels))
+        grad = input_grad(weights, trace, logit_grad)
         if spec.p == "inf":
-            x = x + spec.alpha * np.sign(grad)
+            x = np.clip(x + spec.alpha * np.sign(grad), lo, hi)
         else:
             norms = np.linalg.norm(grad, axis=1, keepdims=True)
-            x = x + spec.alpha * grad / np.maximum(norms, 1e-300)
-        x = project(x0, x, spec.p, spec.eps)
+            x = project(x0, x + spec.alpha * grad / np.maximum(norms, 1e-300), "two", spec.eps)
         if spec.track_best or step < spec.k - 1:
             trace = forward(weights, x)
+            loss, logit_grad = ce_loss_and_grad(trace.logits, labels)
         if spec.track_best:
-            loss, _ = ce_loss(trace.logits, labels)
             improved = loss > best_loss
             best_x[improved] = x[improved]
             best_loss = np.maximum(best_loss, loss)

@@ -1,4 +1,4 @@
-"""Dense linear algebra primitives and seeded randomness.
+"""Array checks, stable row softmax/logsumexp, and seeded randomness.
 
 All numeric arrays are float64 and row-major (C order).  Random streams
 use numpy's PCG64 generator: the same seed replays the same draw
@@ -32,19 +32,6 @@ def check_finite(m: np.ndarray, what: str = "result") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return check_finite(a @ b, "matmul")
-
-
-def relu(m) -> np.ndarray:
-    return np.maximum(as_matrix(m), 0.0)
-
-
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction for stability."""
     m = as_matrix(m)
@@ -66,23 +53,27 @@ def logsumexp_rows(m, keepdims: bool = False) -> np.ndarray:
     m = as_matrix(m)
     top = m.max(axis=1, keepdims=True)
     is_top = m == top
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.exp(np.where(is_top, -np.inf, m) - top).sum(axis=1, keepdims=True)
+    out = split_max_logsumexp(m, top, is_top, s)
+    return out if keepdims else out[:, 0]
+
+
+def split_max_logsumexp(m, top, is_top, s) -> np.ndarray:
+    """The (n, 1) row logsumexp of m from the parts logsumexp_rows computes:
+    the row maxima `top` (n, 1), the mask `is_top` of the entries equal to
+    them, and `s` (n, 1), the row sums of exp(m - top) over the other
+    entries.  Non-finite rows take the direct fallback."""
     count = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(is_top, -np.inf, m) - top).sum(axis=1, keepdims=True)
         out = np.log1p(s / count) + np.log(count) + top
         bad = ~np.isfinite(out[:, 0])
         if bad.any():
             out[bad] = np.log(np.exp(m[bad]).sum(axis=1, keepdims=True))
-    return out if keepdims else out[:, 0]
+    return out
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 stream.  Single-owner: do not draw concurrently."""
     return np.random.Generator(np.random.PCG64(seed))
 
-
-def rademacher_draw(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vector of n values in {-1, +1}, each sign equally likely."""
-    if n < 1:
-        raise ParameterError("rademacher_draw requires n >= 1")
-    return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0

@@ -169,7 +169,11 @@ def empirical_rademacher(loss_table, rng: np.random.Generator, draws: int):
     done = 0
     while done < draws:  # chunked so 10^5 draws stay vectorized but bounded in memory
         chunk = min(4096, draws - done)
-        xi = rng.integers(0, 2, size=(chunk, n)).astype(np.float64) * 2.0 - 1.0
+        # int32 draws take the same 32-bit path as int64 ones for this
+        # range, so the signs are the same at half the memory
+        xi = rng.integers(0, 2, size=(chunk, n), dtype=np.int32).astype(np.float64)
+        xi *= 2.0
+        xi -= 1.0
         values[done : done + chunk] = (xi @ table.T).max(axis=1) / n
         done += chunk
     estimate = float(values.mean())
@@ -178,13 +182,23 @@ def empirical_rademacher(loss_table, rng: np.random.Generator, draws: int):
 
 
 def exhaustive_rademacher(loss_table) -> float:
-    """Exact Rademacher complexity by enumerating all 2^n sign vectors (n <= 20)."""
+    """Exact Rademacher complexity by enumerating all 2^n sign vectors (n <= 20).
+
+    Sign vector number b has xi_i = +1 where bit i of b is set.  The
+    vectors go through np.matmul in chunks, one matrix-vector product
+    each as in `table @ xi`, and the values are summed in enumeration
+    order, so the result equals the one-vector-at-a-time loop bit for bit.
+    """
     table = as_matrix(loss_table)
     n = table.shape[1]
     if n > 20:
         raise ParameterError("exhaustive enumeration limited to n <= 20")
-    total = 0.0
-    for bits in range(2**n):
-        xi = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n)])
-        total += (table @ xi).max() / n
-    return total / 2**n
+    count = 2**n
+    values = np.zeros(count + 1)  # values[0] = 0.0 starts the running sum
+    bit_of = np.arange(n)
+    for start in range(0, count, 2**14):
+        bits = np.arange(start, min(start + 2**14, count))
+        signs = ((bits[:, None] >> bit_of) & 1) * 2.0 - 1.0
+        sums = np.matmul(table, signs[..., None])[..., 0]  # (chunk, h)
+        values[start + 1 : start + 1 + len(bits)] = sums.max(axis=1) / n
+    return float(np.cumsum(values)[-1]) / count

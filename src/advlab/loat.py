@@ -15,7 +15,9 @@ The scheduled loss adds tau*(P_C_low - P_M_low) in early epochs
 (epoch <= E1), the negated difference in late epochs (epoch >= E2), and
 nothing in between; the LORE variant additionally adds gamma*AP_M early
 and gamma*AP_C late.  A penalty whose sample subset is empty contributes
-zero for that batch.
+zero for that batch.  `loat` computes these applied terms and their
+logit gradients in one pass; P_C, P_M and the Jensen term are diagnostics
+with standalone functions, used by the inequality tests.
 
 Correct/wrong masks come from clean logits and are treated as
 stop-gradient constants (argmax has no useful derivative).
@@ -49,16 +51,6 @@ class LoatSchedule:
             raise ParameterError("require e1 <= e2")
         if self.tau < 0 or self.gamma < 0:
             raise ParameterError("tau and gamma must be >= 0")
-
-
-@dataclass(frozen=True)
-class PenaltyReport:
-    p_c: float | None = None
-    p_m: float | None = None
-    p_c_lower: float | None = None
-    p_m_lower: float | None = None
-    ap_c: float | None = None
-    ap_m: float | None = None
 
 
 def _nonlabel_mean(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -138,26 +130,6 @@ def adversarial_pairing(clean_probs, adv_probs, mask) -> float:
     return float(((clean_probs - adv_probs) ** 2).sum(axis=1)[mask].mean())
 
 
-def compute_penalties(clean_probs, labels, mask, adv_probs=None) -> PenaltyReport:
-    """All penalty terms for one batch; None where a subset is empty."""
-    fields = {}
-    try:
-        fields["p_c"], fields["p_c_lower"] = penalty_correct(clean_probs, labels, mask)
-    except EmptySubsetError:
-        pass
-    try:
-        fields["p_m"], fields["p_m_lower"] = penalty_wrong(clean_probs, labels, mask)
-    except EmptySubsetError:
-        pass
-    if adv_probs is not None:
-        mask_arr = np.asarray(mask, dtype=bool)
-        if mask_arr.any():
-            fields["ap_c"] = adversarial_pairing(clean_probs, adv_probs, mask_arr)
-        if (~mask_arr).any():
-            fields["ap_m"] = adversarial_pairing(clean_probs, adv_probs, ~mask_arr)
-    return PenaltyReport(**fields)
-
-
 def _phase(epoch: int, sched: LoatSchedule) -> str:
     if sched.variant == "OFF":
         return "off"
@@ -168,86 +140,55 @@ def _phase(epoch: int, sched: LoatSchedule) -> str:
     return "off"
 
 
-def loat_loss(base_loss: float, epoch: int, sched: LoatSchedule, pr: PenaltyReport) -> float:
-    """Scheduled total loss; returns base_loss unchanged in the middle phase."""
-    phase = _phase(epoch, sched)
-    if phase == "off":
-        return base_loss
-    p_c = pr.p_c_lower or 0.0
-    p_m = pr.p_m_lower or 0.0
-    if phase == "early":
-        total = base_loss + sched.tau * (p_c - p_m)
-        if sched.variant == "LORE" and pr.ap_m is not None:
-            total += sched.gamma * pr.ap_m
-    else:
-        total = base_loss + sched.tau * (p_m - p_c)
-        if sched.variant == "LORE" and pr.ap_c is not None:
-            total += sched.gamma * pr.ap_c
-    return total
-
-
 def _softmax_chain(probs: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. softmax outputs back to logits."""
     return probs * (d_sigma - (d_sigma * probs).sum(axis=1, keepdims=True))
 
 
-def _lower_penalty_sigma_grad(probs, labels, subset) -> np.ndarray:
-    """d/d sigma of the mean-deviation penalty over `subset` rows."""
-    k = probs.shape[1]
-    count = int(subset.sum())
-    grad = np.zeros_like(probs)
-    if count == 0:
-        return grad
-    m = _nonlabel_mean(probs, labels)
-    dev = probs - m[:, None]
-    dev[np.arange(len(labels)), labels] = 0.0
-    grad[subset] = (2.0 / (k - 1)) * dev[subset] / count
-    return grad
+def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits=None):
+    """The scheduled penalty of one batch and its exact logit gradients.
 
-
-def _pairing_sigma_grads(clean_probs, adv_probs, subset):
-    count = int(subset.sum())
-    d_clean = np.zeros_like(clean_probs)
-    d_adv = np.zeros_like(adv_probs)
-    if count == 0:
-        return d_clean, d_adv
-    diff = 2.0 * (clean_probs - adv_probs) / count
-    d_clean[subset] = diff[subset]
-    d_adv[subset] = -diff[subset]
-    return d_clean, d_adv
-
-
-def loat_grad_contrib(clean_logits, labels, mask, epoch: int, sched: LoatSchedule,
-                      adv_logits=None):
-    """Exact gradients of the scheduled penalty terms w.r.t. logits.
-
-    Returns (clean_logit_grad, adv_logit_grad); the adversarial part is a
-    zero matrix unless the LORE pairing term is active and adv logits
-    were supplied.  Masks are constants: no gradient flows through the
-    correctness indicators.
+    Returns (penalty_loss, clean_logit_grad, adv_logit_grad).  Only the
+    applied terms are computed, from one softmax per logit matrix:
+    tau*(P_C_low - P_M_low) early, its negation late, and for LORE with
+    adv logits supplied gamma*AP_M early or gamma*AP_C late.  Outside
+    both phases the loss is 0 and the gradients are zero matrices, and
+    the adversarial gradient is zero unless the pairing term applies.
+    Masks are constants: no gradient flows through the correctness
+    indicators.
     """
-    clean_logits = as_matrix(clean_logits)
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
-    clean_grad = np.zeros_like(clean_logits)
+    clean_logits, labels, mask = _validate(clean_logits, labels, mask)
     adv_grad = np.zeros_like(clean_logits)
     phase = _phase(epoch, sched)
     if phase == "off":
-        return clean_grad, adv_grad
+        return 0.0, np.zeros_like(clean_logits), adv_grad
 
     probs = softmax_rows(clean_logits)
+    k = probs.shape[1]
+    dev = probs - _nonlabel_mean(probs, labels)[:, None]
+    dev[np.arange(len(labels)), labels] = 0.0
+    sq_dev = (dev ** 2).sum(axis=1) / (k - 1)
+    n_c = int(mask.sum())
+    n_m = len(mask) - n_c
+    p_c = float(sq_dev[mask].mean()) if n_c else 0.0
+    p_m = float(sq_dev[~mask].mean()) if n_m else 0.0
+    penalty = sched.tau * (p_c - p_m) if phase == "early" else sched.tau * (p_m - p_c)
+    # d/d sigma of P_C_low - P_M_low: rows of each subset over that subset's size
+    scaled = (2.0 / (k - 1)) * dev
     sign = 1.0 if phase == "early" else -1.0
-    d_sigma = sign * sched.tau * (
-        _lower_penalty_sigma_grad(probs, labels, mask)
-        - _lower_penalty_sigma_grad(probs, labels, ~mask)
-    )
+    d_sigma = sign * sched.tau * np.where(mask[:, None], scaled / max(n_c, 1),
+                                          0.0 - scaled / max(n_m, 1))
 
     if sched.variant == "LORE" and adv_logits is not None:
         adv_probs = softmax_rows(as_matrix(adv_logits))
         subset = ~mask if phase == "early" else mask
-        d_clean_pair, d_adv_pair = _pairing_sigma_grads(probs, adv_probs, subset)
-        d_sigma = d_sigma + sched.gamma * d_clean_pair
-        adv_grad = _softmax_chain(adv_probs, sched.gamma * d_adv_pair)
+        count = int(subset.sum())
+        diff = probs - adv_probs
+        if count:
+            penalty += sched.gamma * float((diff ** 2).sum(axis=1)[subset].mean())
+        pair_grad = 2.0 * diff / max(count, 1)
+        d_sigma = d_sigma + sched.gamma * np.where(subset[:, None], pair_grad, 0.0)
+        adv_grad = _softmax_chain(
+            adv_probs, sched.gamma * np.where(subset[:, None], -pair_grad, 0.0))
 
-    clean_grad = _softmax_chain(probs, d_sigma)
-    return clean_grad, adv_grad
+    return penalty, _softmax_chain(probs, d_sigma), adv_grad

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ParameterError, ShapeError, as_matrix, logsumexp_rows,
-                   softmax_rows)
+                   softmax_rows, split_max_logsumexp)
 from .data import LabeledBatch
 from .mlp import forward
 
@@ -74,6 +74,27 @@ def ce_logit_grad(logits, labels) -> np.ndarray:
     return grad
 
 
+def ce_loss_and_grad(logits, labels):
+    """Per-sample CE and its logit gradient (softmax - onehot) in one pass.
+
+    One label check, one row max and one exp(logits - top): that array is
+    the softmax numerator, and with the entries equal to the row maximum
+    zeroed its row sums are logsumexp_rows' split-out sums.  So the pair
+    is bit-identical to (ce_loss(...)[0], ce_logit_grad(...)).
+    """
+    logits = as_matrix(logits)
+    labels = _check_labels(logits, labels)
+    rows = np.arange(len(labels))
+    top = logits.max(axis=1, keepdims=True)
+    is_top = logits == top
+    e = np.exp(logits - top)
+    rest = np.where(is_top, 0.0, e).sum(axis=1, keepdims=True)
+    per_sample = split_max_logsumexp(logits, top, is_top, rest)[:, 0] - logits[rows, labels]
+    grad = e / e.sum(axis=1, keepdims=True)
+    grad[rows, labels] -= 1.0
+    return per_sample, grad
+
+
 def correct_mask(logits, labels) -> np.ndarray:
     logits = as_matrix(logits)
     labels = _check_labels(logits, labels)
@@ -96,17 +117,19 @@ def mixture_from_logits(clean_logits, adv_logits, labels, lam: float):
     """Mixture objective evaluated on precomputed logits.
 
     Returns (loss, clean_logit_grad, adv_logit_grad); gradient matrices
-    are for the scalar mean loss (weighting and 1/n included).
+    are for the scalar mean loss (weighting and 1/n included).  When
+    adv_logits is clean_logits (no attack ran) one CE pass serves both.
     """
     if not 0.0 <= lam <= 1.0:
         raise ParameterError("lam must lie in [0, 1]")
-    _, clean_mean = ce_loss(clean_logits, labels)
-    _, adv_mean = ce_loss(adv_logits, labels)
-    loss = (1.0 - lam) * clean_mean + lam * adv_mean
-    n = as_matrix(clean_logits).shape[0]
-    clean_grad = (1.0 - lam) / n * ce_logit_grad(clean_logits, labels)
-    adv_grad = lam / n * ce_logit_grad(adv_logits, labels)
-    return loss, clean_grad, adv_grad
+    clean_ce, clean_g = ce_loss_and_grad(clean_logits, labels)
+    if adv_logits is clean_logits:
+        adv_ce, adv_g = clean_ce, clean_g
+    else:
+        adv_ce, adv_g = ce_loss_and_grad(adv_logits, labels)
+    loss = (1.0 - lam) * float(clean_ce.mean()) + lam * float(adv_ce.mean())
+    n = clean_g.shape[0]
+    return loss, (1.0 - lam) / n * clean_g, lam / n * adv_g
 
 
 def mixture_objective(weights: list, batch: LabeledBatch, lam: float, adv_inputs):
@@ -134,14 +157,14 @@ def trades_from_logits(clean_logits, adv_logits, labels, beta: float):
         raise ParameterError("beta must be > 0")
     clean_logits = as_matrix(clean_logits)
     adv_logits = as_matrix(adv_logits)
-    _, ce_mean = ce_loss(clean_logits, labels)
+    clean_ce, clean_ce_grad = ce_loss_and_grad(clean_logits, labels)
     kl = kl_rows(adv_logits, clean_logits)
-    loss = ce_mean + beta * float(kl.mean())
+    loss = float(clean_ce.mean()) + beta * float(kl.mean())
     n = clean_logits.shape[0]
     p = softmax_rows(adv_logits)
     q = softmax_rows(clean_logits)
     # d KL / d clean logits = q - p; d KL / d adv logits through softmax(p)
-    clean_grad = (ce_logit_grad(clean_logits, labels) + beta * (q - p)) / n
+    clean_grad = (clean_ce_grad + beta * (q - p)) / n
     log_p = adv_logits - logsumexp_rows(adv_logits, keepdims=True)
     log_q = clean_logits - logsumexp_rows(clean_logits, keepdims=True)
     r = log_p - log_q

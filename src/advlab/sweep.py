@@ -156,17 +156,23 @@ def run_sweep(spec: SweepSpec, data: DatasetHandle, jobs: int = 1) -> list:
     if 0.0 not in lambdas:
         lambdas = (0.0,) + lambdas
     cells = [(spec, w, lam, s) for w in spec.widths for lam in lambdas for s in spec.seeds]
+    # Heaviest first, so no worker is left with a long cell at the end:
+    # cells that run an attack (lambda > 0), then the widest.  The sort is
+    # stable and rows are emitted in grid order all the same.
+    order = sorted(range(len(cells)), key=lambda i: (cells[i][2] == 0.0, -cells[i][1]))
+    queue = [cells[i] for i in order]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_share_data,
                                  initargs=(data,)) as pool:
-            per_cell = list(pool.map(_run_cell, cells))
+            done = list(pool.map(_run_cell, queue))
     else:
         _share_data(data)
         try:
-            per_cell = [_run_cell(c) for c in cells]
+            done = [_run_cell(c) for c in queue]
         finally:
             _share_data(None)
-    rows = [r for cell_rows in per_cell for r in cell_rows]
+    by_cell = dict(zip(order, done))
+    rows = [r for i in range(len(cells)) for r in by_cell[i]]
     attach_gaps(rows)
     return rows
 

@@ -22,9 +22,8 @@ from advlab.fisher_rao import (BoundInputs, bound_slope_ratio,
                                complexity_bounds, empirical_rademacher,
                                exhaustive_rademacher, fr_norm_ce,
                                radius_estimates)
-from advlab.loat import (LoatSchedule, compute_penalties, jensen_middle_wrong,
-                         loat_grad_contrib, loat_loss, penalty_correct,
-                         penalty_wrong)
+from advlab.loat import (LoatSchedule, jensen_middle_wrong, loat,
+                         penalty_correct, penalty_wrong)
 from advlab.mlp import MlpConfig, backward, forward, init_weights
 from advlab.objectives import ce_loss, mixture_from_logits
 from advlab.sweep import (SweepSpec, correlate, run_sweep, slopes_by_lambda,
@@ -88,15 +87,14 @@ def test_criterion_01_gradient_correctness():
             adv_logits = forward(ws, adv_inputs).logits
             base, _, _ = mixture_from_logits(clean_logits, adv_logits,
                                              batch.labels, lam)
-            pr = compute_penalties(softmax_rows(clean_logits), batch.labels,
-                                   mask, softmax_rows(adv_logits))
-            return loat_loss(base, epoch, sched, pr)
+            return base + loat(clean_logits, batch.labels, mask, epoch, sched,
+                               adv_logits)[0]
 
         clean_trace = forward(weights, batch.inputs)
         adv_trace = forward(weights, adv_inputs)
         _, g_clean, g_adv = mixture_from_logits(
             clean_trace.logits, adv_trace.logits, batch.labels, lam)
-        pen_clean, pen_adv = loat_grad_contrib(
+        _, pen_clean, pen_adv = loat(
             clean_trace.logits, batch.labels, mask, epoch, sched,
             adv_trace.logits)
         wg_clean, _ = backward(weights, clean_trace, g_clean + pen_clean)

@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from advlab.attacks import AttackSpec, fgsm, pgd, project
 from advlab.core import ParameterError, ShapeError, make_rng
@@ -282,3 +286,53 @@ class TestOneForwardPerIterate:
         grad = backward(weights, trace, ce_logit_grad(trace.logits, batch.labels))[1]
         want = np.clip(batch.inputs + 0.05 * np.sign(grad), 0.0, 1.0)
         assert np.array_equal(fgsm(weights, batch, 0.05), want)
+
+
+@st.composite
+def attack_cases(draw):
+    """A small random net, a batch with entries on the 0/1 edges or inside,
+    and an attack with eps tiny, 8/255 or larger than the box."""
+    d, hidden, k, n = (draw(st.integers(1, 6)), draw(st.integers(1, 8)),
+                       draw(st.integers(2, 4)), draw(st.integers(1, 8)))
+    weights = init_weights(MlpConfig([d, hidden, k], seed=draw(st.integers(0, 2**31)),
+                                     init_scale=draw(st.sampled_from([None, 0.3, 3.0]))))
+    inputs = draw(hnp.arrays(np.float64, (n, d),
+                             elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    eps = draw(st.sampled_from([1e-6, 8.0 / 255.0, 1.5]))
+    spec = AttackSpec(p=draw(st.sampled_from(["inf", "two"])), eps=eps,
+                      alpha=eps * draw(st.sampled_from([0.25, 1.0])), k=draw(st.integers(1, 4)),
+                      random_start=draw(st.booleans()), track_best=draw(st.booleans()))
+    return weights, LabeledBatch(inputs, labels, k), spec, draw(st.integers(0, 2**31))
+
+
+class TestPgdProperties:
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(attack_cases(), st.booleans())
+    def test_equals_two_forward_oracle(self, case, use_clean_trace):
+        weights, batch, spec, seed = case
+        clean_trace = forward(weights, batch.inputs) if use_clean_trace else None
+        got = pgd(weights, batch, spec, make_rng(seed), clean_trace=clean_trace)
+        assert np.array_equal(got, pgd_two_forward_oracle(weights, batch, spec, make_rng(seed)))
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(attack_cases())
+    def test_inside_ball_and_box(self, case):
+        weights, batch, spec, seed = case
+        adv = pgd(weights, batch, spec, make_rng(seed))
+        delta = adv - batch.inputs
+        if spec.p == "inf":
+            assert np.abs(delta).max() <= spec.eps + 1e-12
+        else:
+            assert np.linalg.norm(delta, axis=1).max() <= spec.eps + 1e-12
+        assert adv.min() >= 0.0 and adv.max() <= 1.0
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(attack_cases())
+    def test_track_best_never_below_clean(self, case):
+        weights, batch, spec, seed = case
+        spec = dataclasses.replace(spec, track_best=True)
+        adv = pgd(weights, batch, spec, make_rng(seed))
+        clean_loss, _ = ce_loss(forward(weights, batch.inputs).logits, batch.labels)
+        adv_loss, _ = ce_loss(forward(weights, adv).logits, batch.labels)
+        assert np.all(adv_loss >= clean_loss)

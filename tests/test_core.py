@@ -11,64 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 import advlab
-from advlab.core import (ParameterError, ShapeError, logsumexp_rows, make_rng,
-                         matmul, rademacher_draw, relu, softmax_rows)
-
-
-def matmul_oracle(a, b):
-    """Scalar triple-loop reference product."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_example_vs_oracle(self):
-        a = [[1.0, 2.0], [3.0, 4.0]]
-        b = [[0.0], [1.0]]
-        result = matmul(a, b)
-        assert np.array_equal(result, [[2.0], [4.0]])
-        assert np.array_equal(result, matmul_oracle(a, b))
-
-    def test_random_vs_oracle(self):
-        rng = make_rng(7)
-        a = rng.standard_normal((3, 5))
-        b = rng.standard_normal((5, 4))
-        assert np.allclose(matmul(a, b), matmul_oracle(a, b), rtol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity(self):
-        rng = make_rng(11)
-        for _ in range(20):
-            a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9)
-
-
-class TestRelu:
-    def test_sign_cases(self):
-        assert np.array_equal(relu([[-1.0, 0.0, 2.0]]), [[0.0, 0.0, 2.0]])
-
-    def test_identity_on_nonnegative(self):
-        m = np.array([[0.0, 1.5, 2.0]])
-        assert np.array_equal(relu(m), m)
-
-    def test_idempotence(self):
-        m = make_rng(3).standard_normal((5, 5))
-        assert np.array_equal(relu(relu(m)), relu(m))
+from advlab.core import ShapeError, logsumexp_rows, make_rng, softmax_rows
 
 
 class TestSoftmax:
@@ -148,26 +91,3 @@ def test_import_does_not_load_scipy():
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
 
-
-class TestRademacherDraw:
-    def test_determinism(self):
-        a = rademacher_draw(make_rng(42), 100)
-        b = rademacher_draw(make_rng(42), 100)
-        assert np.array_equal(a, b)
-
-    def test_values_are_signs(self):
-        v = rademacher_draw(make_rng(1), 1)
-        assert v.shape == (1,) and v[0] in (-1.0, 1.0)
-
-    def test_mean_near_zero(self):
-        v = rademacher_draw(make_rng(123), 10**6)
-        assert abs(v.mean()) < 0.01
-
-    def test_empty_draw_error(self):
-        with pytest.raises(ParameterError):
-            rademacher_draw(make_rng(0), 0)
-
-    def test_pinned_prefix(self):
-        # PCG64 stream for seed 2024: pinned so cross-platform drift is caught.
-        prefix = rademacher_draw(make_rng(2024), 10)
-        assert prefix.tolist() == [-1, 1, -1, -1, -1, -1, 1, 1, 1, 1]

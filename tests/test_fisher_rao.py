@@ -25,6 +25,31 @@ def rademacher_oracle(table, n_draws, seed):
     return total / n_draws
 
 
+def exhaustive_loop_oracle(table):
+    """exhaustive_rademacher as first written: one sign vector at a time,
+    bit i of b set meaning xi_i = +1, summed in enumeration order."""
+    table = np.asarray(table, dtype=np.float64)
+    n = table.shape[1]
+    total = 0.0
+    for bits in range(2**n):
+        xi = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n)])
+        total += (table @ xi).max() / n
+    return total / 2**n
+
+
+def empirical_int64_oracle(table, rng, draws):
+    """empirical_rademacher as first written: int64 sign draws."""
+    n = table.shape[1]
+    values = np.empty(draws)
+    done = 0
+    while done < draws:
+        chunk = min(4096, draws - done)
+        xi = rng.integers(0, 2, size=(chunk, n)).astype(np.float64) * 2.0 - 1.0
+        values[done : done + chunk] = (xi @ table.T).max(axis=1) / n
+        done += chunk
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(draws))
+
+
 class TestFrIntegrand:
     def test_worked_example(self):
         # logits (2, 0, 1), label 0: <softmax, f> - f_0
@@ -236,6 +261,20 @@ class TestRademacher:
         table = make_rng(16).uniform(size=(4, 6))
         base = exhaustive_rademacher(table)
         assert exhaustive_rademacher(3.0 * table) == pytest.approx(3.0 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 15, 16])
+    def test_exhaustive_equals_loop_oracle(self, n):
+        # n = 15 and 16 span more than one chunk of sign vectors
+        rng = make_rng(100 + n)
+        for h in (1, 4):
+            table = rng.uniform(-2.0, 3.0, size=(h, n))
+            assert exhaustive_rademacher(table) == exhaustive_loop_oracle(table)
+
+    @pytest.mark.parametrize("shape, draws", [((3, 6), 5000), ((4, 300), 9000)])
+    def test_empirical_equals_int64_draw_oracle(self, shape, draws):
+        table = make_rng(17).uniform(size=shape)
+        assert empirical_rademacher(table, make_rng(18), draws) == \
+            empirical_int64_oracle(table, make_rng(18), draws)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

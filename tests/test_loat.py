@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from advlab.core import ParameterError, make_rng, softmax_rows
-from advlab.loat import (EmptySubsetError, LoatSchedule, PenaltyReport,
-                         adversarial_pairing, compute_penalties,
-                         jensen_middle_wrong, loat_grad_contrib, loat_loss,
-                         penalty_correct, penalty_wrong)
+from advlab.core import ParameterError, ShapeError, make_rng, softmax_rows
+from advlab.loat import (EmptySubsetError, LoatSchedule, adversarial_pairing,
+                         jensen_middle_wrong, loat, penalty_correct,
+                         penalty_wrong)
 
 from fd_utils import fd_matrix_grad, max_rel_err
 
@@ -105,63 +104,172 @@ class TestPenaltyInequalities:
             adversarial_pairing(probs, probs, [False])
 
 
-class TestComputePenalties:
-    def test_all_fields_present(self):
+def three_pass_oracle(clean_logits, labels, mask, epoch, sched, adv_logits=None):
+    """The penalty path as first written: all six penalty values from the
+    standalone functions, the scheduled loss from them, and the gradients
+    from separate per-subset passes that each recompute softmax.  Returns
+    (penalty_loss, clean_grad, adv_grad) like loat()."""
+    clean_logits = np.asarray(clean_logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
+    zeros = np.zeros_like(clean_logits)
+    early, late = epoch <= sched.e1, epoch >= sched.e2
+    if sched.variant == "OFF" or not (early or late):
+        return 0.0, zeros, zeros.copy()
+    probs = softmax_rows(clean_logits)
+    p_c = penalty_correct(probs, labels, mask)[1] if mask.any() else None
+    p_m = penalty_wrong(probs, labels, mask)[1] if (~mask).any() else None
+    pair = None
+    if sched.variant == "LORE" and adv_logits is not None:
+        subset = ~mask if early else mask
+        if subset.any():
+            pair = adversarial_pairing(probs, softmax_rows(adv_logits), subset)
+    p_c, p_m = p_c or 0.0, p_m or 0.0
+    loss = 0.0 + (sched.tau * (p_c - p_m) if early else sched.tau * (p_m - p_c))
+    if pair is not None:
+        loss += sched.gamma * pair
+
+    def chain(p, d):
+        return p * (d - (d * p).sum(axis=1, keepdims=True))
+
+    def lower_grad(subset):
+        probs = softmax_rows(clean_logits)
+        k, count, grad = probs.shape[1], int(subset.sum()), np.zeros_like(probs)
+        if count:
+            m = (probs.sum(axis=1) - probs[np.arange(len(labels)), labels]) / (k - 1)
+            dev = probs - m[:, None]
+            dev[np.arange(len(labels)), labels] = 0.0
+            grad[subset] = (2.0 / (k - 1)) * dev[subset] / count
+        return grad
+
+    sign = 1.0 if early else -1.0
+    d_sigma = sign * sched.tau * (lower_grad(mask) - lower_grad(~mask))
+    adv_grad = zeros.copy()
+    if sched.variant == "LORE" and adv_logits is not None:
+        adv_probs = softmax_rows(adv_logits)
+        subset = ~mask if early else mask
+        count = int(subset.sum())
+        d_clean, d_adv = np.zeros_like(probs), np.zeros_like(probs)
+        if count:
+            diff = 2.0 * (probs - adv_probs) / count
+            d_clean[subset] = diff[subset]
+            d_adv[subset] = -diff[subset]
+        d_sigma = d_sigma + sched.gamma * d_clean
+        adv_grad = chain(adv_probs, sched.gamma * d_adv)
+    return loss, chain(probs, d_sigma), adv_grad
+
+
+def random_case(rng, n, k):
+    clean = rng.standard_normal((n, k))
+    adv = clean + 0.5 * rng.standard_normal((n, k))
+    labels = rng.integers(0, k, size=n)
+    return clean, adv, labels
+
+
+class TestLoat:
+    """loat(): the applied penalty terms and their gradients in one pass."""
+
+    def test_bit_identical_to_three_pass_path(self):
+        rng = make_rng(7)
+        for trial in range(300):
+            n, k = int(rng.integers(1, 12)), int(rng.integers(2, 8))
+            clean, adv, labels = random_case(rng, n, k)
+            mask = rng.integers(0, 2, size=n).astype(bool)
+            if trial % 5 == 0:
+                mask[:] = trial % 10 == 0  # one subset empty
+            sched = LoatSchedule(e1=2, e2=8, tau=float(rng.uniform(0, 2)),
+                                 gamma=float(rng.uniform(0, 1)),
+                                 variant=str(rng.choice(["SLORE", "LORE", "OFF"])))
+            epoch = int(rng.choice([1, 2, 5, 8, 9]))
+            adv_logits = adv if trial % 3 else None
+            got = loat(clean, labels, mask, epoch, sched, adv_logits)
+            want = three_pass_oracle(clean, labels, mask, epoch, sched, adv_logits)
+            assert got[0] == want[0], f"trial {trial}"
+            assert np.array_equal(got[1], want[1]), f"trial {trial}"
+            assert np.array_equal(got[2], want[2]), f"trial {trial}"
+
+    def test_applied_terms_match_standalone_penalties(self):
+        # moved from the penalty-report test: every applied term is present
         rng = make_rng(3)
-        clean = random_probs(rng, 10, 4)
-        adv = random_probs(rng, 10, 4)
-        labels = rng.integers(0, 4, size=10)
+        clean, adv, labels = random_case(rng, 10, 4)
         mask = np.array([True] * 5 + [False] * 5)
-        pr = compute_penalties(clean, labels, mask, adv)
-        assert None not in (pr.p_c, pr.p_m, pr.p_c_lower, pr.p_m_lower, pr.ap_c, pr.ap_m)
+        probs, adv_probs = softmax_rows(clean), softmax_rows(adv)
+        p_c_low = penalty_correct(probs, labels, mask)[1]
+        p_m_low = penalty_wrong(probs, labels, mask)[1]
+        sched = LoatSchedule(e1=2, e2=8, tau=0.5, gamma=0.1, variant="LORE")
+        early, _, _ = loat(clean, labels, mask, 1, sched, adv)
+        late, _, _ = loat(clean, labels, mask, 9, sched, adv)
+        assert early == 0.5 * (p_c_low - p_m_low) + 0.1 * adversarial_pairing(
+            probs, adv_probs, ~mask)
+        assert late == 0.5 * (p_m_low - p_c_low) + 0.1 * adversarial_pairing(
+            probs, adv_probs, mask)
 
-    def test_empty_subset_gives_none(self):
+    def test_empty_subset_contributes_zero(self):
         rng = make_rng(4)
-        clean = random_probs(rng, 4, 3)
-        labels = rng.integers(0, 3, size=4)
-        pr = compute_penalties(clean, labels, np.ones(4, dtype=bool))
-        assert pr.p_m is None and pr.p_m_lower is None
-        assert pr.ap_c is None and pr.ap_m is None
-
-
-class TestLoatLoss:
-    def setup_method(self):
-        self.pr = PenaltyReport(p_c=0.3, p_m=0.2, p_c_lower=0.1, p_m_lower=0.04,
-                                ap_c=0.5, ap_m=0.7)
+        clean, adv, labels = random_case(rng, 4, 3)
+        mask = np.ones(4, dtype=bool)
+        p_c_low = penalty_correct(softmax_rows(clean), labels, mask)[1]
+        sched = LoatSchedule(e1=2, e2=8, tau=1.0, gamma=0.3, variant="LORE")
+        # early: no wrong rows, so P_M_low and the AP_M pairing are absent
+        loss, _, g_adv = loat(clean, labels, mask, 1, sched, adv)
+        assert loss == pytest.approx(p_c_low, abs=1e-15)
+        assert np.array_equal(g_adv, np.zeros((4, 3)))
 
     def test_middle_phase_is_identity(self):
+        rng = make_rng(5)
+        clean, adv, labels = random_case(rng, 6, 4)
         sched = LoatSchedule(e1=2, e2=8, variant="SLORE")
         for epoch in (3, 4, 7):
-            assert loat_loss(1.5, epoch, sched, self.pr) == 1.5
+            loss, g_clean, g_adv = loat(clean, labels, np.ones(6, bool), epoch, sched, adv)
+            assert loss == 0.0
+            assert np.array_equal(g_clean, np.zeros((6, 4)))
+            assert np.array_equal(g_adv, np.zeros((6, 4)))
 
-    def test_off_variant_is_identity(self):
-        sched = LoatSchedule(variant="OFF")
-        assert loat_loss(1.5, 1, sched, self.pr) == 1.5
+    def test_off_returns_zeros(self):
+        rng = make_rng(6)
+        logits = rng.standard_normal((3, 4))
+        loss, g_clean, g_adv = loat(logits, [0, 1, 2], [True, False, True],
+                                    1, LoatSchedule(variant="OFF"))
+        assert loss == 0.0
+        assert np.array_equal(g_clean, np.zeros((3, 4)))
+        assert np.array_equal(g_adv, np.zeros((3, 4)))
 
     def test_early_late_antisymmetry_slore(self):
+        rng = make_rng(8)
+        clean, _, labels = random_case(rng, 8, 5)
+        mask = np.array([True, False] * 4)
         sched = LoatSchedule(e1=2, e2=8, tau=0.5, variant="SLORE")
-        early = loat_loss(1.0, 1, sched, self.pr) - 1.0
-        late = loat_loss(1.0, 9, sched, self.pr) - 1.0
-        assert early == pytest.approx(0.5 * (0.1 - 0.04), abs=1e-15)
+        early, _, _ = loat(clean, labels, mask, 1, sched)
+        late, _, _ = loat(clean, labels, mask, 9, sched)
+        assert early != 0.0
         assert late == pytest.approx(-early, abs=1e-15)
 
     def test_lore_adds_pairing(self):
-        sched = LoatSchedule(e1=2, e2=8, tau=0.5, gamma=0.1, variant="LORE")
-        early = loat_loss(1.0, 2, sched, self.pr) - 1.0
-        late = loat_loss(1.0, 8, sched, self.pr) - 1.0
-        assert early == pytest.approx(0.5 * (0.1 - 0.04) + 0.1 * 0.7, abs=1e-15)
-        assert late == pytest.approx(0.5 * (0.04 - 0.1) + 0.1 * 0.5, abs=1e-15)
+        rng = make_rng(9)
+        clean, adv, labels = random_case(rng, 8, 5)
+        mask = np.array([True, True, False] * 2 + [False, True])
+        probs, adv_probs = softmax_rows(clean), softmax_rows(adv)
+        slore = LoatSchedule(e1=2, e2=8, tau=0.5, gamma=0.1, variant="SLORE")
+        lore = LoatSchedule(e1=2, e2=8, tau=0.5, gamma=0.1, variant="LORE")
+        for epoch, subset in ((2, ~mask), (8, mask)):
+            extra = loat(clean, labels, mask, epoch, lore, adv)[0] \
+                - loat(clean, labels, mask, epoch, slore, adv)[0]
+            assert extra == pytest.approx(
+                0.1 * adversarial_pairing(probs, adv_probs, subset), abs=1e-15)
 
-    def test_missing_penalty_contributes_zero(self):
-        sched = LoatSchedule(e1=2, e2=8, tau=1.0, variant="SLORE")
-        pr = PenaltyReport(p_c_lower=0.1, p_m_lower=None)
-        assert loat_loss(1.0, 1, sched, pr) == pytest.approx(1.1)
+    def test_lore_without_adv_logits_has_no_pairing(self):
+        rng = make_rng(10)
+        clean, _, labels = random_case(rng, 6, 3)
+        mask = np.array([True, False] * 3)
+        lore = LoatSchedule(e1=2, e2=8, variant="LORE")
+        slore = LoatSchedule(e1=2, e2=8, variant="SLORE")
+        got, want = loat(clean, labels, mask, 1, lore), loat(clean, labels, mask, 1, slore)
+        assert got[0] == want[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
 
-
-class TestLoatGrad:
     @pytest.mark.parametrize("variant", ["SLORE", "LORE"])
     @pytest.mark.parametrize("epoch", [1, 5, 9])
-    def test_matches_finite_differences(self, variant, epoch):
+    def test_grad_matches_finite_differences(self, variant, epoch):
         rng = make_rng(5)
         n, k = 6, 4
         clean_logits = rng.standard_normal((n, k))
@@ -175,11 +283,9 @@ class TestLoatGrad:
         sched = LoatSchedule(e1=2, e2=8, tau=0.7, gamma=0.2, variant=variant)
 
         def scheduled_penalty(cl, ad):
-            pr = compute_penalties(softmax_rows(cl), labels, mask, softmax_rows(ad))
-            return loat_loss(0.0, epoch, sched, pr)
+            return loat(cl, labels, mask, epoch, sched, ad)[0]
 
-        g_clean, g_adv = loat_grad_contrib(clean_logits, labels, mask, epoch,
-                                           sched, adv_logits)
+        _, g_clean, g_adv = loat(clean_logits, labels, mask, epoch, sched, adv_logits)
         num_clean = fd_matrix_grad(lambda m: scheduled_penalty(m, adv_logits),
                                    clean_logits)
         num_adv = fd_matrix_grad(lambda m: scheduled_penalty(clean_logits, m),
@@ -194,10 +300,7 @@ class TestLoatGrad:
             else:
                 assert np.array_equal(g_adv, np.zeros((n, k)))
 
-    def test_off_returns_zeros(self):
-        rng = make_rng(6)
-        logits = rng.standard_normal((3, 4))
-        g_clean, g_adv = loat_grad_contrib(logits, [0, 1, 2], [True, False, True],
-                                           1, LoatSchedule(variant="OFF"))
-        assert np.array_equal(g_clean, np.zeros((3, 4)))
-        assert np.array_equal(g_adv, np.zeros((3, 4)))
+    def test_mask_row_mismatch(self):
+        with pytest.raises(ShapeError):
+            loat(np.zeros((3, 2)), [0, 1, 0], [True, False], 1,
+                 LoatSchedule(variant="SLORE"))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from advlab.core import ParameterError, make_rng, softmax_rows
+from advlab.core import ParameterError, ShapeError, make_rng, softmax_rows
 from advlab.data import synth_blobs
 from advlab.mlp import MlpConfig, backward, forward, init_weights
 from advlab.objectives import (ObjectiveSpec, ce_logit_grad, ce_loss,
-                               correct_mask, generalization_bound,
+                               ce_loss_and_grad, correct_mask, generalization_bound,
                                generalization_gap, kl_rows,
                                mixture_from_logits, mixture_objective, risk,
                                trades_from_logits, trades_objective)
@@ -87,6 +90,55 @@ class TestCeLogitGrad:
         assert np.allclose(g, expected, atol=1e-15)
 
 
+# Entries of either sign with magnitude in [1e-3, 1e3].
+ENTRIES = st.tuples(st.floats(1e-3, 1e3), st.booleans()).map(
+    lambda t: t[0] if t[1] else -t[0])
+
+
+@st.composite
+def logits_and_labels(draw, with_inf=False):
+    """Logit rows that may repeat their maximum (and hold +-inf), plus labels."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 12)))
+    m = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    tied = draw(hnp.arrays(np.bool_, shape))
+    m = np.where(tied, m.max(axis=1, keepdims=True), m)
+    if with_inf:
+        infs = draw(hnp.arrays(np.float64, shape,
+                               elements=st.sampled_from([0.0, 0.0, np.inf, -np.inf])))
+        m = np.where(infs != 0.0, infs, m)
+    labels = draw(hnp.arrays(np.int64, shape[0], elements=st.integers(0, shape[1] - 1)))
+    return m, labels
+
+
+class TestCeLossAndGrad:
+    """The fused pass equals the two separate passes bit for bit."""
+
+    @settings(deadline=None, database=None, max_examples=300)
+    @given(logits_and_labels())
+    def test_bit_identical_finite(self, case):
+        logits, labels = case
+        per, grad = ce_loss_and_grad(logits, labels)
+        assert np.array_equal(per, ce_loss(logits, labels)[0])
+        assert np.array_equal(grad, ce_logit_grad(logits, labels))
+
+    @settings(deadline=None, database=None, max_examples=300)
+    @given(logits_and_labels(with_inf=True))
+    def test_bit_identical_with_inf(self, case):
+        logits, labels = case
+        with np.errstate(invalid="ignore"):
+            per, grad = ce_loss_and_grad(logits, labels)
+            want_per = ce_loss(logits, labels)[0]
+            want_grad = ce_logit_grad(logits, labels)
+        assert np.array_equal(per, want_per, equal_nan=True)
+        assert np.array_equal(grad, want_grad, equal_nan=True)
+
+    def test_label_checks(self):
+        with pytest.raises(ParameterError):
+            ce_loss_and_grad(np.zeros((2, 3)), [0, 3])
+        with pytest.raises(ShapeError):
+            ce_loss_and_grad(np.zeros((2, 3)), [0])
+
+
 class TestCorrectMask:
     def test_argmax_rule(self):
         logits = [[2.0, 1.0], [0.0, 3.0], [5.0, 0.0]]
@@ -147,6 +199,19 @@ class TestMixture:
         numeric = fd_weight_grads(
             lambda ws: mixture_objective(ws, batch, 0.5, adv)[0], weights)
         assert max_rel_err(analytic, numeric) < 1e-5
+
+    def test_shared_clean_pass_when_no_attack_ran(self):
+        # adv logits that are the clean logits reuse the clean CE pass; the
+        # result equals passing an equal copy
+        rng = make_rng(8)
+        clean = rng.standard_normal((7, 4))
+        labels = rng.integers(0, 4, size=7)
+        for lam in (0.0, 0.6):
+            shared = mixture_from_logits(clean, clean, labels, lam)
+            copied = mixture_from_logits(clean, clean.copy(), labels, lam)
+            assert shared[0] == copied[0]
+            assert np.array_equal(shared[1], copied[1])
+            assert np.array_equal(shared[2], copied[2])
 
     def test_lam_out_of_range(self):
         with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 import pytest
 
+from advlab import sweep
 from advlab.attacks import AttackSpec
 from advlab.core import ParameterError
 from advlab.data import blob_dataset
@@ -84,6 +85,28 @@ class TestRunSweep:
         serial = run_sweep(spec, data, jobs=1)
         parallel = run_sweep(spec, data, jobs=2)
         assert strip_timing(serial) == strip_timing(parallel)
+
+    def test_heaviest_cells_first_rows_in_grid_order(self, monkeypatch):
+        # cells with an attack run first, widest first, so the pool's tail
+        # holds the light cells; rows still come out in grid order
+        started = []
+        run_cell = sweep._run_cell
+
+        def recording(args):
+            started.append((args[1], args[2], args[3]))
+            return run_cell(args)
+
+        monkeypatch.setattr(sweep, "_run_cell", recording)
+        data = blob_dataset(2, 40, 20, 4, 2, 0.15)
+        spec = SweepSpec(widths=(3, 6), lambdas=(0.5, 1.0), seeds=(0, 1),
+                         epochs_list=(1,),
+                         attack=AttackSpec(eps=0.05, alpha=0.02, k=1),
+                         batch_size=20)
+        rows = run_sweep(spec, data, jobs=1)
+        grid = [(w, lam, s) for w in (3, 6) for lam in (0.0, 0.5, 1.0) for s in (0, 1)]
+        assert started == sorted(grid, key=lambda c: (c[1] == 0.0, -c[0]))
+        assert started[:4] == [(6, 0.5, 0), (6, 0.5, 1), (6, 1.0, 0), (6, 1.0, 1)]
+        assert [(r["width"], r["lambda"], r["seed"]) for r in rows] == grid
 
 
 class TestOneTrajectoryPerCell:
