@@ -6,7 +6,7 @@ accuracy at a few perturbation budgets.
 """
 
 from advlab import (AttackSpec, LabeledBatch, MlpConfig, ObjectiveSpec,
-                    TrainConfig, fgsm, pgd, risk, train)
+                    TrainConfig, pgd, risk, train)
 from advlab.data import blob_dataset
 
 data = blob_dataset(seed=0, n_train=600, n_test=300, d=6, K=4, spread=0.22)
@@ -33,7 +33,9 @@ print("robustness on the test split:")
 clean = risk(weights, data.test)
 print(f"  clean accuracy          {clean.accuracy:.3f}")
 for eps in (0.05, 0.10, 0.20):
-    adv_f = fgsm(weights, data.test, eps)
+    # FGSM is one l-inf PGD step of size eps
+    fgsm = AttackSpec(p="inf", eps=eps, alpha=eps, k=1, track_best=False)
+    adv_f = pgd(weights, data.test, fgsm)
     acc_f = risk(weights, LabeledBatch(adv_f, data.test.labels,
                                        data.test.num_classes)).accuracy
     spec = AttackSpec(eps=eps, alpha=eps / 4, k=10, track_best=True)

@@ -1,13 +1,14 @@
 """Adversarial-training laboratory for bias-free ReLU MLPs.
 
 Building blocks: seeded linear algebra (core), dataset handling (data),
-MLPs with exact gradients (mlp), training objectives (objectives),
-FGSM/PGD attacks (attacks), Fisher-Rao complexity metrics (fisher_rao),
-logit-oriented regularization (loat), the training loop (trainer), and
-sweep/correlation tooling (sweep) with a CLI front end (cli).
+MLPs with exact gradients (mlp), training objectives (objectives), PGD
+attacks with FGSM as its one-step case (attacks), Fisher-Rao complexity
+metrics (fisher_rao), logit-oriented regularization (loat), the training
+loop (trainer), and sweep/correlation tooling (sweep) with a CLI front
+end (cli).
 """
 
-from .attacks import AttackSpec, fgsm, pgd, project
+from .attacks import AttackSpec, pgd, project
 from .core import ParameterError, ShapeError, make_rng, softmax_rows
 from .data import (DatasetHandle, FormatError, LabeledBatch, batches,
                    blob_dataset, dump_batch, load_batch, load_idx, synth_blobs)
@@ -21,7 +22,7 @@ from .mlp import (ForwardTrace, MlpConfig, backward, forward, init_weights,
                   load_checkpoint, save_checkpoint)
 from .objectives import (ObjectiveSpec, RiskReport, ce_logit_grad, ce_loss,
                          ce_loss_and_grad, generalization_bound, generalization_gap,
-                         mixture_objective, risk, trades_objective)
+                         risk)
 from .trainer import (DivergenceError, MetricsRecord, TrainConfig, evaluate,
                       sgd_step, train)
 

@@ -1,4 +1,4 @@
-"""FGSM and k-step PGD under l-inf / l2 balls with [0,1] clipping.
+"""k-step PGD under l-inf / l2 balls with [0,1] clipping.
 
 PGD performs fixed-size gradient-ascent steps on the mean CE loss, each
 followed by projection onto the epsilon-ball around the clean input and
@@ -14,6 +14,10 @@ forwarded the clean batch (the trainer does) passes that trace as
 `clean_trace`; it supplies the clean CE and the first gradient.  The
 outputs are bit-identical to forwarding every iterate twice.
 
+FGSM is PGD with p="inf", alpha=eps, k=1: with track_best=False the
+output is clip(x + eps*sign(grad), 0, 1) bit for bit (for eps=0 any
+alpha > 0 gives x).
+
 Defaults follow the common l-inf setting eps=8/255, alpha=2/255, k=10.
 """
 
@@ -26,7 +30,7 @@ import numpy as np
 from .core import ParameterError, ShapeError, as_matrix
 from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, input_grad
-from .objectives import ce_logit_grad, ce_loss, ce_loss_and_grad
+from .objectives import ce_loss, ce_loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -61,15 +65,6 @@ def project(x0, x, p: str, eps: float) -> np.ndarray:
     else:
         raise ParameterError("p must be 'inf' or 'two'")
     return np.clip(x, 0.0, 1.0)
-
-
-def fgsm(weights: list, batch: LabeledBatch, eps: float) -> np.ndarray:
-    """Single saturated signed-gradient step; sign(0) contributes 0."""
-    if eps < 0:
-        raise ParameterError("eps must be >= 0")
-    trace = forward(weights, batch.inputs)
-    grad = input_grad(weights, trace, ce_logit_grad(trace.logits, batch.labels))
-    return np.clip(batch.inputs + eps * np.sign(grad), 0.0, 1.0)
 
 
 def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,

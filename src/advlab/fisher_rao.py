@@ -149,6 +149,13 @@ def bound_slope_ratio(b: BoundInputs) -> float:
     return float(np.sqrt(b.n_wrong / b.n_correct))
 
 
+def _loss_table(loss_table) -> np.ndarray:
+    table = as_matrix(loss_table)
+    if table.shape[0] < 1 or table.shape[1] < 1:
+        raise ParameterError("loss_table must be nonempty")
+    return table
+
+
 def empirical_rademacher(loss_table, rng: np.random.Generator, draws: int):
     """Monte-Carlo Rademacher complexity of a finite hypothesis set.
 
@@ -158,24 +165,34 @@ def empirical_rademacher(loss_table, rng: np.random.Generator, draws: int):
 
     Evaluating the sup over a finite snapshot set only gives a lower
     estimate of the sup over the full hypothesis ball.
+
+    The draws go through one reused float64 sign buffer in chunks of
+    min(4096, 2^24 // n) rows, so it holds at most 128 MiB; the int32
+    signs are drawn straight into it in blocks of at most 4 MiB.  Each
+    chunk is one gemm against the table.  Consecutive draws continue one
+    generator stream, so the signs and the generator's state afterwards
+    do not depend on the chunking.  The gemm's bits do depend on its row
+    count: for n <= 4096 the chunks are 4096 rows as they always were,
+    and for larger n the last bits of the estimate can differ from the
+    4096-row chunks of earlier versions.
     """
-    table = as_matrix(loss_table)
-    if table.shape[0] < 1 or table.shape[1] < 1:
-        raise ParameterError("loss_table must be nonempty")
+    table = _loss_table(loss_table)
     if draws < 1:
         raise ParameterError("draws must be >= 1")
     n = table.shape[1]
+    rows = min(4096, max(1, 2**24 // n), draws)
+    block = max(1, min(256, 2**20 // n))
+    buf = np.empty((rows, n))
     values = np.empty(draws)
-    done = 0
-    while done < draws:  # chunked so 10^5 draws stay vectorized but bounded in memory
-        chunk = min(4096, draws - done)
-        # int32 draws take the same 32-bit path as int64 ones for this
-        # range, so the signs are the same at half the memory
-        xi = rng.integers(0, 2, size=(chunk, n), dtype=np.int32).astype(np.float64)
-        xi *= 2.0
-        xi -= 1.0
-        values[done : done + chunk] = (xi @ table.T).max(axis=1) / n
-        done += chunk
+    for done in range(0, draws, rows):
+        chunk = buf[: min(rows, draws - done)]
+        for r in range(0, len(chunk), block):
+            # int32 draws take the same 32-bit path as int64 ones for this
+            # range, so the signs are the same at half the memory
+            part = chunk[r : r + block]
+            np.multiply(rng.integers(0, 2, size=part.shape, dtype=np.int32), 2.0, out=part)
+        chunk -= 1.0
+        values[done : done + len(chunk)] = (chunk @ table.T).max(axis=1) / n
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
     return estimate, stderr
@@ -189,7 +206,7 @@ def exhaustive_rademacher(loss_table) -> float:
     each as in `table @ xi`, and the values are summed in enumeration
     order, so the result equals the one-vector-at-a-time loop bit for bit.
     """
-    table = as_matrix(loss_table)
+    table = _loss_table(loss_table)
     n = table.shape[1]
     if n > 20:
         raise ParameterError("exhaustive enumeration limited to n <= 20")

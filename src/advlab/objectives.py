@@ -114,11 +114,12 @@ def risk(weights: list, batch: LabeledBatch) -> RiskReport:
 
 
 def mixture_from_logits(clean_logits, adv_logits, labels, lam: float):
-    """Mixture objective evaluated on precomputed logits.
+    """Weighted clean/adversarial CE (1-lam)*CE(x) + lam*CE(x') on logits.
 
-    Returns (loss, clean_logit_grad, adv_logit_grad); gradient matrices
-    are for the scalar mean loss (weighting and 1/n included).  When
-    adv_logits is clean_logits (no attack ran) one CE pass serves both.
+    lam=0 is standard training, lam=1 is PGD-AT.  Returns (loss,
+    clean_logit_grad, adv_logit_grad); gradient matrices are for the
+    scalar mean loss (weighting and 1/n included).  When adv_logits is
+    clean_logits (no attack ran) one CE pass serves both.
     """
     if not 0.0 <= lam <= 1.0:
         raise ParameterError("lam must lie in [0, 1]")
@@ -132,16 +133,6 @@ def mixture_from_logits(clean_logits, adv_logits, labels, lam: float):
     return loss, (1.0 - lam) / n * clean_g, lam / n * adv_g
 
 
-def mixture_objective(weights: list, batch: LabeledBatch, lam: float, adv_inputs):
-    """Weighted clean/adversarial CE: (1-lam)*CE(x) + lam*CE(x').
-
-    lam=0 is standard training, lam=1 is PGD-AT.
-    """
-    clean = forward(weights, batch.inputs)
-    adv = forward(weights, adv_inputs)
-    return mixture_from_logits(clean.logits, adv.logits, batch.labels, lam)
-
-
 def kl_rows(p_logits, q_logits) -> np.ndarray:
     """Row-wise KL(softmax(p) || softmax(q)) in stable log domain."""
     p_logits = as_matrix(p_logits)
@@ -152,7 +143,10 @@ def kl_rows(p_logits, q_logits) -> np.ndarray:
 
 
 def trades_from_logits(clean_logits, adv_logits, labels, beta: float):
-    """TRADES objective on precomputed logits: CE(clean) + beta*KL(adv||clean)."""
+    """TRADES objective on precomputed logits: CE(clean) + beta*KL(adv||clean).
+
+    Returns (loss, clean_logit_grad, adv_logit_grad) for the mean loss.
+    """
     if beta <= 0.0:
         raise ParameterError("beta must be > 0")
     clean_logits = as_matrix(clean_logits)
@@ -170,16 +164,6 @@ def trades_from_logits(clean_logits, adv_logits, labels, beta: float):
     r = log_p - log_q
     adv_grad = beta / n * p * (r - (r * p).sum(axis=1, keepdims=True))
     return loss, clean_grad, adv_grad
-
-
-def trades_objective(weights: list, batch: LabeledBatch, beta: float, adv_inputs):
-    """CE(clean) + beta * mean KL(softmax(adv) || softmax(clean)).
-
-    Returns (loss, clean_logit_grad, adv_logit_grad) for the mean loss.
-    """
-    clean = forward(weights, batch.inputs)
-    adv = forward(weights, adv_inputs)
-    return trades_from_logits(clean.logits, adv.logits, batch.labels, beta)
 
 
 def generalization_gap(family_a_risks, family_b_risks) -> float:

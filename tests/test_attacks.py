@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from advlab.attacks import AttackSpec, fgsm, pgd, project
+from advlab.attacks import AttackSpec, pgd, project
 from advlab.core import ParameterError, ShapeError, make_rng
 from advlab.data import LabeledBatch, synth_blobs
 from advlab.mlp import MlpConfig, backward, forward, init_weights
@@ -32,6 +32,18 @@ def corner_search_linf(weights, batch, eps):
                 best_loss = loss[0]
                 out[i] = cand
     return out
+
+
+def fgsm_spec(eps):
+    """FGSM as a PGD spec: one l-inf step of size eps, no best-iterate
+    tracking (alpha only has to be positive when eps is 0)."""
+    return AttackSpec(p="inf", eps=eps, alpha=eps if eps > 0 else 1.0, k=1, track_best=False)
+
+
+def fgsm_sign(weights, batch):
+    """Per-coordinate sign of the full-backward input gradient of the mean CE."""
+    trace = forward(weights, batch.inputs)
+    return np.sign(backward(weights, trace, ce_logit_grad(trace.logits, batch.labels))[1])
 
 
 def pgd_two_forward_oracle(weights, batch, spec, rng=None):
@@ -136,17 +148,17 @@ class TestFgsm:
     def test_eps_zero_is_identity(self):
         batch = synth_blobs(make_rng(0), 10, 4, 2, 0.1)
         weights = init_weights(MlpConfig([4, 2], seed=0))
-        assert np.array_equal(fgsm(weights, batch, 0.0), batch.inputs)
+        assert np.array_equal(pgd(weights, batch, fgsm_spec(0.0)), batch.inputs)
 
     def test_zero_model_has_zero_gradient(self):
         batch = synth_blobs(make_rng(1), 10, 4, 2, 0.1)
         weights = init_weights(MlpConfig([4, 2], seed=0, init_scale=0.0))
-        assert np.array_equal(fgsm(weights, batch, 0.1), batch.inputs)
+        assert np.array_equal(pgd(weights, batch, fgsm_spec(0.1)), batch.inputs)
 
     def test_stays_in_ball_and_box(self):
         batch = synth_blobs(make_rng(2), 30, 6, 3, 0.2)
         weights = init_weights(MlpConfig([6, 5, 3], seed=3))
-        adv = fgsm(weights, batch, 0.05)
+        adv = pgd(weights, batch, fgsm_spec(0.05))
         assert np.abs(adv - batch.inputs).max() <= 0.05 + 1e-12
         assert adv.min() >= 0.0 and adv.max() <= 1.0
 
@@ -158,7 +170,7 @@ class TestFgsm:
         labels = rng.integers(0, 2, size=8)
         batch = LabeledBatch(inputs, labels, 2)
         weights = init_weights(MlpConfig([3, 2], seed=5))
-        adv = fgsm(weights, batch, 0.05)
+        adv = pgd(weights, batch, fgsm_spec(0.05))
         deltas = adv - batch.inputs
         assert np.all(np.isin(np.round(np.abs(deltas), 10), [0.0, 0.05]))
         exact = corner_search_linf(weights, batch, 0.05)
@@ -175,11 +187,15 @@ class TestPgd:
         assert np.array_equal(adv, batch.inputs)
 
     def test_one_step_full_alpha_equals_fgsm(self):
-        batch = synth_blobs(make_rng(6), 15, 5, 3, 0.2)
+        blobs = synth_blobs(make_rng(6), 15, 5, 3, 0.2)
+        inputs = blobs.inputs.copy()
+        inputs[:3], inputs[3:6] = 0.0, 1.0  # rows on the box edges
+        batch = LabeledBatch(inputs, blobs.labels, 3)
         weights = init_weights(MlpConfig([5, 4, 3], seed=7))
-        spec = AttackSpec(eps=0.03, alpha=0.03, k=1, track_best=False)
-        assert np.allclose(pgd(weights, batch, spec),
-                           fgsm(weights, batch, 0.03), atol=1e-15)
+        sign = fgsm_sign(weights, batch)
+        for eps in (0.0, 0.03, 0.5, 1.5):
+            want = np.clip(inputs + eps * sign, 0.0, 1.0)
+            assert np.array_equal(pgd(weights, batch, fgsm_spec(eps)), want)
 
     @pytest.mark.parametrize("p", ["inf", "two"])
     def test_ball_and_box_invariants(self, p):
@@ -282,10 +298,8 @@ class TestOneForwardPerIterate:
     def test_fgsm_matches_full_backward(self):
         batch = synth_blobs(make_rng(24), 30, 6, 3, 0.2)
         weights = init_weights(MlpConfig([6, 5, 3], seed=25))
-        trace = forward(weights, batch.inputs)
-        grad = backward(weights, trace, ce_logit_grad(trace.logits, batch.labels))[1]
-        want = np.clip(batch.inputs + 0.05 * np.sign(grad), 0.0, 1.0)
-        assert np.array_equal(fgsm(weights, batch, 0.05), want)
+        want = np.clip(batch.inputs + 0.05 * fgsm_sign(weights, batch), 0.0, 1.0)
+        assert np.array_equal(pgd(weights, batch, fgsm_spec(0.05)), want)
 
 
 @st.composite
@@ -314,6 +328,13 @@ class TestPgdProperties:
         clean_trace = forward(weights, batch.inputs) if use_clean_trace else None
         got = pgd(weights, batch, spec, make_rng(seed), clean_trace=clean_trace)
         assert np.array_equal(got, pgd_two_forward_oracle(weights, batch, spec, make_rng(seed)))
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(attack_cases())
+    def test_fgsm_spec_is_one_signed_step(self, case):
+        weights, batch, spec, _ = case
+        want = np.clip(batch.inputs + spec.eps * fgsm_sign(weights, batch), 0.0, 1.0)
+        assert np.array_equal(pgd(weights, batch, fgsm_spec(spec.eps)), want)
 
     @settings(deadline=None, database=None, max_examples=200)
     @given(attack_cases())

@@ -1,10 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from advlab.core import ParameterError, make_rng
-from advlab.data import synth_blobs
+from advlab.data import LabeledBatch, synth_blobs
 from advlab.fisher_rao import (BoundInputs, RadiusEstimates,
                                UndefinedMetricError, bound_slope_ratio,
                                complexity_bounds, empirical_rademacher,
@@ -48,6 +51,32 @@ def empirical_int64_oracle(table, rng, draws):
         values[done : done + chunk] = (xi @ table.T).max(axis=1) / n
         done += chunk
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(draws))
+
+
+def empirical_4096_row_oracle(table, rng, draws):
+    """empirical_rademacher before the reused buffer: a fresh int32 draw
+    and its float64 copy for every chunk of 4096 rows."""
+    n = table.shape[1]
+    values = np.empty(draws)
+    done = 0
+    while done < draws:
+        chunk = min(4096, draws - done)
+        xi = rng.integers(0, 2, size=(chunk, n), dtype=np.int32).astype(np.float64)
+        xi *= 2.0
+        xi -= 1.0
+        values[done : done + chunk] = (xi @ table.T).max(axis=1) / n
+        done += chunk
+    stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
+    return float(values.mean()), stderr
+
+
+def traced_peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFrIntegrand:
@@ -98,6 +127,16 @@ class TestFrNorm:
             _, radius = fr_norm_ce(weights, batch)
             est = radius_estimates(weights, batch)
             assert radius <= est.gamma_hat + 1e-12, f"trial {trial}"
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(st.integers(1, 6), st.lists(st.integers(1, 8), max_size=2), st.integers(2, 5),
+           st.integers(1, 30), st.integers(0, 2**31), st.sampled_from([None, 0.3, 3.0]))
+    def test_radius_bounded_by_gamma_hat_property(self, d, hidden, k, n, seed, init_scale):
+        weights = init_weights(MlpConfig([d, *hidden, k], seed=seed, init_scale=init_scale))
+        rng = make_rng(seed + 1)
+        batch = LabeledBatch(rng.uniform(size=(n, d)), rng.integers(0, k, size=n), k)
+        _, radius = fr_norm_ce(weights, batch)
+        assert radius <= radius_estimates(weights, batch).gamma_hat + 1e-12
 
 
 class TestMaxLogitGap:
@@ -275,6 +314,31 @@ class TestRademacher:
         table = make_rng(17).uniform(size=shape)
         assert empirical_rademacher(table, make_rng(18), draws) == \
             empirical_int64_oracle(table, make_rng(18), draws)
+
+    @settings(deadline=None, database=None, max_examples=40)
+    @given(st.integers(1, 7), st.integers(1, 4096) | st.sampled_from([1, 33, 4095, 4096]),
+           st.integers(1, 9000) | st.sampled_from([1, 2, 4095, 4096, 4097, 8193]),
+           st.integers(0, 2**31))
+    @example(4, 300, 9000, 1)  # here 256-row gemm blocks would change the result
+    def test_empirical_equals_4096_row_oracle(self, h, n, draws, seed):
+        table = make_rng(seed).uniform(-1.0, 3.0, size=(h, n))
+        rng, oracle_rng = make_rng(seed + 1), make_rng(seed + 1)
+        assert empirical_rademacher(table, rng, draws) == \
+            empirical_4096_row_oracle(table, oracle_rng, draws)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n, draws, limit_mib", [(4000, 20000, 140), (60000, 600, 200)])
+    def test_empirical_peak_memory(self, n, draws, limit_mib):
+        # one reused sign buffer: 4096 x 4000 floats (125 MiB) at n = 4000,
+        # and at n = 60000 the 128 MiB byte rule gives 279-row chunks
+        table = make_rng(19).uniform(size=(4, n))
+        peak = traced_peak_bytes(empirical_rademacher, table, make_rng(20), draws)
+        assert peak <= limit_mib * 2**20
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3)])
+    def test_exhaustive_rejects_empty_table(self, shape):
+        with pytest.raises(ParameterError):
+            exhaustive_rademacher(np.zeros(shape))
 
     def test_validation(self):
         with pytest.raises(ParameterError):

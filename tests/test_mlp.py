@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advlab.core import ShapeError, make_rng
 from advlab.data import synth_blobs
@@ -8,6 +10,17 @@ from advlab.mlp import (MlpConfig, backward, forward, init_weights, input_grad,
 from advlab.objectives import ce_logit_grad, ce_loss
 
 from fd_utils import fd_weight_grads, fd_matrix_grad, max_rel_err
+
+
+@st.composite
+def small_nets(draw):
+    """Random widths [d, ..., K] with one to three layers, and inputs in [0, 1]."""
+    widths = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4))
+    seed = draw(st.integers(0, 2**31))
+    weights = init_weights(MlpConfig(widths, seed=seed,
+                                     init_scale=draw(st.sampled_from([None, 0.3, 3.0]))))
+    x = make_rng(seed + 1).uniform(size=(draw(st.integers(1, 6)), widths[0]))
+    return weights, x
 
 
 class TestInit:
@@ -51,6 +64,27 @@ class TestForward:
         base = forward(w, x).logits
         scaled = forward([2.0 * m for m in w], x).logits
         assert max_rel_err(scaled, 2.0 ** 3 * base) < 1e-9
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(small_nets(), st.integers(-3, 3))
+    def test_power_of_two_scaling_is_exact(self, net, j):
+        # scaling by 2^j only shifts exponents, so every rounding commutes
+        weights, x = net
+        c = 2.0**j
+        scaled = forward([c * w for w in weights], x).logits
+        assert np.array_equal(scaled, c ** len(weights) * forward(weights, x).logits)
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(small_nets(), st.floats(0.05, 20.0))
+    def test_positive_scaling_property(self, net, c):
+        # relative to the logits' term magnitudes, i.e. the same chain
+        # with |W| on |x|, since single logits may cancel towards 0
+        weights, x = net
+        L = len(weights)
+        scaled = forward([c * w for w in weights], x).logits
+        base = forward(weights, x).logits
+        magnitude = forward([np.abs(w) for w in weights], x).logits
+        assert np.all(np.abs(scaled - c**L * base) <= 1e-12 * c**L * magnitude)
 
     def test_shape_error(self):
         w = init_weights(MlpConfig([5, 3], seed=0))

@@ -10,10 +10,19 @@ from advlab.mlp import MlpConfig, backward, forward, init_weights
 from advlab.objectives import (ObjectiveSpec, ce_logit_grad, ce_loss,
                                ce_loss_and_grad, correct_mask, generalization_bound,
                                generalization_gap, kl_rows,
-                               mixture_from_logits, mixture_objective, risk,
-                               trades_from_logits, trades_objective)
+                               mixture_from_logits, risk, trades_from_logits)
 
 from fd_utils import fd_matrix_grad, max_rel_err
+
+
+def mixture_through_model(weights, batch, lam, adv_inputs):
+    return mixture_from_logits(forward(weights, batch.inputs).logits,
+                               forward(weights, adv_inputs).logits, batch.labels, lam)
+
+
+def trades_through_model(weights, batch, beta, adv_inputs):
+    return trades_from_logits(forward(weights, batch.inputs).logits,
+                              forward(weights, adv_inputs).logits, batch.labels, beta)
 
 
 class TestObjectiveSpec:
@@ -190,14 +199,14 @@ class TestMixture:
         batch = synth_blobs(make_rng(6), 10, 5, 3, 0.2)
         weights = init_weights(MlpConfig([5, 6, 3], seed=7))
         adv = np.clip(batch.inputs + 0.01, 0.0, 1.0)
-        loss, g_clean, g_adv = mixture_objective(weights, batch, 0.5, adv)
+        loss, g_clean, g_adv = mixture_through_model(weights, batch, 0.5, adv)
         wg_clean, _ = backward(weights, forward(weights, batch.inputs), g_clean)
         wg_adv, _ = backward(weights, forward(weights, adv), g_adv)
         analytic = [a + b for a, b in zip(wg_clean, wg_adv)]
 
         from fd_utils import fd_weight_grads
         numeric = fd_weight_grads(
-            lambda ws: mixture_objective(ws, batch, 0.5, adv)[0], weights)
+            lambda ws: mixture_through_model(ws, batch, 0.5, adv)[0], weights)
         assert max_rel_err(analytic, numeric) < 1e-5
 
     def test_shared_clean_pass_when_no_attack_ran(self):
@@ -272,14 +281,14 @@ class TestTrades:
         batch = synth_blobs(make_rng(12), 8, 4, 3, 0.2)
         weights = init_weights(MlpConfig([4, 5, 3], seed=13))
         adv = np.clip(batch.inputs + 0.02, 0.0, 1.0)
-        _, g_clean, g_adv = trades_objective(weights, batch, 6.0, adv)
+        _, g_clean, g_adv = trades_through_model(weights, batch, 6.0, adv)
         wg_clean, _ = backward(weights, forward(weights, batch.inputs), g_clean)
         wg_adv, _ = backward(weights, forward(weights, adv), g_adv)
         analytic = [a + b for a, b in zip(wg_clean, wg_adv)]
 
         from fd_utils import fd_weight_grads
         numeric = fd_weight_grads(
-            lambda ws: trades_objective(ws, batch, 6.0, adv)[0], weights)
+            lambda ws: trades_through_model(ws, batch, 6.0, adv)[0], weights)
         assert max_rel_err(analytic, numeric) < 1e-5
 
 
