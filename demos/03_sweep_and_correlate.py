@@ -30,10 +30,11 @@ rows = run_sweep(spec, data)
 print(f"sweep produced {len(rows)} rows "
       f"(lambda=0 baseline family added automatically)")
 
-out = Path(tempfile.mkdtemp()) / "sweep.csv"
-write_csv(rows, out)
-rows = read_csv(out)  # same rows back through the pinned schema
-print(f"wrote and re-read {out}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "sweep.csv"
+    write_csv(rows, out)
+    rows = read_csv(out)  # same rows back through the pinned schema
+    print(f"wrote and re-read {out}")
 
 for regime in ("early", "late"):
     try:

@@ -11,7 +11,7 @@ end (cli).
 from .attacks import AttackSpec, pgd, project
 from .core import ParameterError, ShapeError, make_rng, softmax_rows
 from .data import (DatasetHandle, FormatError, LabeledBatch, batches,
-                   blob_dataset, dump_batch, load_batch, load_idx, synth_blobs)
+                   blob_dataset, load_idx, synth_blobs)
 from .fisher_rao import (BoundInputs, RadiusEstimates, UndefinedMetricError,
                          bound_slope_ratio, complexity_bounds,
                          empirical_rademacher, fr_norm_ce, gamma_ce,
@@ -20,9 +20,8 @@ from .loat import (EmptySubsetError, LoatSchedule, adversarial_pairing,
                    penalty_correct, penalty_wrong)
 from .mlp import (ForwardTrace, MlpConfig, backward, forward, init_weights,
                   load_checkpoint, save_checkpoint)
-from .objectives import (ObjectiveSpec, RiskReport, ce_logit_grad, ce_loss,
-                         ce_loss_and_grad, generalization_bound, generalization_gap,
-                         risk)
+from .objectives import (ObjectiveSpec, RiskReport, ce_loss, ce_loss_and_grad,
+                         generalization_gap, risk)
 from .trainer import (DivergenceError, MetricsRecord, TrainConfig, evaluate,
                       sgd_step, train)
 

@@ -49,6 +49,13 @@ class AttackSpec:
             raise ParameterError("require eps >= 0, alpha > 0, k >= 1")
 
 
+def eval_attack_pair(spec: AttackSpec) -> tuple:
+    """TrainConfig.eval_attacks of a run trained under `spec`: track-best
+    FGSM (alpha=eps, any alpha at eps=0) and spec's PGD without a random start."""
+    return (("fgsm", AttackSpec(p="inf", eps=spec.eps, alpha=spec.eps or spec.alpha, k=1)),
+            ("pgd", AttackSpec(p=spec.p, eps=spec.eps, alpha=spec.alpha, k=spec.k)))
+
+
 def project(x0, x, p: str, eps: float) -> np.ndarray:
     """Project x onto the eps-ball around x0, then clamp into [0,1]."""
     x0 = as_matrix(x0)

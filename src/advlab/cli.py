@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import sweep as sweep_mod
-from .attacks import AttackSpec
+from .attacks import AttackSpec, eval_attack_pair
 from .core import ParameterError
 from .data import DatasetHandle, blob_dataset, load_array, load_idx
 from .fisher_rao import (BoundInputs, UndefinedMetricError, complexity_bounds,
@@ -98,23 +98,37 @@ def build_dataset(cfg: dict) -> DatasetHandle:
     raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
 
 
+# Config sections: the spec each one builds and its key renames.
+_SECTIONS = {
+    "model": (MlpConfig, [("widths", "layer_widths")]),
+    "objective": (ObjectiveSpec, [("lambda", "lam")]),
+    "attack": (AttackSpec, [("epsilon", "eps")]),
+    "schedule": (LoatSchedule, [("E1", "e1"), ("E2", "e2")]),
+}
+
+
+def _build_sections(cfg: dict, names) -> dict:
+    built = {}
+    for name in names:
+        cls, renames = _SECTIONS[name]
+        built[name] = _build(cls, cfg.get(name, {}), name, renames)
+    return built
+
+
+def _with_train_fields(cfg: dict, built: dict) -> dict:
+    """built plus cfg's train section, whose keys may not replace built ones."""
+    train_fields = cfg.get("train", {})
+    clash = sorted(set(train_fields) & set(built))
+    if clash:
+        raise ConfigError(f"train: {clash} belong in their own sections, not in train")
+    return {**built, **train_fields}
+
+
 def build_train_config(cfg: dict) -> TrainConfig:
-    model = _build(MlpConfig, _require(cfg, "model", dict, "config"),
-                   "model", renames=[("widths", "layer_widths")])
-    objective = _build(ObjectiveSpec, cfg.get("objective", {}), "objective",
-                       renames=[("lambda", "lam")])
-    attack = _build(AttackSpec, cfg.get("attack", {}), "attack",
-                    renames=[("epsilon", "eps")])
-    schedule = _build(LoatSchedule, cfg.get("schedule", {}), "schedule",
-                      renames=[("E1", "e1"), ("E2", "e2")])
-    tr = dict(cfg.get("train", {}))
-    eval_attacks = [("fgsm", AttackSpec(p="inf", eps=attack.eps, alpha=attack.eps, k=1)),
-                    ("pgd", AttackSpec(p=attack.p, eps=attack.eps,
-                                       alpha=attack.alpha, k=attack.k))]
-    return _build(TrainConfig, {
-        "model": model, "objective": objective, "attack": attack,
-        "schedule": schedule, "eval_attacks": tuple(eval_attacks), **tr,
-    }, "train")
+    _require(cfg, "model", dict, "config")
+    built = _build_sections(cfg, ("model", "objective", "attack", "schedule"))
+    built["eval_attacks"] = eval_attack_pair(built["attack"])
+    return _build(TrainConfig, _with_train_fields(cfg, built), "train")
 
 
 def _content_hash(payload) -> str:
@@ -154,18 +168,10 @@ def cmd_sweep(config_path, out_dir, jobs: int) -> int:
     raw = _read_config(config_path)
     data = build_dataset(_require(raw, "dataset", dict, "config"))
     grid = _require(raw, "grid", dict, "config")
-    attack = _build(AttackSpec, raw.get("attack", {}), "attack",
-                    renames=[("epsilon", "eps")])
-    schedule = _build(LoatSchedule, raw.get("schedule", {}), "schedule",
-                      renames=[("E1", "e1"), ("E2", "e2")])
-    spec = _build(sweep_mod.SweepSpec, {
-        "widths": tuple(_require(grid, "widths", list, "grid")),
-        "lambdas": tuple(_require(grid, "lambdas", list, "grid")),
-        "seeds": tuple(_require(grid, "seeds", list, "grid")),
-        "epochs_list": tuple(_require(grid, "epochs_list", list, "grid")),
-        "attack": attack, "schedule": schedule,
-        **raw.get("train", {}),
-    }, "grid")
+    built = _build_sections(raw, ("attack", "schedule"))
+    for name in ("widths", "lambdas", "seeds", "epochs_list"):
+        built[name] = tuple(_require(grid, name, list, "grid"))
+    spec = _build(sweep_mod.SweepSpec, _with_train_fields(raw, built), "grid")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = sweep_mod.run_sweep(spec, data, jobs=jobs)
@@ -189,6 +195,8 @@ def cmd_correlate(csv_path, regime) -> int:
 
 def cmd_bounds(dump_path) -> int:
     logits, labels, k = _read_input("dump", load_array, dump_path)
+    if k != logits.shape[1]:
+        raise ConfigError(f"dump: header K={k} but the logits have {logits.shape[1]} columns")
     est = radius_estimates_from_logits(logits, labels)
     report = {
         "n": est.n, "n_correct": est.n_correct, "n_wrong": est.n_wrong,

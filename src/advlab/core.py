@@ -1,5 +1,8 @@
 """Array checks, stable row softmax/logsumexp, and seeded randomness.
 
+exp_logsumexp_rows is the one row logsumexp: a single exp pass gives both
+the softmax numerator and scipy's split-max logsumexp of a logit matrix.
+
 All numeric arrays are float64 and row-major (C order).  Random streams
 use numpy's PCG64 generator: the same seed replays the same draw
 sequence bit-identically on every platform.
@@ -32,6 +35,12 @@ def check_finite(m: np.ndarray, what: str = "result") -> np.ndarray:
     return m
 
 
+def check_count(value, name: str) -> None:
+    """Raise ParameterError unless value is an int >= 1 (numpy ints pass, bool fails)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction for stability."""
     m = as_matrix(m)
@@ -40,37 +49,34 @@ def softmax_rows(m) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def logsumexp_rows(m, keepdims: bool = False) -> np.ndarray:
-    """Row-wise log(sum(exp(m))) of a matrix with at least one column,
-    bit-identical to scipy.special.logsumexp(m, axis=1).
+def exp_logsumexp_rows(m):
+    """(exp(m - row max), (n, 1) row logsumexp) of a matrix with >= 1 column.
 
-    Same algorithm as scipy 1.17: with row maximum a and its tie count c,
-    the maxima are split out of the sum, s = sum(exp(m_j - a) for m_j < a) / c
-    and the result is log1p(s) + log(c) + a.  Rows where that is not finite
-    (a +-inf or nan entry) fall back to the direct log(sum(exp(m))), so an
-    all -inf row gives -inf.
+    The first over its row sums is softmax_rows(m) bit for bit.  The second
+    is scipy.special.logsumexp(m, axis=1, keepdims=True) bit for bit, by
+    scipy 1.17's algorithm: with row maximum a and its tie count c,
+    s = sum(exp(m_j - a) for m_j < a) / c and the result is
+    log1p(s) + log(c) + a.  Rows where that is not finite (a +-inf or nan
+    entry) fall back to log(sum(exp(m))), so an all -inf row gives -inf.
     """
     m = as_matrix(m)
     top = m.max(axis=1, keepdims=True)
     is_top = m == top
-    with np.errstate(invalid="ignore", over="ignore"):
-        s = np.exp(np.where(is_top, -np.inf, m) - top).sum(axis=1, keepdims=True)
-    out = split_max_logsumexp(m, top, is_top, s)
-    return out if keepdims else out[:, 0]
-
-
-def split_max_logsumexp(m, top, is_top, s) -> np.ndarray:
-    """The (n, 1) row logsumexp of m from the parts logsumexp_rows computes:
-    the row maxima `top` (n, 1), the mask `is_top` of the entries equal to
-    them, and `s` (n, 1), the row sums of exp(m - top) over the other
-    entries.  Non-finite rows take the direct fallback."""
     count = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.log1p(s / count) + np.log(count) + top
-        bad = ~np.isfinite(out[:, 0])
+        e = np.exp(m - top)
+        s = np.where(is_top, 0.0, e).sum(axis=1, keepdims=True)
+        lse = np.log1p(s / count) + np.log(count) + top
+        bad = ~np.isfinite(lse[:, 0])
         if bad.any():
-            out[bad] = np.log(np.exp(m[bad]).sum(axis=1, keepdims=True))
-    return out
+            lse[bad] = np.log(np.exp(m[bad]).sum(axis=1, keepdims=True))
+    return e, lse
+
+
+def logsumexp_rows(m, keepdims: bool = False) -> np.ndarray:
+    """Row-wise log(sum(exp(m))), as scipy's; see exp_logsumexp_rows."""
+    lse = exp_logsumexp_rows(m)[1]
+    return lse if keepdims else lse[:, 0]
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -4,9 +4,9 @@ Inputs are always matrices with entries in [0, 1]; labels are integer
 class ids below K.  MNIST-style IDX files are read bit-exactly per the
 canonical format (big-endian magic + dimension sizes + raw bytes).
 
-A batch can also be round-tripped through a small binary dump format:
-little-endian header ``magic "ALB1" | u32 d | u32 n | u32 K`` followed by
-n*d float64 inputs (row-major) and n int32 labels.
+dump_array/load_array round-trip a matrix (batch inputs, or logits for
+`advlab bounds`) with its labels: little-endian ``magic "ALB1" | u32 d |
+u32 n | u32 K``, then n*d float64 entries (row-major) and n int32 labels.
 """
 
 from __future__ import annotations
@@ -181,11 +181,3 @@ def load_array(path):
     labels = np.frombuffer(raw, dtype="<i4", offset=16 + 8 * n * d).astype(np.int64)
     return matrix.copy(), labels, k
 
-
-def dump_batch(b: LabeledBatch, path) -> None:
-    dump_array(b.inputs, b.labels, b.num_classes, path)
-
-
-def load_batch(path) -> LabeledBatch:
-    inputs, labels, k = load_array(path)
-    return LabeledBatch(inputs, labels, num_classes=k)

@@ -17,7 +17,8 @@ nothing in between; the LORE variant additionally adds gamma*AP_M early
 and gamma*AP_C late.  A penalty whose sample subset is empty contributes
 zero for that batch.  `loat` computes these applied terms and their
 logit gradients in one pass; P_C, P_M and the Jensen term are diagnostics
-with standalone functions, used by the inequality tests.
+with standalone functions, used by the inequality tests.  Both take each
+(1/(K-1)) sum_{k != y} (s_k - c_i)^2 from one helper (c_i = s_y or m_i).
 
 Correct/wrong masks come from clean logits and are treated as
 stop-gradient constants (argmax has no useful derivative).
@@ -59,22 +60,12 @@ def _nonlabel_mean(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (probs.sum(axis=1) - label_p) / (k - 1)
 
 
-def _sq_dev_from_label(probs, labels) -> np.ndarray:
-    """Per-sample (1/(K-1)) sum_{k != y} (s_k - s_y)^2."""
-    k = probs.shape[1]
-    label_p = probs[np.arange(len(labels)), labels]
-    dev = (probs - label_p[:, None]) ** 2
+def _sq_dev(probs, labels, center):
+    """Deviations probs - center (zeroed at the label) and the per-sample
+    (1/(K-1)) sum_{k != y} of their squares; center has one value per row."""
+    dev = probs - center[:, None]
     dev[np.arange(len(labels)), labels] = 0.0
-    return dev.sum(axis=1) / (k - 1)
-
-
-def _sq_dev_from_mean(probs, labels) -> np.ndarray:
-    """Per-sample (1/(K-1)) sum_{k != y} (s_k - m)^2 with m the non-label mean."""
-    k = probs.shape[1]
-    m = _nonlabel_mean(probs, labels)
-    dev = (probs - m[:, None]) ** 2
-    dev[np.arange(len(labels)), labels] = 0.0
-    return dev.sum(axis=1) / (k - 1)
+    return dev, (dev ** 2).sum(axis=1) / (probs.shape[1] - 1)
 
 
 def _validate(probs, labels, mask):
@@ -86,25 +77,24 @@ def _validate(probs, labels, mask):
     return probs, labels, mask
 
 
+def _subset_penalties(probs, labels, mask, wrong: bool, what: str):
+    """(P, P_lower) over the correct (or wrong) subset; raises if it is empty."""
+    probs, labels, mask = _validate(probs, labels, mask)
+    subset = ~mask if wrong else mask
+    if not subset.any():
+        raise EmptySubsetError(f"no {what} samples in batch")
+    centers = (probs[np.arange(len(labels)), labels], _nonlabel_mean(probs, labels))
+    return tuple(float(_sq_dev(probs, labels, c)[1][subset].mean()) for c in centers)
+
+
 def penalty_correct(probs, labels, mask):
     """(P_C, P_C_lower) over the correct subset; raises if it is empty."""
-    probs, labels, mask = _validate(probs, labels, mask)
-    if not mask.any():
-        raise EmptySubsetError("no correctly classified samples in batch")
-    p_c = float(_sq_dev_from_label(probs, labels)[mask].mean())
-    p_c_lower = float(_sq_dev_from_mean(probs, labels)[mask].mean())
-    return p_c, p_c_lower
+    return _subset_penalties(probs, labels, mask, False, "correctly classified")
 
 
 def penalty_wrong(probs, labels, mask):
     """(P_M, P_M_lower) over the misclassified subset; raises if it is empty."""
-    probs, labels, mask = _validate(probs, labels, mask)
-    wrong = ~mask
-    if not wrong.any():
-        raise EmptySubsetError("no misclassified samples in batch")
-    p_m = float(_sq_dev_from_label(probs, labels)[wrong].mean())
-    p_m_lower = float(_sq_dev_from_mean(probs, labels)[wrong].mean())
-    return p_m, p_m_lower
+    return _subset_penalties(probs, labels, mask, True, "misclassified")
 
 
 def jensen_middle_wrong(probs, labels, mask) -> float:
@@ -165,9 +155,7 @@ def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits
 
     probs = softmax_rows(clean_logits)
     k = probs.shape[1]
-    dev = probs - _nonlabel_mean(probs, labels)[:, None]
-    dev[np.arange(len(labels)), labels] = 0.0
-    sq_dev = (dev ** 2).sum(axis=1) / (k - 1)
+    dev, sq_dev = _sq_dev(probs, labels, _nonlabel_mean(probs, labels))
     n_c = int(mask.sum())
     n_m = len(mask) - n_c
     p_c = float(sq_dev[mask].mean()) if n_c else 0.0

@@ -1,12 +1,12 @@
 """Losses, risk accounting, and the cross-algorithm generalization gap.
 
 Cross-entropy is computed as logsumexp(logits) - logits[y] with max
-subtraction, so it is exact under arbitrary logit shifts.  The row
-logsumexp is core.logsumexp_rows: scipy's algorithm (split out the row
-maximum a and its tie count c, then log1p(s / c) + log(c) + a), run
-in-package so each call skips scipy's per-call dispatch.  Accuracy uses
-argmax with lowest-index tie-breaking (numpy's argmax convention), which
-also fixes the correct/misclassified split used by the radius metrics.
+subtraction, so it is exact under arbitrary logit shifts.  Each softmax,
+log-softmax and logsumexp comes from one core.exp_logsumexp_rows call per
+logit matrix (scipy's algorithm, without scipy's per-call dispatch).
+Accuracy uses argmax with lowest-index tie-breaking (numpy's argmax
+convention), which also fixes the correct/misclassified split used by the
+radius metrics.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ParameterError, ShapeError, as_matrix, logsumexp_rows,
-                   softmax_rows, split_max_logsumexp)
+# softmax_rows is unused but stays bound: perfbench counts softmax passes by it.
+from .core import (ParameterError, ShapeError, as_matrix,  # noqa: F401
+                   exp_logsumexp_rows, logsumexp_rows, softmax_rows)
 from .data import LabeledBatch
 from .mlp import forward
 
@@ -65,34 +66,21 @@ def ce_loss(logits, labels):
     return per_sample, float(per_sample.mean())
 
 
-def ce_logit_grad(logits, labels) -> np.ndarray:
-    """Gradient of each sample's CE with respect to its logits: softmax - onehot."""
-    logits = as_matrix(logits)
-    labels = _check_labels(logits, labels)
-    grad = softmax_rows(logits)
-    grad[np.arange(len(labels)), labels] -= 1.0
-    return grad
+def _ce_terms(logits, labels, lse, probs):
+    """Per-sample CE lse - logits[y] and its logit gradient probs - onehot,
+    written into `probs`, from the softmax and (n, 1) logsumexp of logits."""
+    rows = np.arange(len(labels))
+    probs[rows, labels] -= 1.0
+    return lse[:, 0] - logits[rows, labels], probs
 
 
 def ce_loss_and_grad(logits, labels):
-    """Per-sample CE and its logit gradient (softmax - onehot) in one pass.
-
-    One label check, one row max and one exp(logits - top): that array is
-    the softmax numerator, and with the entries equal to the row maximum
-    zeroed its row sums are logsumexp_rows' split-out sums.  So the pair
-    is bit-identical to (ce_loss(...)[0], ce_logit_grad(...)).
-    """
+    """Per-sample CE and its logit gradient (softmax - onehot) in one pass,
+    bit-identical to ce_loss(...)[0] and softmax_rows(logits) - onehot."""
     logits = as_matrix(logits)
     labels = _check_labels(logits, labels)
-    rows = np.arange(len(labels))
-    top = logits.max(axis=1, keepdims=True)
-    is_top = logits == top
-    e = np.exp(logits - top)
-    rest = np.where(is_top, 0.0, e).sum(axis=1, keepdims=True)
-    per_sample = split_max_logsumexp(logits, top, is_top, rest)[:, 0] - logits[rows, labels]
-    grad = e / e.sum(axis=1, keepdims=True)
-    grad[rows, labels] -= 1.0
-    return per_sample, grad
+    e, lse = exp_logsumexp_rows(logits)
+    return _ce_terms(logits, labels, lse, e / e.sum(axis=1, keepdims=True))
 
 
 def correct_mask(logits, labels) -> np.ndarray:
@@ -133,35 +121,30 @@ def mixture_from_logits(clean_logits, adv_logits, labels, lam: float):
     return loss, (1.0 - lam) / n * clean_g, lam / n * adv_g
 
 
-def kl_rows(p_logits, q_logits) -> np.ndarray:
-    """Row-wise KL(softmax(p) || softmax(q)) in stable log domain."""
-    p_logits = as_matrix(p_logits)
-    q_logits = as_matrix(q_logits)
-    log_p = p_logits - logsumexp_rows(p_logits, keepdims=True)
-    log_q = q_logits - logsumexp_rows(q_logits, keepdims=True)
-    return (np.exp(log_p) * (log_p - log_q)).sum(axis=1)
-
-
 def trades_from_logits(clean_logits, adv_logits, labels, beta: float):
     """TRADES objective on precomputed logits: CE(clean) + beta*KL(adv||clean).
 
-    Returns (loss, clean_logit_grad, adv_logit_grad) for the mean loss.
+    Returns (loss, clean_logit_grad, adv_logit_grad) for the mean loss, all
+    read from one exp_logsumexp_rows call per logit matrix.
     """
     if beta <= 0.0:
         raise ParameterError("beta must be > 0")
     clean_logits = as_matrix(clean_logits)
     adv_logits = as_matrix(adv_logits)
-    clean_ce, clean_ce_grad = ce_loss_and_grad(clean_logits, labels)
-    kl = kl_rows(adv_logits, clean_logits)
+    labels = _check_labels(clean_logits, labels)
+    e_q, lse_q = exp_logsumexp_rows(clean_logits)
+    e_p, lse_p = exp_logsumexp_rows(adv_logits)
+    q = e_q / e_q.sum(axis=1, keepdims=True)
+    p = e_p / e_p.sum(axis=1, keepdims=True)
+    log_p = adv_logits - lse_p
+    r = log_p - (clean_logits - lse_q)
+    clean_ce, clean_ce_grad = _ce_terms(clean_logits, labels, lse_q, q.copy())
+    # exp(log_p), not p: the KL keeps the bits of its log-domain definition
+    kl = (np.exp(log_p) * r).sum(axis=1)
     loss = float(clean_ce.mean()) + beta * float(kl.mean())
     n = clean_logits.shape[0]
-    p = softmax_rows(adv_logits)
-    q = softmax_rows(clean_logits)
     # d KL / d clean logits = q - p; d KL / d adv logits through softmax(p)
     clean_grad = (clean_ce_grad + beta * (q - p)) / n
-    log_p = adv_logits - logsumexp_rows(adv_logits, keepdims=True)
-    log_q = clean_logits - logsumexp_rows(clean_logits, keepdims=True)
-    r = log_p - log_q
     adv_grad = beta / n * p * (r - (r * p).sum(axis=1, keepdims=True))
     return loss, clean_grad, adv_grad
 
@@ -171,18 +154,3 @@ def generalization_gap(family_a_risks, family_b_risks) -> float:
     if len(family_a_risks) == 0 or len(family_b_risks) == 0:
         raise ParameterError("both families need at least one trained model")
     return float(min(family_a_risks) - min(family_b_risks))
-
-
-def generalization_bound(emp_risk: float, B: float, rademacher: float, delta: float, n: int) -> float:
-    """High-probability population-risk bound for a loss bounded in [0, B].
-
-    emp_risk + 2B*rademacher + 3B*sqrt(ln(2/delta)/(2n)).  Only valid for
-    bounded losses; never applied to (unbounded) CE in this package.
-    """
-    if B <= 0:
-        raise ParameterError("B must be > 0")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    return emp_risk + 2.0 * B * rademacher + 3.0 * B * np.sqrt(np.log(2.0 / delta) / (2.0 * n))

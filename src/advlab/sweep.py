@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackSpec
-from .core import ParameterError
+from .attacks import AttackSpec, eval_attack_pair
+from .core import ParameterError, check_count
 from .data import DatasetHandle
 from .loat import LoatSchedule
 from .mlp import MlpConfig
@@ -62,8 +62,9 @@ class SweepSpec:
                 object.__setattr__(self, name, tuple(dict.fromkeys(values)))
         if any(not 0.0 <= l <= 1.0 for l in self.lambdas):
             raise ParameterError("lambdas must lie in [0, 1]")
-        if any(b < 1 for b in self.epochs_list):
-            raise ParameterError("epoch budgets must be >= 1")
+        for budget in self.epochs_list:
+            check_count(budget, "epochs_list entry")
+        check_count(self.batch_size, "batch_size")
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,6 @@ def _metrics_every(budget: int) -> int:
 
 def _cell_config(spec: SweepSpec, data: DatasetHandle, width: int, lam: float,
                  seed: int, epochs: int) -> TrainConfig:
-    eval_pgd = AttackSpec(p=spec.attack.p, eps=spec.attack.eps,
-                          alpha=spec.attack.alpha, k=spec.attack.k)
-    eval_fgsm = AttackSpec(p="inf", eps=spec.attack.eps, alpha=spec.attack.eps, k=1)
     return TrainConfig(
         model=MlpConfig([data.train.dim, width, data.train.num_classes], seed=seed),
         objective=ObjectiveSpec(kind="mixture", lam=lam),
@@ -94,7 +92,7 @@ def _cell_config(spec: SweepSpec, data: DatasetHandle, width: int, lam: float,
         lr=spec.lr,
         momentum=spec.momentum,
         seed=seed,
-        eval_attacks=(("fgsm", eval_fgsm), ("pgd", eval_pgd)),
+        eval_attacks=eval_attack_pair(spec.attack),
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .attacks import AttackSpec, pgd
 # softmax_rows is unused here but stays bound: perfbench's tracer counts the
 # softmax passes of this module through this name.
-from .core import ParameterError, make_rng, softmax_rows  # noqa: F401
+from .core import ParameterError, check_count, make_rng, softmax_rows  # noqa: F401
 from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import (BoundInputs, UndefinedMetricError, complexity_bounds,
                          gamma_ce, radius_estimates_from_logits)
@@ -52,8 +52,8 @@ class TrainConfig:
     eval_attacks: tuple = ()  # ((name, AttackSpec), ...)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ParameterError("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size", "metrics_every"):
+            check_count(getattr(self, name), name)
         if self.lr < 0 or not 0.0 <= self.momentum < 1.0:
             raise ParameterError("require lr >= 0 and momentum in [0, 1)")
 

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from advlab.attacks import AttackSpec, pgd, project
+from advlab.attacks import AttackSpec, eval_attack_pair, pgd, project
 from advlab.core import ParameterError, ShapeError, make_rng
 from advlab.data import LabeledBatch, synth_blobs
 from advlab.mlp import MlpConfig, backward, forward, init_weights
-from advlab.objectives import ce_logit_grad, ce_loss
+from advlab.objectives import ce_loss
+
+from oracles import ce_logit_grad
 
 
 def corner_search_linf(weights, batch, eps):
@@ -109,6 +111,21 @@ class TestAttackSpec:
             AttackSpec(alpha=0.0)
         with pytest.raises(ParameterError):
             AttackSpec(k=0)
+
+
+class TestEvalAttackPair:
+    def test_fgsm_step_and_pgd_without_random_start(self):
+        spec = AttackSpec(p="two", eps=0.3, alpha=0.1, k=4, random_start=True,
+                          track_best=False)
+        assert eval_attack_pair(spec) == (
+            ("fgsm", AttackSpec(p="inf", eps=0.3, alpha=0.3, k=1)),
+            ("pgd", AttackSpec(p="two", eps=0.3, alpha=0.1, k=4)))
+
+    def test_zero_eps_is_a_valid_pair(self):
+        # eps = 0 leaves every input as it is; the FGSM step needs some alpha > 0
+        pair = dict(eval_attack_pair(AttackSpec(eps=0.0, alpha=0.02)))
+        assert pair["fgsm"] == AttackSpec(p="inf", eps=0.0, alpha=0.02, k=1)
+        assert pair["pgd"] == AttackSpec(eps=0.0, alpha=0.02)
 
 
 class TestProject:

@@ -9,6 +9,7 @@ import pytest
 
 import advlab
 from advlab.cli import main
+from advlab.core import make_rng
 from advlab.data import dump_array
 from advlab.mlp import load_checkpoint
 from advlab.sweep import read_csv
@@ -196,6 +197,22 @@ class TestBoundsCommand:
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
         assert main(["bounds", str(path)]) == 1
 
+    def test_header_k_above_logit_columns_exit_one(self, tmp_path, capsys):
+        # ln K for K=10 would enter the bounds of a 3-class dump
+        logits = make_rng(0).standard_normal((40, 3))
+        path = tmp_path / "logits.bin"
+        dump_array(logits, np.arange(40) % 3, 10, path)
+        assert main(["bounds", str(path)]) == 1
+        assert "K=10" in capsys.readouterr().err
+
+    def test_label_at_or_above_header_k_exit_one(self, tmp_path, capsys):
+        # header K=2 on 3 logit columns: labels reach 2 >= K
+        logits = make_rng(0).standard_normal((40, 3))
+        path = tmp_path / "logits.bin"
+        dump_array(logits, np.arange(40) % 3, 2, path)
+        assert main(["bounds", str(path)]) == 1
+        assert "K=2" in capsys.readouterr().err
+
 
 class TestPlotscriptCommand:
     def _csv(self, tmp_path):
@@ -266,6 +283,35 @@ class TestDatasetSection:
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 1
         assert "dataset.kind" in capsys.readouterr().err
+
+
+SWEEP_CONFIG = {
+    "dataset": {"kind": "synthetic", "seed": 0, "n_train": 60, "n_test": 30,
+                "d": 4, "K": 3, "spread": 0.1},
+    "grid": {"widths": [4], "lambdas": [0.5], "seeds": [0], "epochs_list": [1]},
+    "train": {"batch_size": 32},
+}
+
+
+class TestConfigErrors:
+    """Configs that passed section validation but failed while running."""
+
+    @pytest.mark.parametrize("command, train_fields, field", [
+        ("train", {"attack": {"epsilon": 0.1}}, "attack"),
+        ("train", {"epochs": 1.5}, "epochs"),
+        ("train", {"metrics_every": 0}, "metrics_every"),
+        ("sweep", {"schedule": {"variant": "SLORE"}}, "schedule"),
+        ("sweep", {"batch_size": 2.5}, "batch_size"),
+    ], ids=["train-attack", "train-epochs", "train-metrics_every", "sweep-schedule",
+            "sweep-batch_size"])
+    def test_exit_one_naming_the_field(self, tmp_path, capsys, command, train_fields, field):
+        cfg = json.loads(json.dumps(base_config() if command == "train" else SWEEP_CONFIG))
+        cfg["train"].update(train_fields)
+        argv = [command, "--config", str(write_config(tmp_path, cfg)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
 
 
 class TestInputErrors:

@@ -11,7 +11,10 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 import advlab
-from advlab.core import ShapeError, logsumexp_rows, make_rng, softmax_rows
+from advlab.core import (ShapeError, exp_logsumexp_rows, logsumexp_rows, make_rng,
+                         softmax_rows)
+
+from oracles import logsumexp_split_max
 
 
 class TestSoftmax:
@@ -69,7 +72,8 @@ class TestLogsumexpRows:
 
     def test_infinite_rows(self):
         m = np.array([[-np.inf, -np.inf], [np.inf, 0.0], [np.inf, -np.inf], [-np.inf, 1.0]])
-        out = logsumexp_rows(m)
+        with np.errstate(all="raise"):  # the one errstate block covers every pass
+            out = logsumexp_rows(m)
         assert out.tolist() == [-np.inf, np.inf, np.inf, 1.0]
         assert np.array_equal(out, logsumexp(m, axis=1))
 
@@ -81,6 +85,20 @@ class TestLogsumexpRows:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             logsumexp_rows(np.zeros(3))
+
+
+class TestExpLogsumexpRows:
+    """One exp pass gives softmax_rows' numerator and the split-max logsumexp."""
+
+    @settings(deadline=None, database=None, max_examples=300)
+    @given(st.one_of(logit_rows(), logit_rows(with_inf=True)))
+    def test_bit_identical_to_separate_passes(self, m):
+        e, lse = exp_logsumexp_rows(m)
+        with np.errstate(invalid="ignore"):
+            want_softmax = softmax_rows(m)
+        assert np.array_equal(e / e.sum(axis=1, keepdims=True), want_softmax, equal_nan=True)
+        assert lse.shape == (m.shape[0], 1)
+        assert np.array_equal(lse, logsumexp_split_max(m, keepdims=True), equal_nan=True)
 
 
 def test_import_does_not_load_scipy():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from advlab.core import ParameterError, make_rng
-from advlab.data import (FormatError, LabeledBatch, batches, dump_batch,
-                         load_batch, load_idx, synth_blobs)
+from advlab.data import (FormatError, LabeledBatch, batches, dump_array,
+                         load_array, load_idx, synth_blobs)
 
 
 def write_idx_images(path, images):
@@ -149,17 +149,17 @@ class TestDumpFormat:
     def test_bit_exact_roundtrip(self, tmp_path):
         batch = synth_blobs(make_rng(6), 17, 5, 3, 0.2)
         path = tmp_path / "batch.bin"
-        dump_batch(batch, path)
-        loaded = load_batch(path)
-        assert np.array_equal(loaded.inputs, batch.inputs)
-        assert np.array_equal(loaded.labels, batch.labels)
-        assert loaded.num_classes == batch.num_classes
+        dump_array(batch.inputs, batch.labels, batch.num_classes, path)
+        inputs, labels, num_classes = load_array(path)
+        assert np.array_equal(inputs, batch.inputs)
+        assert np.array_equal(labels, batch.labels)
+        assert num_classes == batch.num_classes
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + b"\0" * 20)
         with pytest.raises(FormatError):
-            load_batch(path)
+            load_array(path)
 
 
 class TestLabeledBatch:

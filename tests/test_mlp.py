@@ -7,9 +7,10 @@ from advlab.core import ShapeError, make_rng
 from advlab.data import synth_blobs
 from advlab.mlp import (MlpConfig, backward, forward, init_weights, input_grad,
                         load_checkpoint, save_checkpoint)
-from advlab.objectives import ce_logit_grad, ce_loss
+from advlab.objectives import ce_loss
 
 from fd_utils import fd_weight_grads, fd_matrix_grad, max_rel_err
+from oracles import ce_logit_grad
 
 
 @st.composite

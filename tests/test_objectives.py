@@ -7,12 +7,12 @@ from hypothesis.extra import numpy as hnp
 from advlab.core import ParameterError, ShapeError, make_rng, softmax_rows
 from advlab.data import synth_blobs
 from advlab.mlp import MlpConfig, backward, forward, init_weights
-from advlab.objectives import (ObjectiveSpec, ce_logit_grad, ce_loss,
-                               ce_loss_and_grad, correct_mask, generalization_bound,
-                               generalization_gap, kl_rows,
-                               mixture_from_logits, risk, trades_from_logits)
+from advlab.objectives import (ObjectiveSpec, ce_loss, ce_loss_and_grad, correct_mask,
+                               generalization_gap, mixture_from_logits, risk,
+                               trades_from_logits)
 
 from fd_utils import fd_matrix_grad, max_rel_err
+from oracles import ce_logit_grad, trades_four_lse
 
 
 def mixture_through_model(weights, batch, lam, adv_inputs):
@@ -73,16 +73,18 @@ class TestCeLoss:
 
 
 class TestCeLogitGrad:
+    """The gradient half of ce_loss_and_grad."""
+
     def test_rows_sum_to_zero(self):
         rng = make_rng(1)
-        g = ce_logit_grad(rng.standard_normal((8, 4)), rng.integers(0, 4, size=8))
+        g = ce_loss_and_grad(rng.standard_normal((8, 4)), rng.integers(0, 4, size=8))[1]
         assert np.allclose(g.sum(axis=1), 0.0, atol=1e-14)
 
     def test_matches_finite_differences(self):
         rng = make_rng(2)
         logits = rng.standard_normal((5, 4))
         labels = rng.integers(0, 4, size=5)
-        analytic = ce_logit_grad(logits, labels)
+        analytic = ce_loss_and_grad(logits, labels)[1]
 
         def total(m):
             per, _ = ce_loss(m, labels)
@@ -93,7 +95,7 @@ class TestCeLogitGrad:
 
     def test_softmax_minus_onehot(self):
         logits = np.array([[1.0, -1.0, 0.5]])
-        g = ce_logit_grad(logits, [2])
+        g = ce_loss_and_grad(logits, [2])[1]
         expected = softmax_rows(logits)
         expected[0, 2] -= 1.0
         assert np.allclose(g, expected, atol=1e-15)
@@ -227,23 +229,31 @@ class TestMixture:
             mixture_from_logits(np.zeros((1, 2)), np.zeros((1, 2)), [0], -0.1)
 
 
+def kl_via_trades(p_logits, q_logits):
+    """Row-wise KL(softmax(p) || softmax(q)) read off trades_from_logits:
+    with beta = 1 a one-row TRADES loss minus that row's CE is its KL."""
+    p_logits, q_logits = np.atleast_2d(p_logits), np.atleast_2d(q_logits)
+    return np.array([trades_from_logits(q_logits[i:i + 1], p_logits[i:i + 1], [0], 1.0)[0]
+                     - ce_loss(q_logits[i:i + 1], [0])[1] for i in range(len(p_logits))])
+
+
 class TestKl:
     def test_self_divergence_is_zero(self):
         m = make_rng(7).standard_normal((5, 4))
-        assert np.allclose(kl_rows(m, m), 0.0, atol=1e-14)
+        assert np.allclose(kl_via_trades(m, m), 0.0, atol=1e-14)
 
     def test_nonnegative(self):
         rng = make_rng(8)
         p = rng.standard_normal((50, 6))
         q = rng.standard_normal((50, 6))
-        assert np.all(kl_rows(p, q) >= -1e-12)
+        assert np.all(kl_via_trades(p, q) >= -1e-12)
 
     def test_hand_example(self):
         # p = (3/4, 1/4), q = (1/2, 1/2)
         p_logits = [[np.log(3.0), 0.0]]
         q_logits = [[0.0, 0.0]]
         expected = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
-        assert kl_rows(p_logits, q_logits)[0] == pytest.approx(expected, abs=1e-14)
+        assert kl_via_trades(p_logits, q_logits)[0] == pytest.approx(expected, abs=1e-14)
 
 
 class TestTrades:
@@ -277,6 +287,19 @@ class TestTrades:
         assert max_rel_err(g_clean, num_clean) < 1e-7
         assert max_rel_err(g_adv, num_adv) < 1e-7
 
+    @settings(deadline=None, database=None, max_examples=300)
+    @given(logits_and_labels(with_inf=True), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.5, 1.0, 6.0]))
+    def test_bit_identical_to_four_logsumexp_oracle(self, case, seed, beta):
+        clean, labels = case
+        adv = clean + make_rng(seed).standard_normal(clean.shape)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            got = trades_from_logits(clean, adv, labels, beta)
+            want = trades_four_lse(clean, adv, labels, beta)
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert np.array_equal(got[1], want[1], equal_nan=True)
+        assert np.array_equal(got[2], want[2], equal_nan=True)
+
     def test_objective_weight_grads(self):
         batch = synth_blobs(make_rng(12), 8, 4, 3, 0.2)
         weights = init_weights(MlpConfig([4, 5, 3], seed=13))
@@ -292,7 +315,7 @@ class TestTrades:
         assert max_rel_err(analytic, numeric) < 1e-5
 
 
-class TestGapAndBound:
+class TestGap:
     def test_gap_antisymmetry(self):
         a = [0.5, 0.7]
         b = [0.4, 0.9]
@@ -304,21 +327,3 @@ class TestGapAndBound:
     def test_gap_empty_family(self):
         with pytest.raises(ParameterError):
             generalization_gap([], [0.1])
-
-    def test_bound_worked_example(self):
-        # emp 0.1, B 1, rademacher 0.05, delta 0.05, n 1000
-        value = generalization_bound(0.1, 1.0, 0.05, 0.05, 1000)
-        assert value == pytest.approx(0.32884082250402125, abs=1e-12)
-
-    def test_bound_monotone_in_rademacher(self):
-        lo = generalization_bound(0.1, 1.0, 0.01, 0.05, 100)
-        hi = generalization_bound(0.1, 1.0, 0.10, 0.05, 100)
-        assert hi > lo
-
-    def test_bound_validation(self):
-        with pytest.raises(ParameterError):
-            generalization_bound(0.1, 0.0, 0.05, 0.05, 10)
-        with pytest.raises(ParameterError):
-            generalization_bound(0.1, 1.0, 0.05, 1.5, 10)
-        with pytest.raises(ParameterError):
-            generalization_bound(0.1, 1.0, 0.05, 0.05, 0)

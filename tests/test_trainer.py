@@ -61,6 +61,11 @@ class TestTrainConfig:
             TrainConfig(model=model, momentum=1.0)
         with pytest.raises(ParameterError):
             TrainConfig(model=model, lr=-0.1)
+        for field in ("epochs", "batch_size", "metrics_every"):
+            for bad in (0, 1.5, True, np.float64(2.0)):
+                with pytest.raises(ParameterError, match=field):
+                    TrainConfig(model=model, **{field: bad})
+            assert getattr(TrainConfig(model=model, **{field: np.int64(3)}), field) == 3
 
 
 class TestTrain:
