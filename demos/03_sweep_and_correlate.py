@@ -3,8 +3,8 @@ the cross-family generalization gap.
 
 A full-scale sweep is what the `advlab sweep` CLI subcommand does; this
 script runs a desk-sized grid in-process so the whole pipeline (grid ->
-CSV rows -> gap attachment -> correlation -> slopes) is visible in one
-place.
+CSV rows -> gap attachment -> correlation -> slopes_by width and lambda)
+is visible in one place.
 """
 
 import tempfile
@@ -13,8 +13,7 @@ from pathlib import Path
 from advlab.attacks import AttackSpec
 from advlab.data import blob_dataset
 from advlab.sweep import (InsufficientDataError, SweepSpec, correlate,
-                          read_csv, run_sweep, slopes_by_lambda,
-                          slopes_by_width, write_csv)
+                          read_csv, run_sweep, slopes_by, write_csv)
 
 data = blob_dataset(seed=7, n_train=300, n_test=150, d=8, K=3, spread=0.2)
 
@@ -47,7 +46,7 @@ for regime in ("early", "late"):
 
 print()
 print("least-squares slopes of gamma_hat_m against gamma_hat_c:")
-for width, slope in slopes_by_width(rows).items():
+for width, slope in slopes_by(rows, "width").items():
     print(f"  width {width:3d}: {slope:.3f}")
-for lam, slope in slopes_by_lambda(rows).items():
+for lam, slope in slopes_by(rows, "lambda").items():
     print(f"  lambda {lam:.2f}: {slope:.3f}")

@@ -24,8 +24,7 @@ from . import sweep as sweep_mod
 from .attacks import AttackSpec, eval_attack_pair
 from .core import ParameterError
 from .data import DatasetHandle, blob_dataset, load_array, load_idx
-from .fisher_rao import (BoundInputs, UndefinedMetricError, complexity_bounds,
-                         gamma_ce, radius_estimates_from_logits)
+from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule
 from .mlp import MlpConfig, save_checkpoint
 from .objectives import ObjectiveSpec
@@ -36,12 +35,18 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
-def _require(cfg: dict, field: str, types, where: str):
-    if field not in cfg:
+# The JSON types a config number may take, by the type of its field's default.
+_NUMBER = {int: int, float: (int, float)}
+
+
+def _field(cfg: dict, field: str, types, where: str, default=None):
+    """cfg[field], an instance of `types`; required unless a default is given."""
+    if field not in cfg and default is None:
         raise ConfigError(f"{where}.{field}: missing required field")
-    value = cfg[field]
+    value = cfg.get(field, default)
     if not isinstance(value, types):
-        raise ConfigError(f"{where}.{field}: expected {types}, got {type(value).__name__}")
+        want = getattr(types, "__name__", "a number")
+        raise ConfigError(f"{where}.{field}: expected {want}, got {type(value).__name__}")
     return value
 
 
@@ -50,10 +55,13 @@ def _build(cls, section: dict, where: str, renames=()):
     for src, dst in renames:
         if src in section:
             section[dst] = section.pop(src)
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - known
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(section) - set(defaults)
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    for name in section:
+        if type(defaults[name]) in _NUMBER:  # exact type: bool defaults are not numbers
+            _field(section, name, _NUMBER[type(defaults[name])], where)
     try:
         return cls(**section)
     except (ParameterError, TypeError) as exc:
@@ -69,31 +77,29 @@ def _read_input(what: str, load, *args):
 
 
 def _read_config(path) -> dict:
-    return json.loads(_read_input("--config", Path(path).read_text))
+    cfg = json.loads(_read_input("--config", Path(path).read_text))
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"--config: expected an object, got {type(cfg).__name__}")
+    return cfg
+
+
+# Synthetic dataset fields and their defaults, in blob_dataset's argument order.
+_SYNTHETIC = {"seed": 0, "n_train": 1000, "n_test": 500, "d": 16, "K": 4, "spread": 0.08}
 
 
 def build_dataset(cfg: dict) -> DatasetHandle:
-    kind = _require(cfg, "kind", str, "dataset")
+    kind = _field(cfg, "kind", str, "dataset")
     if kind == "synthetic":
-        seed = cfg.get("seed", 0)
-        n_train = cfg.get("n_train", 1000)
-        n_test = cfg.get("n_test", 500)
-        d = cfg.get("d", 16)
-        k = cfg.get("K", 4)
-        spread = cfg.get("spread", 0.08)
         try:
-            return blob_dataset(seed, n_train, n_test, d, k, spread)
+            return blob_dataset(*(_field(cfg, name, _NUMBER[type(default)], "dataset", default)
+                                  for name, default in _SYNTHETIC.items()))
         except ParameterError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
     if kind == "idx":
-        trainb = _read_input("dataset", load_idx,
-                             _require(cfg, "train_images", str, "dataset"),
-                             _require(cfg, "train_labels", str, "dataset"),
-                             cfg.get("train_limit"))
-        testb = _read_input("dataset", load_idx,
-                            _require(cfg, "test_images", str, "dataset"),
-                            _require(cfg, "test_labels", str, "dataset"),
-                            cfg.get("test_limit"))
+        trainb, testb = (_read_input("dataset", load_idx,
+                                     _field(cfg, f"{split}_images", str, "dataset"),
+                                     _field(cfg, f"{split}_labels", str, "dataset"),
+                                     cfg.get(f"{split}_limit")) for split in ("train", "test"))
         return DatasetHandle(trainb, testb, name=cfg.get("name", "idx"), source="idx-files")
     raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
 
@@ -111,13 +117,13 @@ def _build_sections(cfg: dict, names) -> dict:
     built = {}
     for name in names:
         cls, renames = _SECTIONS[name]
-        built[name] = _build(cls, cfg.get(name, {}), name, renames)
+        built[name] = _build(cls, _field(cfg, name, dict, "config", {}), name, renames)
     return built
 
 
 def _with_train_fields(cfg: dict, built: dict) -> dict:
     """built plus cfg's train section, whose keys may not replace built ones."""
-    train_fields = cfg.get("train", {})
+    train_fields = _field(cfg, "train", dict, "config", {})
     clash = sorted(set(train_fields) & set(built))
     if clash:
         raise ConfigError(f"train: {clash} belong in their own sections, not in train")
@@ -125,7 +131,7 @@ def _with_train_fields(cfg: dict, built: dict) -> dict:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    _require(cfg, "model", dict, "config")
+    _field(cfg, "model", dict, "config")
     built = _build_sections(cfg, ("model", "objective", "attack", "schedule"))
     built["eval_attacks"] = eval_attack_pair(built["attack"])
     return _build(TrainConfig, _with_train_fields(cfg, built), "train")
@@ -136,54 +142,50 @@ def _content_hash(payload) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def cmd_train(config_path, out_dir) -> int:
+def _sweep_spec(cfg: dict) -> sweep_mod.SweepSpec:
+    grid = _field(cfg, "grid", dict, "config")
+    built = _build_sections(cfg, ("attack", "schedule"))
+    for name in ("widths", "lambdas", "seeds", "epochs_list"):
+        built[name] = tuple(_field(grid, name, list, "grid"))
+    return _build(sweep_mod.SweepSpec, _with_train_fields(cfg, built), "grid")
+
+
+def _run_config(config_path, out_dir, build, run, **manifest_extra) -> int:
+    """The run path of train and sweep: read the config, build its dataset and spec (input
+    errors come before --out exists), create --out, run(spec, data, out), write manifest.json."""
     raw = _read_config(config_path)
-    data = build_dataset(_require(raw, "dataset", dict, "config"))
-    cfg = build_train_config(raw)
+    data = build_dataset(_field(raw, "dataset", dict, "config"))
+    spec = build(raw)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    weights, history = train(cfg, data)
-    widths = cfg.model.layer_widths
-    width = widths[1] if len(widths) > 2 else widths[0]
-    lam = cfg.objective.lam if cfg.objective.kind == "mixture" else None
-    rows = [sweep_mod.record_row(rec, f"train_s{cfg.seed}", width, lam, cfg.seed, cfg.epochs)
-            for rec in history]
-    sweep_mod.write_csv(rows, out / "history.csv")
-    save_checkpoint(weights, out / "final.ckpt")
-    manifest = {
-        "schema_version": sweep_mod.CSV_SCHEMA_VERSION,
-        "config": raw,
-        "dataset_fingerprint": _content_hash({
-            "name": data.name, "source": data.source,
-            "n_train": data.train.n, "n_test": data.test.n,
-            "d": data.train.dim, "K": data.train.num_classes,
-        }),
-        "config_hash": _content_hash(raw),
-    }
+    run(spec, data, out)
+    fingerprint = {"name": data.name, "source": data.source, "n_train": data.train.n,
+                   "n_test": data.test.n, "d": data.train.dim, "K": data.train.num_classes}
+    manifest = {"schema_version": sweep_mod.CSV_SCHEMA_VERSION, "config": raw,
+                "dataset_fingerprint": _content_hash(fingerprint),
+                "config_hash": _content_hash(raw), **manifest_extra}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return 0
+
+
+def cmd_train(config_path, out_dir) -> int:
+    def run(cfg, data, out):
+        weights, history = train(cfg, data)
+        widths = cfg.model.layer_widths
+        width = widths[1] if len(widths) > 2 else widths[0]
+        lam = cfg.objective.lam if cfg.objective.kind == "mixture" else None
+        rows = [sweep_mod.record_row(rec, f"train_s{cfg.seed}", width, lam, cfg.seed,
+                                     cfg.epochs) for rec in history]
+        sweep_mod.write_csv(rows, out / "history.csv")
+        save_checkpoint(weights, out / "final.ckpt")
+    return _run_config(config_path, out_dir, build_train_config, run)
 
 
 def cmd_sweep(config_path, out_dir, jobs: int) -> int:
-    raw = _read_config(config_path)
-    data = build_dataset(_require(raw, "dataset", dict, "config"))
-    grid = _require(raw, "grid", dict, "config")
-    built = _build_sections(raw, ("attack", "schedule"))
-    for name in ("widths", "lambdas", "seeds", "epochs_list"):
-        built[name] = tuple(_require(grid, name, list, "grid"))
-    spec = _build(sweep_mod.SweepSpec, _with_train_fields(raw, built), "grid")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = sweep_mod.run_sweep(spec, data, jobs=jobs)
-    sweep_mod.write_csv(rows, out / "sweep.csv")
-    manifest = {
-        "schema_version": sweep_mod.CSV_SCHEMA_VERSION,
-        "config": raw,
-        "config_hash": _content_hash(raw),
-        "metrics_cadence": "every epoch for budgets <= 10, every 25th otherwise",
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return 0
+    def run(spec, data, out):
+        sweep_mod.write_csv(sweep_mod.run_sweep(spec, data, jobs=jobs), out / "sweep.csv")
+    return _run_config(config_path, out_dir, _sweep_spec, run,
+                       metrics_cadence=sweep_mod.METRICS_CADENCE)
 
 
 def cmd_correlate(csv_path, regime) -> int:
@@ -198,26 +200,14 @@ def cmd_bounds(dump_path) -> int:
     if k != logits.shape[1]:
         raise ConfigError(f"dump: header K={k} but the logits have {logits.shape[1]} columns")
     est = radius_estimates_from_logits(logits, labels)
-    report = {
-        "n": est.n, "n_correct": est.n_correct, "n_wrong": est.n_wrong,
-        "gamma_hat": est.gamma_hat, "gamma_hat_c": est.gamma_hat_c,
-        "gamma_hat_m": est.gamma_hat_m, "gamma_ce": None,
-        "bound_lower": None, "bound_upper": None,
-    }
-    try:
-        g = gamma_ce(est)
-        lo, hi = complexity_bounds(BoundInputs(
-            n=est.n, n_correct=est.n_correct, n_wrong=est.n_wrong,
-            num_classes=k, gamma_hat_m=est.gamma_hat_m, gamma_ce=g))
-        report.update(gamma_ce=g, bound_lower=lo, bound_upper=hi)
-    except (UndefinedMetricError, ParameterError):
-        pass
+    names = ("n", "n_correct", "n_wrong", "gamma_hat", "gamma_hat_c", "gamma_hat_m")
+    report = {name: getattr(est, name) for name in names}
+    report["gamma_ce"], report["bound_lower"], report["bound_upper"] = bounds_of(est, k)
     print(json.dumps(report, indent=2))
     return 0
 
 
-_PLOT_BODY = {
-    "fig2": """
+_FIG2_BODY = """
 for width, group in adv.groupby("width"):
     pts = group.dropna(subset=["gamma_hat_c", "gamma_hat_m"])
     slope, intercept = np.polyfit(pts["gamma_hat_c"], pts["gamma_hat_m"], 1)
@@ -226,35 +216,30 @@ for width, group in adv.groupby("width"):
     ax.plot(xs, slope * xs + intercept, "--")
 ax.set_xlabel("gamma_hat (correct subset)")
 ax.set_ylabel("gamma_hat (misclassified subset)")
-""",
-    "fig3": """
-finals = adv.sort_values("epoch").groupby("run_id").tail(1)
-for budget, group in finals.groupby("epoch_budget"):
-    agg = group.groupby("lambda")[["gamma_ce", "gap_ce"]].mean()
-    ax.plot(agg.index, agg["gamma_ce"], marker="o", label=f"gamma_ce (budget {budget})")
-    ax.plot(agg.index, agg["gap_ce"], marker="x", label=f"gap (budget {budget})")
-ax.set_xlabel("trade-off factor lambda")
-""",
-    "fig4": """
-finals = adv.sort_values("epoch").groupby("run_id").tail(1)
-for budget, group in finals.groupby("epoch_budget"):
-    agg = group.groupby("width")[["gamma_ce", "gap_ce"]].mean()
-    ax.plot(agg.index, agg["gamma_ce"], marker="o", label=f"gamma_ce (budget {budget})")
-    ax.plot(agg.index, agg["gap_ce"], marker="x", label=f"gap (budget {budget})")
-ax.set_xlabel("hidden units")
-""",
-}
+"""
 
-_FIGURE_COLUMNS = {
-    "fig2": ["width", "gamma_hat_c", "gamma_hat_m"],
-    "fig3": ["lambda", "gamma_ce", "gap_ce"],
-    "fig4": ["width", "gamma_ce", "gap_ce"],
+# fig3 and fig4: per budget, mean gamma_ce and gap at the runs' last epochs against {x}
+_FINALS_BODY = """
+finals = adv.sort_values("epoch").groupby("run_id").tail(1)
+for budget, group in finals.groupby("epoch_budget"):
+    agg = group.groupby("{x}")[["gamma_ce", "gap_ce"]].mean()
+    ax.plot(agg.index, agg["gamma_ce"], marker="o", label=f"gamma_ce (budget {{budget}})")
+    ax.plot(agg.index, agg["gap_ce"], marker="x", label=f"gap (budget {{budget}})")
+ax.set_xlabel("{xlabel}")
+"""
+
+# Each figure's script body and the columns a CSV row must fill to be plotted.
+_FIGURES = {
+    "fig2": (_FIG2_BODY, ["width", "gamma_hat_c", "gamma_hat_m"]),
+    "fig3": (_FINALS_BODY.format(x="lambda", xlabel="trade-off factor lambda"),
+             ["lambda", "gamma_ce", "gap_ce"]),
+    "fig4": (_FINALS_BODY.format(x="width", xlabel="hidden units"), ["width", "gamma_ce", "gap_ce"]),
 }
 
 
 def cmd_plotscript(csv_path, figure, out_dir) -> int:
     rows = _read_input("csv", sweep_mod.read_csv, csv_path)  # validates the schema
-    needed = _FIGURE_COLUMNS[figure]
+    body, needed = _FIGURES[figure]
     if not any(all(r.get(c) is not None for c in needed) for r in rows):
         raise ParameterError(f"CSV has no usable rows for {figure} (columns {needed})")
     out = Path(out_dir)
@@ -267,7 +252,7 @@ import pandas as pd
 df = pd.read_csv({str(Path(csv_path).resolve())!r})
 adv = df[df["lambda"].fillna(0) > 0]
 fig, ax = plt.subplots(figsize=(7, 5))
-{_PLOT_BODY[figure]}
+{body}
 ax.legend(fontsize=7)
 fig.tight_layout()
 fig.savefig("{figure}.png", dpi=150)
@@ -286,37 +271,32 @@ def main(argv=None) -> int:
     p_train = sub.add_parser("train", help="run one training config")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True)
+    p_train.set_defaults(run=lambda a: cmd_train(a.config, a.out))
 
     p_sweep = sub.add_parser("sweep", help="run a sweep grid")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.set_defaults(run=lambda a: cmd_sweep(a.config, a.out, a.jobs))
 
     p_corr = sub.add_parser("correlate", help="correlate gamma_ce with the gap")
     p_corr.add_argument("csv")
     p_corr.add_argument("--regime", choices=["early", "late"], required=True)
+    p_corr.set_defaults(run=lambda a: cmd_correlate(a.csv, a.regime))
 
     p_bounds = sub.add_parser("bounds", help="complexity bounds from a logit dump")
     p_bounds.add_argument("dump")
+    p_bounds.set_defaults(run=lambda a: cmd_bounds(a.dump))
 
     p_plot = sub.add_parser("plotscript", help="emit a plotting script")
     p_plot.add_argument("csv")
-    p_plot.add_argument("--figure", choices=["fig2", "fig3", "fig4"], required=True)
+    p_plot.add_argument("--figure", choices=sorted(_FIGURES), required=True)
     p_plot.add_argument("--out", default=".")
+    p_plot.set_defaults(run=lambda a: cmd_plotscript(a.csv, a.figure, a.out))
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args.config, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.out, args.jobs)
-        if args.command == "correlate":
-            return cmd_correlate(args.csv, args.regime)
-        if args.command == "bounds":
-            return cmd_bounds(args.dump)
-        if args.command == "plotscript":
-            return cmd_plotscript(args.csv, args.figure, args.out)
-        return 1
+        return args.run(args)
     except (ConfigError, ParameterError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

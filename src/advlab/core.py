@@ -1,7 +1,7 @@
 """Array checks, stable row softmax/logsumexp, and seeded randomness.
 
-exp_logsumexp_rows is the one row logsumexp: a single exp pass gives both
-the softmax numerator and scipy's split-max logsumexp of a logit matrix.
+exp_logsumexp_rows is the only row logsumexp: one exp pass gives both the
+softmax numerator and scipy's split-max logsumexp of a logit matrix.
 
 All numeric arrays are float64 and row-major (C order).  Random streams
 use numpy's PCG64 generator: the same seed replays the same draw
@@ -71,12 +71,6 @@ def exp_logsumexp_rows(m):
         if bad.any():
             lse[bad] = np.log(np.exp(m[bad]).sum(axis=1, keepdims=True))
     return e, lse
-
-
-def logsumexp_rows(m, keepdims: bool = False) -> np.ndarray:
-    """Row-wise log(sum(exp(m))), as scipy's; see exp_logsumexp_rows."""
-    lse = exp_logsumexp_rows(m)[1]
-    return lse if keepdims else lse[:, 0]
 
 
 def make_rng(seed: int) -> np.random.Generator:

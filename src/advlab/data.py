@@ -112,14 +112,19 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> LabeledBatch
     return LabeledBatch(inputs, labels.astype(np.int64), num_classes=10)
 
 
-def _blob_samples(rng: np.random.Generator, centers: np.ndarray, n: int,
-                  spread: float) -> LabeledBatch:
-    K, d = centers.shape
-    labels = np.arange(n) % K
-    labels = labels[rng.permutation(n)]
-    inputs = centers[labels] + spread * rng.standard_normal((n, d))
-    np.clip(inputs, 0.0, 1.0, out=inputs)
-    return LabeledBatch(inputs, labels, num_classes=K)
+def _blobs(rng: np.random.Generator, sizes, d: int, K: int, spread: float) -> list:
+    """One batch per size, sampled around one shared draw of K centers."""
+    if K < 2 or min(sizes) < K or d < 1 or spread <= 0:
+        raise ParameterError("require n >= K >= 2 for every split, d >= 1, spread > 0")
+    centers = rng.uniform(0.0, 1.0, size=(K, d))
+    out = []
+    for n in sizes:
+        labels = np.arange(n) % K
+        labels = labels[rng.permutation(n)]
+        inputs = centers[labels] + spread * rng.standard_normal((n, d))
+        np.clip(inputs, 0.0, 1.0, out=inputs)
+        out.append(LabeledBatch(inputs, labels, num_classes=K))
+    return out
 
 
 def synth_blobs(rng: np.random.Generator, n: int, d: int, K: int, spread: float) -> LabeledBatch:
@@ -127,21 +132,13 @@ def synth_blobs(rng: np.random.Generator, n: int, d: int, K: int, spread: float)
 
     Labels are near-balanced: class counts differ by at most one.
     """
-    if K < 2 or n < K or d < 1 or spread <= 0:
-        raise ParameterError("require n >= K >= 2, d >= 1, spread > 0")
-    centers = rng.uniform(0.0, 1.0, size=(K, d))
-    return _blob_samples(rng, centers, n, spread)
+    return _blobs(rng, [n], d, K, spread)[0]
 
 
 def blob_dataset(seed: int, n_train: int, n_test: int, d: int, K: int,
                  spread: float) -> DatasetHandle:
     """Train/test splits sampled around one shared set of cluster centers."""
-    if K < 2 or min(n_train, n_test) < K or d < 1 or spread <= 0:
-        raise ParameterError("require n_train, n_test >= K >= 2, d >= 1, spread > 0")
-    rng = make_rng(seed)
-    centers = rng.uniform(0.0, 1.0, size=(K, d))
-    train = _blob_samples(rng, centers, n_train, spread)
-    test = _blob_samples(rng, centers, n_test, spread)
+    train, test = _blobs(make_rng(seed), [n_train, n_test], d, K, spread)
     return DatasetHandle(train, test, name=f"blobs-{d}d-{K}k", source="synthetic")
 
 

@@ -7,7 +7,7 @@ sqrt(mean(u^2)).  The empirical radius estimators replace u by the
 per-sample maximal logit gap  max_{k != y} |f_k - f_y|  averaged over
 all / correctly classified / misclassified samples; the relative gap
 Gamma = (gamma_C - gamma_M) / gamma_M drives the closed-form complexity
-bounds below.
+bounds below; bounds_of gives both, or None for each where undefined.
 
 All radius estimators are meant to be fed training-split logits.
 """
@@ -142,6 +142,16 @@ def complexity_bounds(b: BoundInputs):
     lower = center - common / np.sqrt(c_c)
     upper = center + common / np.sqrt(c_m)
     return float(lower), float(upper)
+
+
+def bounds_of(est: RadiusEstimates, num_classes: int):
+    """(gamma_ce, bound_lower, bound_upper) of the estimates; all None if undefined."""
+    try:
+        g = gamma_ce(est)
+        return (g, *complexity_bounds(BoundInputs(est.n, est.n_correct, est.n_wrong,
+                                                  num_classes, est.gamma_hat_m, g)))
+    except (UndefinedMetricError, ParameterError):
+        return None, None, None
 
 
 def bound_slope_ratio(b: BoundInputs) -> float:

@@ -77,35 +77,31 @@ def _validate(probs, labels, mask):
     return probs, labels, mask
 
 
-def _subset_penalties(probs, labels, mask, wrong: bool, what: str):
-    """(P, P_lower) over the correct (or wrong) subset; raises if it is empty."""
+def _subset_terms(probs, labels, mask, wrong: bool, what: str):
+    """(P, P_lower, mean of (m_i - s_y)^2) over the correct (or wrong) subset;
+    raises if it is empty."""
     probs, labels, mask = _validate(probs, labels, mask)
     subset = ~mask if wrong else mask
     if not subset.any():
         raise EmptySubsetError(f"no {what} samples in batch")
-    centers = (probs[np.arange(len(labels)), labels], _nonlabel_mean(probs, labels))
-    return tuple(float(_sq_dev(probs, labels, c)[1][subset].mean()) for c in centers)
+    label_p, m = probs[np.arange(len(labels)), labels], _nonlabel_mean(probs, labels)
+    terms = [_sq_dev(probs, labels, c)[1] for c in (label_p, m)] + [(m - label_p) ** 2]
+    return tuple(float(t[subset].mean()) for t in terms)
 
 
 def penalty_correct(probs, labels, mask):
     """(P_C, P_C_lower) over the correct subset; raises if it is empty."""
-    return _subset_penalties(probs, labels, mask, False, "correctly classified")
+    return _subset_terms(probs, labels, mask, False, "correctly classified")[:2]
 
 
 def penalty_wrong(probs, labels, mask):
     """(P_M, P_M_lower) over the misclassified subset; raises if it is empty."""
-    return _subset_penalties(probs, labels, mask, True, "misclassified")
+    return _subset_terms(probs, labels, mask, True, "misclassified")[:2]
 
 
 def jensen_middle_wrong(probs, labels, mask) -> float:
     """Jensen intermediate term: mean over wrong i of (m_i - s_y)^2."""
-    probs, labels, mask = _validate(probs, labels, mask)
-    wrong = ~mask
-    if not wrong.any():
-        raise EmptySubsetError("no misclassified samples in batch")
-    m = _nonlabel_mean(probs, labels)
-    label_p = probs[np.arange(len(labels)), labels]
-    return float(((m - label_p) ** 2)[wrong].mean())
+    return _subset_terms(probs, labels, mask, True, "misclassified")[2]
 
 
 def adversarial_pairing(clean_probs, adv_probs, mask) -> float:

@@ -4,6 +4,8 @@ A network is a list of weight matrices W_1..W_L, layer l shaped
 H_l x H_{l-1}; logits(x) = W_L relu(... relu(W_1 x)).  There are no bias
 vectors, so scaling every W_l by c > 0 scales logits by c^L (positive
 homogeneity).  The ReLU subgradient at exactly 0 is taken as 0.
+backward and input_grad read one reverse chain, so their input gradients
+agree bit for bit.
 
 Checkpoint format (little-endian): magic "AMLP" | u8 version=1 |
 u32 L+1 | (L+1) x u32 widths | per layer row-major float64 entries.
@@ -83,13 +85,17 @@ def forward(weights: list, inputs) -> ForwardTrace:
     return ForwardTrace(inputs=inputs, pre_activations=pre, post_activations=post)
 
 
-def _check_logit_grad(trace: ForwardTrace, logit_grad) -> np.ndarray:
-    logit_grad = as_matrix(logit_grad)
-    if logit_grad.shape != trace.logits.shape:
-        raise ShapeError(
-            f"logit_grad shape {logit_grad.shape} != logits shape {trace.logits.shape}"
-        )
-    return logit_grad
+def _deltas(weights: list, trace: ForwardTrace, logit_grad):
+    """The reverse chain: the gradient at the output of W_L, ..., W_1, then the inputs."""
+    delta = as_matrix(logit_grad)
+    if delta.shape != trace.logits.shape:
+        raise ShapeError(f"logit_grad shape {delta.shape} != logits shape {trace.logits.shape}")
+    yield delta
+    for l in range(len(weights) - 1, -1, -1):
+        delta = delta @ weights[l]
+        if l > 0:
+            delta = delta * (trace.pre_activations[l - 1] > 0.0)
+        yield delta
 
 
 def backward(weights: list, trace: ForwardTrace, logit_grad):
@@ -98,29 +104,19 @@ def backward(weights: list, trace: ForwardTrace, logit_grad):
     Returns (weight_grads, input_grad) for the scalar whose gradient with
     respect to the logits is `logit_grad` (n x K).
     """
-    delta = _check_logit_grad(trace, logit_grad)
-    L = len(weights)
-    weight_grads = [None] * L
-    for l in range(L - 1, -1, -1):
+    chain = _deltas(weights, trace, logit_grad)
+    weight_grads = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
         h_prev = trace.post_activations[l - 1] if l > 0 else trace.inputs
-        weight_grads[l] = delta.T @ h_prev
-        delta = delta @ weights[l]
-        if l > 0:
-            delta = delta * (trace.pre_activations[l - 1] > 0.0)
-    return weight_grads, delta
+        weight_grads[l] = next(chain).T @ h_prev
+    return weight_grads, next(chain)
 
 
 def input_grad(weights: list, trace: ForwardTrace, logit_grad) -> np.ndarray:
-    """The input gradient of `backward` alone, bit-identical to backward(...)[1].
-
-    Runs the same delta @ W_l / ReLU-mask chain but skips the weight
-    gradients, which attacks do not use.
-    """
-    delta = _check_logit_grad(trace, logit_grad)
-    for l in range(len(weights) - 1, -1, -1):
-        delta = delta @ weights[l]
-        if l > 0:
-            delta = delta * (trace.pre_activations[l - 1] > 0.0)
+    """The input gradient of `backward` alone, bit-identical to backward(...)[1]:
+    the same reverse chain read to its end, without the weight gradients."""
+    for delta in _deltas(weights, trace, logit_grad):
+        pass
     return delta
 
 

@@ -5,9 +5,10 @@ with the mixture objective, always including a lambda=0 standard-training
 family per (width, seed, budget) so the cross-family generalization gap
 (min test risk over the adversarial family minus min over the standard
 family, at the same epoch budget) can be attached to every adversarial
-cell.  One CSV row per run per recorded epoch.  Each (width, lambda,
-seed) trains once, to the largest budget; the shorter budgets' runs are
-read off that trajectory.
+cell.  One CSV row per run per recorded epoch, whose columns are the
+MetricsRecord fields by name.  Each (width, lambda, seed) trains once, to
+the largest budget; the shorter budgets' runs are read off that
+trajectory.  slopes_by(rows, key) fits the radius scatter per width or lambda.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ class CorrelationReport:
     n_excluded: int
 
 
+METRICS_CADENCE = "every epoch for budgets <= 10, every 25th otherwise"
+
+
 def _metrics_every(budget: int) -> int:
     return 1 if budget <= 10 else 25
 
@@ -97,29 +101,13 @@ def _cell_config(spec: SweepSpec, data: DatasetHandle, width: int, lam: float,
 
 
 def record_row(rec, run_id: str, width: int, lam, seed: int, budget: int) -> dict:
-    """One CSV row (schema v1) for a MetricsRecord; gap_ce is left to attach_gaps."""
-    return {
-        "run_id": run_id,
-        "width": width,
-        "lambda": lam,
-        "seed": seed,
-        "epoch_budget": budget,
-        "epoch": rec.epoch,
-        "clean_train_loss": rec.clean_train_loss,
-        "clean_train_acc": rec.clean_train_acc,
-        "clean_test_loss": rec.clean_test_loss,
-        "clean_test_acc": rec.clean_test_acc,
-        "fgsm_acc": rec.adv_test_acc.get("fgsm"),
-        "pgd_acc": rec.adv_test_acc.get("pgd"),
-        "gamma_hat": rec.gamma_hat,
-        "gamma_hat_c": rec.gamma_hat_c,
-        "gamma_hat_m": rec.gamma_hat_m,
-        "gamma_ce": rec.gamma_ce,
-        "bound_lower": rec.bound_lower,
-        "bound_upper": rec.bound_upper,
-        "gap_ce": None,
-        "epoch_wall_ms": rec.epoch_wall_ms,
-    }
+    """One CSV row (schema v1) for a MetricsRecord: each field but adv_test_acc is the
+    column of its name; gap_ce is left to attach_gaps."""
+    row = {"run_id": run_id, "width": width, "lambda": lam, "seed": seed,
+           "epoch_budget": budget, **vars(rec), "gap_ce": None}
+    acc = row.pop("adv_test_acc")
+    row.update(fgsm_acc=acc.get("fgsm"), pgd_acc=acc.get("pgd"))
+    return row
 
 
 # The dataset of the running sweep.  Pool workers receive it once through
@@ -150,6 +138,7 @@ def _run_cell(args):
 
 def run_sweep(spec: SweepSpec, data: DatasetHandle, jobs: int = 1) -> list:
     """Train the full grid plus the lambda=0 family; returns CSV rows."""
+    check_count(jobs, "jobs")
     lambdas = tuple(spec.lambdas)
     if 0.0 not in lambdas:
         lambdas = (0.0,) + lambdas
@@ -274,21 +263,14 @@ def least_squares_slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _slope_over(rows, key, value) -> float:
-    pts = [r for r in rows
-           if r[key] == value and r["gamma_hat_c"] is not None
-           and r["gamma_hat_m"] is not None]
-    return least_squares_slope([r["gamma_hat_c"] for r in pts],
-                               [r["gamma_hat_m"] for r in pts])
-
-
-def slopes_by_width(rows) -> dict:
-    """Per width: LSQ slope of gamma_hat_m against gamma_hat_c checkpoints."""
+def slopes_by(rows, key: str) -> dict:
+    """Per value of column `key` (e.g. "width" or "lambda") among the
+    adversarial rows (lambda > 0): LSQ slope of gamma_hat_m against gamma_hat_c."""
     adv = [r for r in rows if r["lambda"] not in (None, 0.0)]
-    return {w: _slope_over(adv, "width", w) for w in sorted({r["width"] for r in adv})}
-
-
-def slopes_by_lambda(rows) -> dict:
-    """Per lambda (> 0): LSQ slope of gamma_hat_m against gamma_hat_c checkpoints."""
-    adv = [r for r in rows if r["lambda"] not in (None, 0.0)]
-    return {l: _slope_over(adv, "lambda", l) for l in sorted({r["lambda"] for r in adv})}
+    slopes = {}
+    for value in sorted({r[key] for r in adv}):
+        pts = [r for r in adv if r[key] == value
+               and r["gamma_hat_c"] is not None and r["gamma_hat_m"] is not None]
+        slopes[value] = least_squares_slope([r["gamma_hat_c"] for r in pts],
+                                            [r["gamma_hat_m"] for r in pts])
+    return slopes

@@ -25,8 +25,7 @@ from .attacks import AttackSpec, pgd
 # softmax passes of this module through this name.
 from .core import ParameterError, check_count, make_rng, softmax_rows  # noqa: F401
 from .data import DatasetHandle, LabeledBatch, batches
-from .fisher_rao import (BoundInputs, UndefinedMetricError, complexity_bounds,
-                         gamma_ce, radius_estimates_from_logits)
+from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule, loat
 from .mlp import MlpConfig, backward, forward, init_weights
 from .objectives import (ObjectiveSpec, mixture_from_logits, risk,
@@ -156,15 +155,7 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
         adv_acc[name] = risk(weights, adv_batch).accuracy
 
     est = radius_estimates_from_logits(train_logits, data.train.labels)
-    g_ce = bound_lo = bound_hi = None
-    try:
-        g_ce = gamma_ce(est)
-        bound_lo, bound_hi = complexity_bounds(BoundInputs(
-            n=est.n, n_correct=est.n_correct, n_wrong=est.n_wrong,
-            num_classes=data.train.num_classes,
-            gamma_hat_m=est.gamma_hat_m, gamma_ce=g_ce))
-    except (UndefinedMetricError, ParameterError):
-        pass
+    g_ce, bound_lo, bound_hi = bounds_of(est, data.train.num_classes)
 
     return MetricsRecord(
         epoch=epoch,

@@ -26,8 +26,7 @@ from advlab.loat import (LoatSchedule, jensen_middle_wrong, loat,
                          penalty_correct, penalty_wrong)
 from advlab.mlp import MlpConfig, backward, forward, init_weights
 from advlab.objectives import ce_loss, mixture_from_logits
-from advlab.sweep import (SweepSpec, correlate, run_sweep, slopes_by_lambda,
-                          slopes_by_width)
+from advlab.sweep import SweepSpec, correlate, run_sweep, slopes_by
 from advlab.trainer import TrainConfig, _batch_step, _epoch_rngs, train
 from advlab.data import batches
 from advlab.objectives import ObjectiveSpec
@@ -292,8 +291,8 @@ def test_criterion_08_correlation_sign_flip(mnist_sweep_rows):
 def test_criterion_09_slope_trends(mnist_sweep_rows):
     """Least-squares slope of the misclassified-vs-correct radius scatter
     shrinks with width and grows with the adversarial weight lambda."""
-    by_width = slopes_by_width(mnist_sweep_rows)
-    by_lambda = slopes_by_lambda(mnist_sweep_rows)
+    by_width = slopes_by(mnist_sweep_rows, "width")
+    by_lambda = slopes_by(mnist_sweep_rows, "lambda")
     assert by_width[256] < by_width[32], f"width slopes {by_width}"
     assert by_lambda[1.0] > by_lambda[0.25], f"lambda slopes {by_lambda}"
     report(9, "radius-scatter slopes shrink with width, grow with lambda")

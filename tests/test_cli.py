@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ import pytest
 import advlab
 from advlab.cli import main
 from advlab.core import make_rng
-from advlab.data import dump_array
-from advlab.mlp import load_checkpoint
+from advlab.data import DatasetHandle, LabeledBatch, blob_dataset, dump_array
+from advlab.mlp import MlpConfig, forward, init_weights, load_checkpoint
 from advlab.sweep import read_csv
+from advlab.trainer import evaluate
 
 
 def base_config(**overrides):
@@ -192,6 +194,33 @@ class TestBoundsCommand:
         assert report["gamma_ce"] is None
         assert report["bound_lower"] is None and report["bound_upper"] is None
 
+    @pytest.mark.parametrize("case", ["defined", "all-correct", "gamma_hat_m-zero"])
+    def test_same_as_evaluate(self, tmp_path, capsys, case):
+        """evaluate and `advlab bounds` on the same training logits report the
+        same gamma_ce and bounds, or both leave them undefined."""
+        if case == "defined":
+            data = blob_dataset(0, 60, 30, 4, 3, 0.1)
+            weights = init_weights(MlpConfig([4, 6, 3], seed=0))
+        else:
+            # one layer W = I: each row's logits are its input
+            inputs = np.eye(3)[[0, 1, 2, 0, 1, 2]]
+            if case == "gamma_hat_m-zero":
+                inputs[3:] = 0.0  # tied logits: rows labelled 1 and 2 are wrong with gap 0
+            batch = LabeledBatch(inputs, np.array([0, 1, 2, 0, 1, 2]), 3)
+            data = DatasetHandle(batch, batch, name="onehot", source="synthetic")
+            weights = [np.eye(3)]
+        rec = evaluate(weights, data)
+        path = tmp_path / "logits.bin"
+        dump_array(forward(weights, data.train.inputs).logits, data.train.labels, 3, path)
+        assert main(["bounds", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["gamma_ce"], report["bound_lower"], report["bound_upper"]) == \
+               (rec.gamma_ce, rec.bound_lower, rec.bound_upper)
+        assert (rec.gamma_ce is None) == (case != "defined")
+        assert report["gamma_hat_m"] == rec.gamma_hat_m
+        if case == "gamma_hat_m-zero":
+            assert report["n_wrong"] == 2 and report["gamma_hat_m"] == 0.0
+
     def test_bad_dump_exit_one(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
@@ -312,6 +341,83 @@ class TestConfigErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("command, path, value, field", [
+        ("train", ["train"], [1, 2], "train"),
+        ("train", ["attack"], [1], "attack"),
+        ("sweep", ["schedule"], [1], "schedule"),
+        ("train", ["dataset", "n_train"], "40", "n_train"),
+        ("sweep", ["dataset", "spread"], "0.1", "spread"),
+        ("train", ["train", "lr"], "0.1", "lr"),
+        ("sweep", ["train", "momentum"], "0.9", "momentum"),
+        ("train", ["attack", "k"], 2.5, "k"),
+    ], ids=["train-list", "attack-list", "schedule-list", "dataset-n_train-str",
+            "dataset-spread-str", "train-lr-str", "sweep-momentum-str", "attack-k-float"])
+    def test_shape_exit_one_naming_the_field(self, tmp_path, capsys, command, path, value,
+                                             field):
+        # each of these exited 2 (runtime error) or exited 1 without the field's name
+        cfg = json.loads(json.dumps(base_config() if command == "train" else SWEEP_CONFIG))
+        *parents, last = path
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        argv = [command, "--config", str(write_config(tmp_path, cfg)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_config_not_an_object_exit_one(self, tmp_path, capsys, command):
+        argv = [command, "--config", str(write_config(tmp_path, 5)), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: --config:")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_one(self, tmp_path, capsys, jobs):
+        argv = ["sweep", "--config", str(write_config(tmp_path, SWEEP_CONFIG)),
+                "--out", str(tmp_path / "o"), "--jobs", jobs]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "jobs" in err
+
+
+def config_hash(cfg) -> str:
+    """sha256 of the config's sorted-key JSON, computed apart from the CLI."""
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+
+
+class TestManifests:
+    """train and sweep write manifest.json through one run path."""
+
+    @pytest.mark.parametrize("command, extra_keys", [("train", []),
+                                                     ("sweep", ["metrics_cadence"])])
+    def test_keys_config_and_hash(self, tmp_path, command, extra_keys):
+        cfg = base_config() if command == "train" else SWEEP_CONFIG
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["schema_version", "config", "dataset_fingerprint",
+                                  "config_hash"] + extra_keys
+        assert manifest["schema_version"] == "v1"
+        assert manifest["config"] == cfg
+        assert manifest["config_hash"] == config_hash(cfg)
+
+    def test_dataset_fingerprint_follows_the_dataset(self, tmp_path):
+        def fingerprint(command, cfg):
+            out = tmp_path / f"{command}-{cfg['dataset']['n_train']}"
+            assert main([command, "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)]) == 0
+            return json.loads((out / "manifest.json").read_text())["dataset_fingerprint"]
+
+        train_cfg = base_config()
+        assert train_cfg["dataset"] == SWEEP_CONFIG["dataset"]
+        shared = fingerprint("train", train_cfg)
+        assert fingerprint("sweep", SWEEP_CONFIG) == shared
+        train_cfg["dataset"]["n_train"] = 45
+        assert fingerprint("train", train_cfg) != shared
 
 
 class TestInputErrors:

@@ -10,7 +10,7 @@ from advlab.core import ParameterError, make_rng
 from advlab.data import LabeledBatch, synth_blobs
 from advlab.fisher_rao import (BoundInputs, RadiusEstimates,
                                UndefinedMetricError, bound_slope_ratio,
-                               complexity_bounds, empirical_rademacher,
+                               bounds_of, complexity_bounds, empirical_rademacher,
                                exhaustive_rademacher, fr_integrand, fr_norm_ce,
                                gamma_ce, max_logit_gap, radius_estimates,
                                radius_estimates_from_logits)
@@ -188,6 +188,25 @@ class TestRadiusEstimates:
                               n=2, n_correct=2, n_wrong=0)
         with pytest.raises(UndefinedMetricError):
             gamma_ce(est)
+
+
+class TestBoundsOf:
+    def test_defined_equals_gamma_ce_and_bounds(self):
+        est = RadiusEstimates(gamma_hat=3.0, gamma_hat_c=2.0, gamma_hat_m=4.0,
+                              n=3, n_correct=1, n_wrong=2)
+        g = gamma_ce(est)
+        lo, hi = complexity_bounds(BoundInputs(n=3, n_correct=1, n_wrong=2, num_classes=5,
+                                               gamma_hat_m=4.0, gamma_ce=g))
+        assert bounds_of(est, 5) == (g, lo, hi)
+
+    @pytest.mark.parametrize("est, k", [
+        (RadiusEstimates(1.0, 1.0, None, n=2, n_correct=2, n_wrong=0), 3),
+        (RadiusEstimates(1.0, None, 1.0, n=2, n_correct=0, n_wrong=2), 3),
+        (RadiusEstimates(0.5, 1.0, 0.0, n=2, n_correct=1, n_wrong=1), 3),
+        (RadiusEstimates(1.0, 2.0, 1.0, n=2, n_correct=1, n_wrong=1), 1),
+    ], ids=["all-correct", "all-wrong", "gamma_hat_m-zero", "one-class"])
+    def test_undefined_gives_three_nones(self, est, k):
+        assert bounds_of(est, k) == (None, None, None)
 
 
 class TestComplexityBounds:

@@ -9,8 +9,7 @@ from advlab.mlp import MlpConfig
 from advlab.objectives import ObjectiveSpec
 from advlab.sweep import (CSV_COLUMNS, InsufficientDataError, SweepSpec,
                           attach_gaps, correlate, least_squares_slope,
-                          read_csv, record_row, run_sweep, slopes_by_lambda,
-                          slopes_by_width, write_csv)
+                          read_csv, record_row, run_sweep, slopes_by, write_csv)
 from advlab.trainer import TrainConfig, train
 
 
@@ -75,6 +74,13 @@ class TestRunSweep:
                 assert r["gap_ce"] is not None
             else:
                 assert r["gap_ce"] is None
+
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5])
+    def test_jobs_below_one_rejected(self, jobs):
+        # jobs <= 0 used to run serially without a word
+        spec = SweepSpec(widths=(4,), lambdas=(0.5,), seeds=(0,), epochs_list=(1,))
+        with pytest.raises(ParameterError, match="jobs"):
+            run_sweep(spec, blob_dataset(1, 40, 20, 4, 2, 0.15), jobs=jobs)
 
     def test_parallel_matches_serial(self):
         data = blob_dataset(1, 40, 20, 4, 2, 0.15)
@@ -289,8 +295,8 @@ class TestSlopes:
         rows = [row(4, 0.5, 0.0, 1.0), row(4, 0.5, 1.0, 3.0),
                 row(8, 0.5, 0.0, 0.0), row(8, 0.5, 2.0, 1.0),
                 row(4, 0.0, 0.0, 99.0)]  # standard family must be ignored
-        by_w = slopes_by_width(rows)
+        by_w = slopes_by(rows, "width")
         assert by_w[4] == pytest.approx(2.0, abs=1e-12)
         assert by_w[8] == pytest.approx(0.5, abs=1e-12)
-        by_l = slopes_by_lambda(rows)
+        by_l = slopes_by(rows, "lambda")
         assert set(by_l) == {0.5}
