@@ -1,5 +1,6 @@
 """Array checks, stable row softmax/logsumexp, and seeded randomness.
 
+check_labels is the one label rule; losses, masks, metrics and batches apply it.
 exp_logsumexp_rows is the only row logsumexp: one exp pass gives both the
 softmax numerator and scipy's split-max logsumexp of a logit matrix.
 
@@ -35,10 +36,20 @@ def check_finite(m: np.ndarray, what: str = "result") -> np.ndarray:
     return m
 
 
-def check_count(value, name: str) -> None:
-    """Raise ParameterError unless value is an int >= 1 (numpy ints pass, bool fails)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(value, name: str, least: int = 1) -> None:
+    """Raise ParameterError unless value is an int >= least (numpy ints pass, bool fails)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_labels(labels, n: int, k: int) -> np.ndarray:
+    """labels as an int64 vector of n >= 1 ids in {0..k-1}, else ShapeError or ParameterError."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise ShapeError(f"labels must be a vector of {n} entries, got shape {labels.shape}")
+    if n == 0 or labels.min() < 0 or labels.max() >= k:
+        raise ParameterError(f"need at least one label, each in {{0..{k - 1}}}")
+    return labels
 
 
 def softmax_rows(m) -> np.ndarray:

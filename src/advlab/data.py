@@ -1,7 +1,7 @@
 """Dataset ingestion and batching.
 
-Inputs are always matrices with entries in [0, 1]; labels are integer
-class ids below K.  MNIST-style IDX files are read bit-exactly per the
+Inputs are always matrices with entries in [0, 1]; labels follow
+core.check_labels.  MNIST-style IDX files are read bit-exactly per the
 canonical format (big-endian magic + dimension sizes + raw bytes).
 
 dump_array/load_array round-trip a matrix (batch inputs, or logits for
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ParameterError, as_matrix, make_rng
+from .core import ParameterError, as_matrix, check_count, check_labels, make_rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -36,17 +36,11 @@ class LabeledBatch:
 
     def __post_init__(self):
         inputs = as_matrix(self.inputs)
-        labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
-            raise ParameterError("labels must be a vector matching inputs rows")
-        if inputs.shape[0] == 0:
-            raise ParameterError("empty batch")
+        object.__setattr__(self, "labels",
+                           check_labels(self.labels, inputs.shape[0], self.num_classes))
         if inputs.min() < 0.0 or inputs.max() > 1.0:
             raise ParameterError("inputs must lie in [0, 1]")
-        if labels.min() < 0 or labels.max() >= self.num_classes:
-            raise ParameterError("labels must lie in {0..K-1}")
 
     @property
     def n(self) -> int:
@@ -144,8 +138,7 @@ def blob_dataset(seed: int, n_train: int, n_test: int, d: int, K: int,
 
 def batches(b: LabeledBatch, batch_size: int, rng: np.random.Generator):
     """Seeded shuffle split into consecutive chunks; last may be smaller."""
-    if batch_size < 1:
-        raise ParameterError("batch_size must be >= 1")
+    check_count(batch_size, "batch_size")
     order = rng.permutation(b.n)
     for start in range(0, b.n, batch_size):
         idx = order[start : start + batch_size]

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, as_matrix, softmax_rows
+from .core import ParameterError, as_matrix, check_labels, softmax_rows
 from .data import LabeledBatch
 from .mlp import forward
-from .objectives import _check_labels, correct_mask
+from .objectives import correct_mask
 
 
 class UndefinedMetricError(ValueError):
@@ -59,7 +59,7 @@ class BoundInputs:
 def fr_integrand(logits, labels) -> np.ndarray:
     """Per-sample <softmax(f), f> - f_y."""
     logits = as_matrix(logits)
-    labels = _check_labels(logits, labels)
+    labels = check_labels(labels, *logits.shape)
     probs = softmax_rows(logits)
     return (probs * logits).sum(axis=1) - logits[np.arange(len(labels)), labels]
 
@@ -82,16 +82,13 @@ def fr_norm_ce(weights: list, batch: LabeledBatch):
 def max_logit_gap(logits, labels) -> np.ndarray:
     """Per-sample max_{k != y} |f_k - f_y|."""
     logits = as_matrix(logits)
-    labels = _check_labels(logits, labels)
+    labels = check_labels(labels, *logits.shape)
     gaps = np.abs(logits - logits[np.arange(len(labels)), labels][:, None])
     gaps[np.arange(len(labels)), labels] = -np.inf
     return gaps.max(axis=1)
 
 
 def radius_estimates_from_logits(logits, labels) -> RadiusEstimates:
-    logits = as_matrix(logits)
-    if logits.shape[0] == 0:
-        raise ParameterError("empty batch")
     gaps = max_logit_gap(logits, labels)
     mask = correct_mask(logits, labels)
     n = len(gaps)

@@ -13,15 +13,17 @@ rows:
 
 The scheduled loss adds tau*(P_C_low - P_M_low) in early epochs
 (epoch <= E1), the negated difference in late epochs (epoch >= E2), and
-nothing in between; the LORE variant additionally adds gamma*AP_M early
-and gamma*AP_C late.  A penalty whose sample subset is empty contributes
-zero for that batch.  `loat` computes these applied terms and their
-logit gradients in one pass; P_C, P_M and the Jensen term are diagnostics
-with standalone functions, used by the inequality tests.  Both take each
-(1/(K-1)) sum_{k != y} (s_k - c_i)^2 from one helper (c_i = s_y or m_i).
+nothing in between (LoatSchedule.phase); the LORE variant additionally
+adds gamma*AP_M early and gamma*AP_C late.  A penalty whose sample subset
+is empty contributes zero for that batch.  `loat` computes these applied
+terms and their logit gradients in one pass; P_C, P_M and the Jensen term
+are diagnostics with standalone functions, used by the inequality tests.
+Both take each (1/(K-1)) sum_{k != y} (s_k - c_i)^2 from one helper
+(c_i = s_y or m_i).
 
-Correct/wrong masks come from clean logits and are treated as
-stop-gradient constants (argmax has no useful derivative).
+Correct/wrong masks come from clean logits (objectives.correct_mask), one
+entry per row, and are treated as stop-gradient constants (argmax has no
+useful derivative).  Labels follow core.check_labels.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, as_matrix, softmax_rows
+from .core import ParameterError, ShapeError, as_matrix, check_labels, softmax_rows
 
 
 class EmptySubsetError(ValueError):
@@ -53,6 +55,12 @@ class LoatSchedule:
         if self.tau < 0 or self.gamma < 0:
             raise ParameterError("tau and gamma must be >= 0")
 
+    def phase(self, epoch: int) -> str:
+        """"early" (epoch <= e1), "late" (epoch >= e2) or "off"; always "off" for OFF."""
+        if self.variant == "OFF" or self.e1 < epoch < self.e2:
+            return "off"
+        return "early" if epoch <= self.e1 else "late"
+
 
 def _nonlabel_mean(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     k = probs.shape[1]
@@ -68,13 +76,16 @@ def _sq_dev(probs, labels, center):
     return dev, (dev ** 2).sum(axis=1) / (probs.shape[1] - 1)
 
 
+def _check_mask(mask, n: int) -> np.ndarray:
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n,):
+        raise ShapeError(f"mask must be a vector of {n} entries, got shape {mask.shape}")
+    return mask
+
+
 def _validate(probs, labels, mask):
     probs = as_matrix(probs)
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
-    if labels.shape[0] != probs.shape[0] or mask.shape[0] != probs.shape[0]:
-        raise ShapeError("labels/mask must match probs rows")
-    return probs, labels, mask
+    return probs, check_labels(labels, *probs.shape), _check_mask(mask, probs.shape[0])
 
 
 def _subset_terms(probs, labels, mask, wrong: bool, what: str):
@@ -110,20 +121,10 @@ def adversarial_pairing(clean_probs, adv_probs, mask) -> float:
     adv_probs = as_matrix(adv_probs)
     if clean_probs.shape != adv_probs.shape:
         raise ShapeError("clean/adv probability shapes differ")
-    mask = np.asarray(mask, dtype=bool)
+    mask = _check_mask(mask, clean_probs.shape[0])
     if not mask.any():
         raise EmptySubsetError("empty pairing subset")
     return float(((clean_probs - adv_probs) ** 2).sum(axis=1)[mask].mean())
-
-
-def _phase(epoch: int, sched: LoatSchedule) -> str:
-    if sched.variant == "OFF":
-        return "off"
-    if epoch <= sched.e1:
-        return "early"
-    if epoch >= sched.e2:
-        return "late"
-    return "off"
 
 
 def _softmax_chain(probs: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:
@@ -145,7 +146,7 @@ def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits
     """
     clean_logits, labels, mask = _validate(clean_logits, labels, mask)
     adv_grad = np.zeros_like(clean_logits)
-    phase = _phase(epoch, sched)
+    phase = sched.phase(epoch)
     if phase == "off":
         return 0.0, np.zeros_like(clean_logits), adv_grad
 
@@ -156,10 +157,10 @@ def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits
     n_m = len(mask) - n_c
     p_c = float(sq_dev[mask].mean()) if n_c else 0.0
     p_m = float(sq_dev[~mask].mean()) if n_m else 0.0
-    penalty = sched.tau * (p_c - p_m) if phase == "early" else sched.tau * (p_m - p_c)
+    sign = 1.0 if phase == "early" else -1.0
+    penalty = sign * sched.tau * (p_c - p_m)
     # d/d sigma of P_C_low - P_M_low: rows of each subset over that subset's size
     scaled = (2.0 / (k - 1)) * dev
-    sign = 1.0 if phase == "early" else -1.0
     d_sigma = sign * sched.tau * np.where(mask[:, None], scaled / max(n_c, 1),
                                           0.0 - scaled / max(n_m, 1))
 

@@ -5,7 +5,8 @@ H_l x H_{l-1}; logits(x) = W_L relu(... relu(W_1 x)).  There are no bias
 vectors, so scaling every W_l by c > 0 scales logits by c^L (positive
 homogeneity).  The ReLU subgradient at exactly 0 is taken as 0.
 backward and input_grad read one reverse chain, so their input gradients
-agree bit for bit.
+agree bit for bit.  A ForwardTrace keeps each activation once (inputs,
+hidden, logits): a hidden activation relu(z) is also its ReLU mask.
 
 Checkpoint format (little-endian): magic "AMLP" | u8 version=1 |
 u32 L+1 | (L+1) x u32 widths | per layer row-major float64 entries.
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, as_matrix, check_finite, make_rng
+from .core import ParameterError, ShapeError, as_matrix, check_count, check_finite, make_rng
 
 CHECKPOINT_MAGIC = b"AMLP"
 CHECKPOINT_VERSION = 1
@@ -36,19 +37,18 @@ class MlpConfig:
     init_scale: float | None = None  # None -> He scaling sqrt(2/fan_in)
 
     def __post_init__(self):
-        if len(self.layer_widths) < 2 or any(w < 1 for w in self.layer_widths):
-            raise ParameterError("layer_widths needs length >= 2, all widths >= 1")
+        if len(self.layer_widths) < 2:
+            raise ParameterError("layer_widths needs length >= 2")
+        for w in self.layer_widths:
+            check_count(w, "layer_widths entry")
+        check_count(self.seed, "seed", least=0)
 
 
 @dataclass(frozen=True)
 class ForwardTrace:
     inputs: np.ndarray
-    pre_activations: list  # length L; last entry == logits
-    post_activations: list  # length L-1, relu of pre
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.pre_activations[-1]
+    hidden: list  # length L-1: relu(W_l h_{l-1}), layer l's output
+    logits: np.ndarray
 
 
 def init_weights(cfg: MlpConfig) -> list:
@@ -73,16 +73,13 @@ def forward(weights: list, inputs) -> ForwardTrace:
         raise ShapeError(
             f"input dim {inputs.shape[1]} != first layer fan-in {weights[0].shape[1]}"
         )
-    pre, post = [], []
+    hidden = []
     h = inputs
-    for l, w in enumerate(weights):
-        z = h @ w.T
-        pre.append(z)
-        if l < len(weights) - 1:
-            h = np.maximum(z, 0.0)
-            post.append(h)
-    check_finite(pre[-1], "logits")
-    return ForwardTrace(inputs=inputs, pre_activations=pre, post_activations=post)
+    for w in weights[:-1]:
+        h = np.maximum(h @ w.T, 0.0)
+        hidden.append(h)
+    logits = check_finite(h @ weights[-1].T, "logits")
+    return ForwardTrace(inputs=inputs, hidden=hidden, logits=logits)
 
 
 def _deltas(weights: list, trace: ForwardTrace, logit_grad):
@@ -91,11 +88,10 @@ def _deltas(weights: list, trace: ForwardTrace, logit_grad):
     if delta.shape != trace.logits.shape:
         raise ShapeError(f"logit_grad shape {delta.shape} != logits shape {trace.logits.shape}")
     yield delta
-    for l in range(len(weights) - 1, -1, -1):
-        delta = delta @ weights[l]
-        if l > 0:
-            delta = delta * (trace.pre_activations[l - 1] > 0.0)
+    for w, h in zip(reversed(weights[1:]), reversed(trace.hidden)):
+        delta = (delta @ w) * (h > 0.0)
         yield delta
+    yield delta @ weights[0]
 
 
 def backward(weights: list, trace: ForwardTrace, logit_grad):
@@ -105,11 +101,9 @@ def backward(weights: list, trace: ForwardTrace, logit_grad):
     respect to the logits is `logit_grad` (n x K).
     """
     chain = _deltas(weights, trace, logit_grad)
-    weight_grads = [None] * len(weights)
-    for l in range(len(weights) - 1, -1, -1):
-        h_prev = trace.post_activations[l - 1] if l > 0 else trace.inputs
-        weight_grads[l] = next(chain).T @ h_prev
-    return weight_grads, next(chain)
+    # layer l's input is [inputs, *hidden][l]; the chain runs from the last layer
+    weight_grads = [next(chain).T @ h for h in reversed([trace.inputs, *trace.hidden])]
+    return weight_grads[::-1], next(chain)
 
 
 def input_grad(weights: list, trace: ForwardTrace, logit_grad) -> np.ndarray:

@@ -5,18 +5,19 @@ subtraction, so it is exact under arbitrary logit shifts.  Each softmax,
 log-softmax and logsumexp comes from one core.exp_logsumexp_rows call per
 logit matrix (scipy's algorithm, without scipy's per-call dispatch).
 Accuracy uses argmax with lowest-index tie-breaking (numpy's argmax
-convention), which also fixes the correct/misclassified split used by the
-radius metrics.
+convention); correct_mask is the one correct/misclassified split.
+Standard training is the mixture at lambda=0: ObjectiveSpec sets its lam to 0.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 # softmax_rows is unused but stays bound: perfbench counts softmax passes by it.
-from .core import (ParameterError, ShapeError, as_matrix,  # noqa: F401
+from .core import (ParameterError, as_matrix, check_labels,  # noqa: F401
                    exp_logsumexp_rows, softmax_rows)
 from .data import LabeledBatch
 from .mlp import forward
@@ -25,20 +26,27 @@ from .mlp import forward
 @dataclass(frozen=True)
 class ObjectiveSpec:
     kind: str = "mixture"  # "standard" | "mixture" | "trades"
-    lam: float = 1.0       # mixture weight on the adversarial branch
+    lam: float = 1.0       # mixture weight on the adversarial branch; 0 for standard
     beta: float = 6.0      # TRADES trade-off factor
 
     def __post_init__(self):
         if self.kind not in ("standard", "mixture", "trades"):
             raise ParameterError("kind must be standard, mixture, or trades")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ParameterError("lam must lie in [0, 1]")
+        ObjectiveSpec.check_lam(self.lam)
+        if self.kind == "standard":  # the mixture at lambda=0
+            object.__setattr__(self, "lam", 0.0)
         if self.beta <= 0.0:
             raise ParameterError("beta must be > 0")
 
+    @staticmethod
+    def check_lam(value, name: str = "lam") -> None:
+        """The mixture-weight rule: a real number in [0, 1]."""
+        if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+            raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
+
     @property
     def needs_attack(self) -> bool:
-        return self.kind == "trades" or (self.kind == "mixture" and self.lam > 0.0)
+        return self.kind == "trades" or self.lam > 0.0
 
 
 @dataclass(frozen=True)
@@ -46,22 +54,12 @@ class RiskReport:
     mean_loss: float
     accuracy: float
     n: int
-    correct_mask: np.ndarray
-
-
-def _check_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ShapeError("labels must be a vector matching logits rows")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ParameterError("label out of range for K classes")
-    return labels
 
 
 def ce_loss(logits, labels):
     """Per-sample and mean cross-entropy from raw logits."""
     logits = as_matrix(logits)
-    labels = _check_labels(logits, labels)
+    labels = check_labels(labels, *logits.shape)
     per_sample = exp_logsumexp_rows(logits)[1][:, 0] - logits[np.arange(len(labels)), labels]
     return per_sample, float(per_sample.mean())
 
@@ -78,22 +76,22 @@ def ce_loss_and_grad(logits, labels):
     """Per-sample CE and its logit gradient (softmax - onehot) in one pass,
     bit-identical to ce_loss(...)[0] and softmax_rows(logits) - onehot."""
     logits = as_matrix(logits)
-    labels = _check_labels(logits, labels)
+    labels = check_labels(labels, *logits.shape)
     e, lse = exp_logsumexp_rows(logits)
     return _ce_terms(logits, labels, lse, e / e.sum(axis=1, keepdims=True))
 
 
 def correct_mask(logits, labels) -> np.ndarray:
+    """True where the argmax of a row is its label (lowest index on ties)."""
     logits = as_matrix(logits)
-    labels = _check_labels(logits, labels)
-    return logits.argmax(axis=1) == labels
+    return logits.argmax(axis=1) == check_labels(labels, *logits.shape)
 
 
 def risk_from_logits(logits, labels) -> RiskReport:
     """Empirical CE risk and accuracy from precomputed logits."""
     _, mean = ce_loss(logits, labels)
     mask = correct_mask(logits, labels)
-    return RiskReport(mean_loss=mean, accuracy=float(mask.mean()), n=len(mask), correct_mask=mask)
+    return RiskReport(mean_loss=mean, accuracy=float(mask.mean()), n=len(mask))
 
 
 def risk(weights: list, batch: LabeledBatch) -> RiskReport:
@@ -106,13 +104,12 @@ def mixture_from_logits(clean_logits, adv_logits, labels, lam: float):
 
     lam=0 is standard training, lam=1 is PGD-AT.  Returns (loss,
     clean_logit_grad, adv_logit_grad); gradient matrices are for the
-    scalar mean loss (weighting and 1/n included).  When adv_logits is
-    clean_logits (no attack ran) one CE pass serves both.
+    scalar mean loss (weighting and 1/n included).  adv_logits None
+    means no attack ran: the clean CE pass serves both branches.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError("lam must lie in [0, 1]")
+    ObjectiveSpec.check_lam(lam)
     clean_ce, clean_g = ce_loss_and_grad(clean_logits, labels)
-    if adv_logits is clean_logits:
+    if adv_logits is None:
         adv_ce, adv_g = clean_ce, clean_g
     else:
         adv_ce, adv_g = ce_loss_and_grad(adv_logits, labels)
@@ -131,7 +128,7 @@ def trades_from_logits(clean_logits, adv_logits, labels, beta: float):
         raise ParameterError("beta must be > 0")
     clean_logits = as_matrix(clean_logits)
     adv_logits = as_matrix(adv_logits)
-    labels = _check_labels(clean_logits, labels)
+    labels = check_labels(labels, *clean_logits.shape)
     e_q, lse_q = exp_logsumexp_rows(clean_logits)
     e_p, lse_p = exp_logsumexp_rows(adv_logits)
     q = e_q / e_q.sum(axis=1, keepdims=True)

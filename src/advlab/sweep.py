@@ -54,18 +54,19 @@ class SweepSpec:
     momentum: float = 0.9
 
     def __post_init__(self):
-        for name in ("widths", "lambdas", "seeds", "epochs_list"):
+        rules = {"widths": check_count, "lambdas": ObjectiveSpec.check_lam,
+                 "seeds": lambda v, name: check_count(v, name, least=0), "epochs_list": check_count}
+        for name, rule in rules.items():
             values = getattr(self, name)
             if len(values) == 0:
                 raise ParameterError(f"{name} must be nonempty")
+            for value in values:
+                rule(value, f"{name} entry")
             if len(set(values)) != len(values):
                 warnings.warn(f"duplicate values in {name}; deduplicating")
                 object.__setattr__(self, name, tuple(dict.fromkeys(values)))
-        if any(not 0.0 <= l <= 1.0 for l in self.lambdas):
-            raise ParameterError("lambdas must lie in [0, 1]")
-        for budget in self.epochs_list:
-            check_count(budget, "epochs_list entry")
         check_count(self.batch_size, "batch_size")
+        TrainConfig.check_sgd(self.lr, self.momentum)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule, loat
 from .mlp import MlpConfig, backward, forward, init_weights
-from .objectives import (ObjectiveSpec, mixture_from_logits, risk,
+from .objectives import (ObjectiveSpec, correct_mask, mixture_from_logits,
                          risk_from_logits, trades_from_logits)
 
 
@@ -53,8 +53,16 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "metrics_every"):
             check_count(getattr(self, name), name)
-        if self.lr < 0 or not 0.0 <= self.momentum < 1.0:
-            raise ParameterError("require lr >= 0 and momentum in [0, 1)")
+        check_count(self.seed, "seed", least=0)
+        TrainConfig.check_sgd(self.lr, self.momentum)
+
+    @staticmethod
+    def check_sgd(lr, momentum) -> None:
+        """The optimizer rule: lr >= 0 and momentum in [0, 1)."""
+        if not lr >= 0.0:
+            raise ParameterError(f"lr must be >= 0, got {lr!r}")
+        if not 0.0 <= momentum < 1.0:
+            raise ParameterError(f"momentum must lie in [0, 1), got {momentum!r}")
 
 
 @dataclass(frozen=True)
@@ -94,29 +102,25 @@ def _epoch_rngs(seed: int, epoch: int):
 
 def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
                 attack_rng) -> tuple:
-    """One gradient computation; returns (loss, weight_grads)."""
+    """One gradient computation; returns (loss, weight_grads).  adv is None if no attack ran."""
     obj = cfg.objective
-    clean_trace = forward(weights, batch.inputs)
+    clean = forward(weights, batch.inputs)
+    adv = None
     if obj.needs_attack:
-        adv_inputs = pgd(weights, batch, cfg.attack, attack_rng, clean_trace=clean_trace)
-        adv_trace = forward(weights, adv_inputs)
-    else:
-        adv_trace = clean_trace
+        adv = forward(weights, pgd(weights, batch, cfg.attack, attack_rng, clean_trace=clean))
+    adv_logits = None if adv is None else adv.logits
 
     if obj.kind == "trades":
         loss, clean_grad, adv_grad = trades_from_logits(
-            clean_trace.logits, adv_trace.logits, batch.labels, obj.beta)
+            clean.logits, adv_logits, batch.labels, obj.beta)
     else:
-        lam = 0.0 if obj.kind == "standard" else obj.lam
         loss, clean_grad, adv_grad = mixture_from_logits(
-            clean_trace.logits, adv_trace.logits, batch.labels, lam)
+            clean.logits, adv_logits, batch.labels, obj.lam)
 
-    sched = cfg.schedule
-    if sched.variant != "OFF" and (epoch <= sched.e1 or epoch >= sched.e2):
-        mask = clean_trace.logits.argmax(axis=1) == batch.labels
-        adv_logits = adv_trace.logits if obj.needs_attack else None
+    if cfg.schedule.phase(epoch) != "off":
         penalty, pen_clean, pen_adv = loat(
-            clean_trace.logits, batch.labels, mask, epoch, sched, adv_logits)
+            clean.logits, batch.labels, correct_mask(clean.logits, batch.labels), epoch,
+            cfg.schedule, adv_logits)
         loss = loss + penalty
         clean_grad = clean_grad + pen_clean
         adv_grad = adv_grad + pen_adv
@@ -124,9 +128,9 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss} at epoch {epoch}")
 
-    weight_grads, _ = backward(weights, clean_trace, clean_grad)
-    if adv_trace is not clean_trace:
-        adv_wgrads, _ = backward(weights, adv_trace, adv_grad)
+    weight_grads, _ = backward(weights, clean, clean_grad)
+    if adv is not None:
+        adv_wgrads, _ = backward(weights, adv, adv_grad)
         weight_grads = [a + b for a, b in zip(weight_grads, adv_wgrads)]
     return loss, weight_grads
 
@@ -151,8 +155,8 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
     for name, spec in eval_attacks:
         adv_inputs = pgd(weights, data.test, spec, make_rng(attack_seed),
                          clean_trace=test_trace)
-        adv_batch = LabeledBatch(adv_inputs, data.test.labels, data.test.num_classes)
-        adv_acc[name] = risk(weights, adv_batch).accuracy
+        adv_logits = forward(weights, adv_inputs).logits
+        adv_acc[name] = float(correct_mask(adv_logits, data.test.labels).mean())
 
     est = radius_estimates_from_logits(train_logits, data.train.labels)
     g_ce, bound_lo, bound_hi = bounds_of(est, data.train.num_classes)

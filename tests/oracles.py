@@ -1,14 +1,25 @@
 """Reference formulas the fused library code is compared against.
 
-Each is the earlier, separate-pass form of a formula that the library now
-computes from one core.exp_logsumexp_rows call per logit matrix.  They
+Each formula is the earlier, separate-pass form of one that the library
+now computes from one core.exp_logsumexp_rows call per logit matrix.  They
 use only numpy and core.softmax_rows, so a change to the fused path
 cannot change them too.
+
+_batch_step is the training step as it read before the label rule, the
+LOAT phase, the no-attack marker and the correct/misclassified split each
+got one definition, kept verbatim.  It calls the library's forward, pgd,
+objectives, loat and backward, so it pins how the step composes them.
 """
 
 import numpy as np
 
+from advlab.attacks import pgd
 from advlab.core import softmax_rows
+from advlab.data import LabeledBatch
+from advlab.loat import loat
+from advlab.mlp import backward, forward
+from advlab.objectives import mixture_from_logits, trades_from_logits
+from advlab.trainer import DivergenceError, TrainConfig
 
 
 def logsumexp_split_max(m, keepdims=False):
@@ -60,3 +71,42 @@ def trades_four_lse(clean_logits, adv_logits, labels, beta):
     r = log_p - log_q
     adv_grad = beta / n * p * (r - (r * p).sum(axis=1, keepdims=True))
     return loss, clean_grad, adv_grad
+
+
+def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
+                attack_rng) -> tuple:
+    """One gradient computation; returns (loss, weight_grads)."""
+    obj = cfg.objective
+    clean_trace = forward(weights, batch.inputs)
+    if obj.needs_attack:
+        adv_inputs = pgd(weights, batch, cfg.attack, attack_rng, clean_trace=clean_trace)
+        adv_trace = forward(weights, adv_inputs)
+    else:
+        adv_trace = clean_trace
+
+    if obj.kind == "trades":
+        loss, clean_grad, adv_grad = trades_from_logits(
+            clean_trace.logits, adv_trace.logits, batch.labels, obj.beta)
+    else:
+        lam = 0.0 if obj.kind == "standard" else obj.lam
+        loss, clean_grad, adv_grad = mixture_from_logits(
+            clean_trace.logits, adv_trace.logits, batch.labels, lam)
+
+    sched = cfg.schedule
+    if sched.variant != "OFF" and (epoch <= sched.e1 or epoch >= sched.e2):
+        mask = clean_trace.logits.argmax(axis=1) == batch.labels
+        adv_logits = adv_trace.logits if obj.needs_attack else None
+        penalty, pen_clean, pen_adv = loat(
+            clean_trace.logits, batch.labels, mask, epoch, sched, adv_logits)
+        loss = loss + penalty
+        clean_grad = clean_grad + pen_clean
+        adv_grad = adv_grad + pen_adv
+
+    if not np.isfinite(loss):
+        raise DivergenceError(f"non-finite loss {loss} at epoch {epoch}")
+
+    weight_grads, _ = backward(weights, clean_trace, clean_grad)
+    if adv_trace is not clean_trace:
+        adv_wgrads, _ = backward(weights, adv_trace, adv_grad)
+        weight_grads = [a + b for a, b in zip(weight_grads, adv_wgrads)]
+    return loss, weight_grads

@@ -351,22 +351,36 @@ class TestConfigErrors:
         ("train", ["train", "lr"], "0.1", "lr"),
         ("sweep", ["train", "momentum"], "0.9", "momentum"),
         ("train", ["attack", "k"], 2.5, "k"),
+        ("train", ["model", "widths"], [4, 2.5, 3], "widths"),
+        ("sweep", ["grid", "widths"], [2.5], "widths"),
+        ("sweep", ["grid", "seeds"], ["a"], "seeds"),
+        ("train", ["model", "seed"], -1, "seed"),
+        ("train", ["train", "seed"], -1, "seed"),
+        ("sweep", ["grid", "seeds"], [-1], "seeds"),
+        ("sweep", ["train", "lr"], -0.1, "lr"),
+        ("sweep", ["train", "momentum"], 1.0, "momentum"),
+        ("sweep", ["grid", "lambdas"], ["x"], "lambdas"),
     ], ids=["train-list", "attack-list", "schedule-list", "dataset-n_train-str",
-            "dataset-spread-str", "train-lr-str", "sweep-momentum-str", "attack-k-float"])
+            "dataset-spread-str", "train-lr-str", "sweep-momentum-str", "attack-k-float",
+            "model-widths-float", "grid-widths-float", "grid-seeds-str", "model-seed-negative",
+            "train-seed-negative", "grid-seeds-negative", "sweep-lr-negative",
+            "sweep-momentum-one", "grid-lambdas-str"])
     def test_shape_exit_one_naming_the_field(self, tmp_path, capsys, command, path, value,
                                              field):
-        # each of these exited 2 (runtime error) or exited 1 without the field's name
+        # each of these exited 2 (runtime error) or exited 1 without the field's name, some
+        # after creating --out; the spec that owns the field now rejects it before that
         cfg = json.loads(json.dumps(base_config() if command == "train" else SWEEP_CONFIG))
         *parents, last = path
         node = cfg
         for key in parents:
             node = node[key]
         node[last] = value
-        argv = [command, "--config", str(write_config(tmp_path, cfg)),
-                "--out", str(tmp_path / "o")]
+        out = tmp_path / "o"
+        argv = [command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_config_not_an_object_exit_one(self, tmp_path, capsys, command):

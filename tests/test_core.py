@@ -11,9 +11,27 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 import advlab
-from advlab.core import ShapeError, exp_logsumexp_rows, make_rng, softmax_rows
+from advlab.core import (ParameterError, ShapeError, check_labels, exp_logsumexp_rows,
+                         make_rng, softmax_rows)
 
 from oracles import logsumexp_split_max
+
+
+class TestCheckLabels:
+    def test_valid_labels_become_int64(self):
+        out = check_labels([0, 2, 1], 3, 3)
+        assert out.dtype == np.int64 and out.tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("labels, n", [([0, -1], 2), ([0, 3], 2), ([], 0)],
+                             ids=["minus-one", "k", "empty"])
+    def test_out_of_range_or_empty(self, labels, n):
+        with pytest.raises(ParameterError):
+            check_labels(labels, n, 3)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [[0], [1]], 0], ids=["long", "column", "scalar"])
+    def test_not_a_vector_of_n(self, labels):
+        with pytest.raises(ShapeError):
+            check_labels(labels, 2, 3)
 
 
 class TestSoftmax:

@@ -304,3 +304,50 @@ class TestLoat:
         with pytest.raises(ShapeError):
             loat(np.zeros((3, 2)), [0, 1, 0], [True, False], 1,
                  LoatSchedule(variant="SLORE"))
+
+
+class TestPhase:
+    def test_phase_by_epoch(self):
+        sched = LoatSchedule(e1=2, e2=4, variant="SLORE")
+        assert [sched.phase(e) for e in range(1, 6)] == ["early", "early", "off", "late", "late"]
+        assert LoatSchedule(e1=3, e2=3, variant="LORE").phase(3) == "early"
+        off = LoatSchedule(e1=2, e2=4, variant="OFF")
+        assert {off.phase(e) for e in range(1, 6)} == {"off"}
+
+
+# Each function with a 4-row, 3-class input and its arguments around the labels and mask.
+BAD_INPUT_CALLS = {
+    "loat": lambda probs, labels, mask: loat(
+        probs, labels, mask, 1, LoatSchedule(e1=1, e2=9, variant="LORE"), probs[::-1]),
+    "penalty_correct": penalty_correct,
+    "penalty_wrong": penalty_wrong,
+    "jensen_middle_wrong": jensen_middle_wrong,
+}
+
+
+class TestBadLabelsAndMasks:
+    """Labels -1 or K are a ParameterError and a mis-shaped mask a ShapeError;
+    a label -1 used to be read as class K-1 and a label K raised a bare IndexError."""
+
+    probs = random_probs(make_rng(21), 4, 3)
+    mask = np.array([True, False, True, False])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("name", sorted(BAD_INPUT_CALLS))
+    def test_label_out_of_range(self, name, bad):
+        with pytest.raises(ParameterError):
+            BAD_INPUT_CALLS[name](self.probs, [0, 1, bad, 2], self.mask)
+
+    @pytest.mark.parametrize("mask", [True, [[True], [False], [True], [False]]],
+                             ids=["scalar", "column"])
+    @pytest.mark.parametrize("name", sorted(BAD_INPUT_CALLS))
+    def test_mask_not_a_row_vector(self, name, mask):
+        with pytest.raises(ShapeError):
+            BAD_INPUT_CALLS[name](self.probs, [0, 1, 2, 0], mask)
+
+    @pytest.mark.parametrize("mask", [True, [True, False, True], [True] * 5,
+                                      [[True], [False], [True], [False]]],
+                             ids=["scalar", "short", "long", "column"])
+    def test_pairing_mask_shape(self, mask):
+        with pytest.raises(ShapeError):
+            adversarial_pairing(self.probs, self.probs[::-1], mask)

@@ -52,6 +52,17 @@ class TestForward:
         x = rng.uniform(size=(6, 5))
         assert np.allclose(forward(w, x).logits, x @ w[0].T @ w[1].T, rtol=1e-12)
 
+    def test_trace_keeps_each_activation_once(self):
+        w = init_weights(MlpConfig([5, 4, 6, 3], seed=7))
+        x = make_rng(8).uniform(size=(6, 5))
+        trace = forward(w, x)
+        h1 = np.maximum(x @ w[0].T, 0.0)
+        h2 = np.maximum(h1 @ w[1].T, 0.0)
+        assert np.array_equal(trace.inputs, x)
+        assert len(trace.hidden) == 2
+        assert np.array_equal(trace.hidden[0], h1) and np.array_equal(trace.hidden[1], h2)
+        assert np.array_equal(trace.logits, h2 @ w[2].T)
+
     def test_last_layer_homogeneity(self):
         w = init_weights(MlpConfig([5, 4, 3], seed=4))
         x = make_rng(5).uniform(size=(6, 5))

@@ -32,6 +32,10 @@ class TestObjectiveSpec:
         assert ObjectiveSpec(kind="mixture", lam=0.5).needs_attack
         assert ObjectiveSpec(kind="trades").needs_attack
 
+    def test_standard_is_the_mixture_at_lambda_zero(self):
+        assert ObjectiveSpec(kind="standard").lam == 0.0
+        assert ObjectiveSpec(kind="standard", lam=0.7).lam == 0.0
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             ObjectiveSpec(kind="other")
@@ -212,13 +216,13 @@ class TestMixture:
         assert max_rel_err(analytic, numeric) < 1e-5
 
     def test_shared_clean_pass_when_no_attack_ran(self):
-        # adv logits that are the clean logits reuse the clean CE pass; the
-        # result equals passing an equal copy
+        # adv_logits None (no attack ran) reuses the clean CE pass; the
+        # result equals passing a copy of the clean logits
         rng = make_rng(8)
         clean = rng.standard_normal((7, 4))
         labels = rng.integers(0, 4, size=7)
         for lam in (0.0, 0.6):
-            shared = mixture_from_logits(clean, clean, labels, lam)
+            shared = mixture_from_logits(clean, None, labels, lam)
             copied = mixture_from_logits(clean, clean.copy(), labels, lam)
             assert shared[0] == copied[0]
             assert np.array_equal(shared[1], copied[1])

@@ -11,8 +11,10 @@ from advlab.fisher_rao import (BoundInputs, UndefinedMetricError,
 from advlab.loat import LoatSchedule
 from advlab.mlp import MlpConfig, init_weights
 from advlab.objectives import ObjectiveSpec, risk
-from advlab.trainer import (DivergenceError, MetricsRecord, TrainConfig,
+from advlab.trainer import (DivergenceError, MetricsRecord, TrainConfig, _batch_step,
                             evaluate, metric_epochs, sgd_step, train)
+
+from oracles import _batch_step as oracle_batch_step
 
 
 def blob_data(seed=0, n_train=120, n_test=60, d=5, k=3, spread=0.08):
@@ -256,3 +258,36 @@ class TestEvaluate:
             assert rec.bound_lower is not None
             assert rec.bound_upper is not None
             assert rec.bound_lower <= rec.bound_upper
+
+
+class TestBatchStepOracle:
+    """_batch_step equals, bit for bit, the step kept verbatim in oracles.py."""
+
+    OBJECTIVES = {"standard": ObjectiveSpec(kind="standard"),
+                  "mixture-0": ObjectiveSpec(kind="mixture", lam=0.0),
+                  "mixture-0.5": ObjectiveSpec(kind="mixture", lam=0.5),
+                  "mixture-1": ObjectiveSpec(kind="mixture", lam=1.0),
+                  "trades": ObjectiveSpec(kind="trades", beta=3.0)}
+    ATTACKS = (AttackSpec(p="inf", eps=0.1, alpha=0.03, k=3),
+               AttackSpec(p="two", eps=0.5, alpha=0.2, k=3, random_start=True))
+
+    @pytest.mark.parametrize("variant", ["LORE", "SLORE", "OFF"])
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    def test_equals_oracle(self, objective, variant):
+        data = blob_data(seed=3, n_train=24, spread=0.3)
+        batch = data.train
+        sched = LoatSchedule(e1=2, e2=4, tau=0.8, gamma=0.4, variant=variant)
+        for widths in ([5, 6, 3], [5, 6, 4, 3]):
+            weights = init_weights(MlpConfig(widths, seed=2))
+            for attack in self.ATTACKS:
+                cfg = TrainConfig(model=MlpConfig(widths), objective=self.OBJECTIVES[objective],
+                                  attack=attack, schedule=sched)
+                for epoch in range(1, 6):  # early, early at e1, middle, late at e2, late
+                    rng, want_rng = make_rng(epoch), make_rng(epoch)
+                    loss, grads = _batch_step(weights, batch, cfg, epoch, rng)
+                    want_loss, want_grads = oracle_batch_step(weights, batch, cfg, epoch,
+                                                              want_rng)
+                    assert loss == want_loss
+                    assert len(grads) == len(want_grads)
+                    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+                    assert rng.bit_generator.state == want_rng.bit_generator.state
