@@ -14,6 +14,12 @@ forwarded the clean batch (the trainer does) passes that trace as
 `clean_trace`; it supplies the clean CE and the first gradient.  The
 outputs are bit-identical to forwarding every iterate twice.
 
+A stacked batch (see core) attacked through a stack of networks runs
+every seed's attack in the same numpy calls.  Its `rng` is then a list of
+generators, one per seed, and each seed's random start is drawn from its
+own, in seed order.  The labels are checked once per attack, not once per
+iterate.
+
 FGSM is PGD with p="inf", alpha=eps, k=1: with track_best=False the
 output is clip(x + eps*sign(grad), 0, 1) bit for bit (for eps=0 any
 alpha > 0 gives x).
@@ -27,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, as_matrix
+from .core import ParameterError, ShapeError, as_stack, check_labels
 from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, input_grad
-from .objectives import ce_loss, ce_loss_and_grad
+from .objectives import ce_loss, checked_ce_loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -58,15 +64,15 @@ def eval_attack_pair(spec: AttackSpec) -> tuple:
 
 def project(x0, x, p: str, eps: float) -> np.ndarray:
     """Project x onto the eps-ball around x0, then clamp into [0,1]."""
-    x0 = as_matrix(x0)
-    x = as_matrix(x)
+    x0 = as_stack(x0)
+    x = as_stack(x)
     if x0.shape != x.shape:
         raise ShapeError(f"shape mismatch {x0.shape} vs {x.shape}")
     if p == "inf":
         x = np.clip(x, x0 - eps, x0 + eps)
     elif p == "two":
         delta = x - x0
-        norms = np.linalg.norm(delta, axis=1, keepdims=True)
+        norms = np.linalg.norm(delta, axis=-1, keepdims=True)
         scale = np.where(norms > eps, eps / np.maximum(norms, 1e-300), 1.0)
         x = x0 + delta * scale
     else:
@@ -74,11 +80,21 @@ def project(x0, x, p: str, eps: float) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
+def _draw(rng, shape: tuple, draw) -> np.ndarray:
+    """draw(generator, shape) for a matrix shape; for a stack, each seed's
+    generator draws its own matrix, in seed order."""
+    if len(shape) == 2:
+        return draw(rng, shape)
+    if isinstance(rng, np.random.Generator) or len(rng) != shape[0]:
+        raise ParameterError(f"a stack of {shape[0]} needs one generator per seed")
+    return np.stack([draw(r, shape[1:]) for r in rng])
+
+
 def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
-        rng: np.random.Generator | None = None,
-        clean_trace: ForwardTrace | None = None) -> np.ndarray:
+        rng=None, clean_trace: ForwardTrace | None = None) -> np.ndarray:
     """k-step projected gradient ascent on CE inside the eps-ball.
 
+    `rng` is a generator, or a list of one per seed for a stacked batch.
     `clean_trace`, if given, must be forward(weights, batch.inputs).
     """
     x0 = batch.inputs
@@ -94,11 +110,14 @@ def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
         if rng is None:
             raise ParameterError("random_start requires an rng")
         if spec.p == "inf":
-            x = np.clip(x0 + rng.uniform(-spec.eps, spec.eps, size=x0.shape), lo, hi)
+            x = np.clip(x0 + _draw(rng, x0.shape, lambda r, shape: r.uniform(
+                -spec.eps, spec.eps, size=shape)), lo, hi)
         else:
-            direction = rng.standard_normal(x0.shape)
-            direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
-            radius = spec.eps * rng.uniform(0.0, 1.0, size=(x0.shape[0], 1)) ** (1.0 / x0.shape[1])
+            # each generator draws its direction, then its radius
+            direction = _draw(rng, x0.shape, lambda r, shape: r.standard_normal(shape))
+            direction /= np.maximum(np.linalg.norm(direction, axis=-1, keepdims=True), 1e-300)
+            radius = spec.eps * _draw(rng, x0.shape[:-1] + (1,), lambda r, shape: r.uniform(
+                0.0, 1.0, size=shape)) ** (1.0 / x0.shape[-1])
             x = project(x0, x0 + radius * direction, "two", spec.eps)
     else:
         x = x0.copy()
@@ -109,7 +128,8 @@ def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
     if clean_trace is None and (spec.track_best or not spec.random_start):
         clean_trace = forward(weights, x0)
     trace = forward(weights, x) if spec.random_start else clean_trace
-    loss, logit_grad = ce_loss_and_grad(trace.logits, labels)
+    labels = check_labels(labels, *trace.logits.shape)
+    loss, logit_grad = checked_ce_loss_and_grad(trace.logits, labels)
     if spec.track_best:
         best_x = x0.copy()
         best_loss = ce_loss(clean_trace.logits, labels)[0] if spec.random_start else loss
@@ -122,11 +142,11 @@ def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
         if spec.p == "inf":
             x = np.clip(x + spec.alpha * np.sign(grad), lo, hi)
         else:
-            norms = np.linalg.norm(grad, axis=1, keepdims=True)
+            norms = np.linalg.norm(grad, axis=-1, keepdims=True)
             x = project(x0, x + spec.alpha * grad / np.maximum(norms, 1e-300), "two", spec.eps)
         if spec.track_best or step < spec.k - 1:
             trace = forward(weights, x)
-            loss, logit_grad = ce_loss_and_grad(trace.logits, labels)
+            loss, logit_grad = checked_ce_loss_and_grad(trace.logits, labels)
         if spec.track_best:
             improved = loss > best_loss
             best_x[improved] = x[improved]

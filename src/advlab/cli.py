@@ -22,13 +22,13 @@ from pathlib import Path
 
 from . import sweep as sweep_mod
 from .attacks import AttackSpec, eval_attack_pair
-from .core import ParameterError
+from .core import ParameterError, check_count
 from .data import DatasetHandle, blob_dataset, load_array, load_idx
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule
 from .mlp import MlpConfig, save_checkpoint
 from .objectives import ObjectiveSpec
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, check_fit, train
 
 
 class ConfigError(ValueError):
@@ -151,11 +151,12 @@ def _sweep_spec(cfg: dict) -> sweep_mod.SweepSpec:
 
 
 def _run_config(config_path, out_dir, build, run, **manifest_extra) -> int:
-    """The run path of train and sweep: read the config, build its dataset and spec (input
-    errors come before --out exists), create --out, run(spec, data, out), write manifest.json."""
+    """The run path of train and sweep: read the config, build its dataset and spec with
+    build(raw, data) (input errors come before --out exists), create --out,
+    run(spec, data, out), write manifest.json."""
     raw = _read_config(config_path)
     data = build_dataset(_field(raw, "dataset", dict, "config"))
-    spec = build(raw)
+    spec = build(raw, data)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run(spec, data, out)
@@ -178,13 +179,20 @@ def cmd_train(config_path, out_dir) -> int:
                                      cfg.epochs) for rec in history]
         sweep_mod.write_csv(rows, out / "history.csv")
         save_checkpoint(weights, out / "final.ckpt")
-    return _run_config(config_path, out_dir, build_train_config, run)
+
+    def build(raw, data):
+        cfg = build_train_config(raw)
+        check_fit(cfg, data)
+        return cfg
+    return _run_config(config_path, out_dir, build, run)
 
 
 def cmd_sweep(config_path, out_dir, jobs: int) -> int:
+    check_count(jobs, "jobs")
+
     def run(spec, data, out):
         sweep_mod.write_csv(sweep_mod.run_sweep(spec, data, jobs=jobs), out / "sweep.csv")
-    return _run_config(config_path, out_dir, _sweep_spec, run,
+    return _run_config(config_path, out_dir, lambda raw, data: _sweep_spec(raw), run,
                        metrics_cadence=sweep_mod.METRICS_CADENCE)
 
 

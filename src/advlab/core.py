@@ -7,6 +7,14 @@ softmax numerator and scipy's split-max logsumexp of a logit matrix.
 All numeric arrays are float64 and row-major (C order).  Random streams
 use numpy's PCG64 generator: the same seed replays the same draw
 sequence bit-identically on every platform.
+
+Stacks: the training path also takes arrays with a leading stack axis, one
+slice per seed of a sweep (S x n x m inputs and logits, S x n labels, S x
+out x in weights), so one numpy call serves S trajectories.  A matrix is a
+stack of one read without that axis: the same code runs on both, and every
+row reduction runs along the last axis, so each slice gets the bits of its
+own 2-D call.  stack_of builds a stack from per-seed parts, seeds_of splits
+one, and per_seed maps a per-seed scalar rule over it.
 """
 
 from __future__ import annotations
@@ -30,6 +38,34 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_stack(a) -> np.ndarray:
+    """Coerce a matrix (n x m) or a stack of matrices (S x n x m) to float64 C order."""
+    m = np.ascontiguousarray(a, dtype=np.float64)
+    if m.ndim not in (2, 3):
+        raise ShapeError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    return m
+
+
+def stack_of(parts):
+    """The stack of per-seed parts: a stack of one is its one part, arrays stack
+    along a new leading axis and anything else (generators) stays a list."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.stack(parts) if isinstance(parts[0], np.ndarray) else list(parts)
+
+
+def seeds_of(a: np.ndarray, ndim: int = 2) -> list:
+    """The per-seed parts of a stack whose parts have `ndim` axes; [a] if a has no stack axis."""
+    return list(a) if a.ndim > ndim else [a]
+
+
+def per_seed(rule, *arrays):
+    """rule(*rows) for each seed's (n,) rows of (..., n) arrays: one value for unstacked
+    arrays, else an array with one value per seed."""
+    values = [rule(*rows) for rows in zip(*(a.reshape(-1, a.shape[-1]) for a in arrays))]
+    return values[0] if arrays[0].ndim == 1 else np.array(values)
+
+
 def check_finite(m: np.ndarray, what: str = "result") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise FloatingPointError(f"{what} contains non-finite values")
@@ -42,26 +78,39 @@ def check_count(value, name: str, least: int = 1) -> None:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def check_labels(labels, n: int, k: int) -> np.ndarray:
-    """labels as an int64 vector of n >= 1 ids in {0..k-1}, else ShapeError or ParameterError."""
+def check_labels(labels, *shape) -> np.ndarray:
+    """labels as int64 ids in {0..k-1} for the rows of a (..., n, k) array: a vector of
+    n >= 1 entries for a matrix (shape n, k), one such row per seed for a stack (S, n, k).
+    Else ShapeError or ParameterError."""
+    *rows, k = shape
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.shape[0] != n:
-        raise ShapeError(f"labels must be a vector of {n} entries, got shape {labels.shape}")
-    if n == 0 or labels.min() < 0 or labels.max() >= k:
+    if labels.shape != tuple(rows):
+        raise ShapeError(f"labels must have shape {tuple(rows)}, got {labels.shape}")
+    if labels.size == 0 or labels.min() < 0 or labels.max() >= k:
         raise ParameterError(f"need at least one label, each in {{0..{k - 1}}}")
     return labels
 
 
+def label_index(labels: np.ndarray) -> tuple:
+    """Index of every row's label entry in a (..., n, k) array viewed as its (-1, k) rows."""
+    return np.arange(labels.size), labels.reshape(-1)
+
+
+def label_entries(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """a[..., i, labels[..., i]]: the label entry of every row of a (..., n, k) array."""
+    return a.reshape(-1, a.shape[-1])[label_index(labels)].reshape(labels.shape)
+
+
 def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    m = as_matrix(m)
-    z = m - m.max(axis=1, keepdims=True)
+    """Row-wise softmax of a matrix or a stack, with per-row max subtraction for stability."""
+    m = as_stack(m)
+    z = m - m.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def exp_logsumexp_rows(m):
-    """(exp(m - row max), (n, 1) row logsumexp) of a matrix with >= 1 column.
+    """(exp(m - row max), (..., n, 1) row logsumexp) of a matrix or a stack, >= 1 column.
 
     The first over its row sums is softmax_rows(m) bit for bit.  The second
     is scipy.special.logsumexp(m, axis=1, keepdims=True) bit for bit, by
@@ -70,17 +119,17 @@ def exp_logsumexp_rows(m):
     log1p(s) + log(c) + a.  Rows where that is not finite (a +-inf or nan
     entry) fall back to log(sum(exp(m))), so an all -inf row gives -inf.
     """
-    m = as_matrix(m)
-    top = m.max(axis=1, keepdims=True)
+    m = as_stack(m)
+    top = m.max(axis=-1, keepdims=True)
     is_top = m == top
-    count = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+    count = is_top.sum(axis=-1, keepdims=True, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.exp(m - top)
-        s = np.where(is_top, 0.0, e).sum(axis=1, keepdims=True)
+        s = np.where(is_top, 0.0, e).sum(axis=-1, keepdims=True)
         lse = np.log1p(s / count) + np.log(count) + top
-        bad = ~np.isfinite(lse[:, 0])
+        bad = ~np.isfinite(lse[..., 0])
         if bad.any():
-            lse[bad] = np.log(np.exp(m[bad]).sum(axis=1, keepdims=True))
+            lse[bad] = np.log(np.exp(m[bad]).sum(axis=-1, keepdims=True))
     return e, lse
 
 

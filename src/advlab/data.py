@@ -1,8 +1,10 @@
 """Dataset ingestion and batching.
 
 Inputs are always matrices with entries in [0, 1]; labels follow
-core.check_labels.  MNIST-style IDX files are read bit-exactly per the
-canonical format (big-endian magic + dimension sizes + raw bytes).
+core.check_labels.  A batch of a seed stack (see core) holds one matrix
+and one label row per seed; `batches` gathers one with a generator per
+seed.  MNIST-style IDX files are read bit-exactly per the canonical
+format (big-endian magic + dimension sizes + raw bytes).
 
 dump_array/load_array round-trip a matrix (batch inputs, or logits for
 `advlab bounds`) with its labels: little-endian ``magic "ALB1" | u32 d |
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ParameterError, as_matrix, check_count, check_labels, make_rng
+from .core import ParameterError, as_matrix, as_stack, check_count, check_labels, make_rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -30,25 +32,25 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    inputs: np.ndarray  # n x d, entries in [0, 1]
-    labels: np.ndarray  # n int64 values in {0..K-1}
+    inputs: np.ndarray  # n x d (S x n x d for a stack), entries in [0, 1]
+    labels: np.ndarray  # n (S x n) int64 values in {0..K-1}
     num_classes: int
 
     def __post_init__(self):
-        inputs = as_matrix(self.inputs)
+        inputs = as_stack(self.inputs)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels",
-                           check_labels(self.labels, inputs.shape[0], self.num_classes))
+                           check_labels(self.labels, *inputs.shape[:-1], self.num_classes))
         if inputs.min() < 0.0 or inputs.max() > 1.0:
             raise ParameterError("inputs must lie in [0, 1]")
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        return self.inputs.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.inputs.shape[1]
+        return self.inputs.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -136,12 +138,20 @@ def blob_dataset(seed: int, n_train: int, n_test: int, d: int, K: int,
     return DatasetHandle(train, test, name=f"blobs-{d}d-{K}k", source="synthetic")
 
 
-def batches(b: LabeledBatch, batch_size: int, rng: np.random.Generator):
-    """Seeded shuffle split into consecutive chunks; last may be smaller."""
+def batches(b: LabeledBatch, batch_size: int, rng):
+    """Seeded shuffle split into consecutive chunks; last may be smaller.
+
+    `rng` is one generator, or a list of generators, one per seed of a
+    stack: each draws its own order of b's rows, and every chunk is then
+    the stacked gather of those orders.
+    """
     check_count(batch_size, "batch_size")
-    order = rng.permutation(b.n)
+    if isinstance(rng, np.random.Generator):
+        order = rng.permutation(b.n)
+    else:
+        order = np.stack([r.permutation(b.n) for r in rng])
     for start in range(0, b.n, batch_size):
-        idx = order[start : start + batch_size]
+        idx = order[..., start : start + batch_size]
         yield LabeledBatch(b.inputs[idx], b.labels[idx], b.num_classes)
 
 

@@ -23,7 +23,10 @@ Both take each (1/(K-1)) sum_{k != y} (s_k - c_i)^2 from one helper
 
 Correct/wrong masks come from clean logits (objectives.correct_mask), one
 entry per row, and are treated as stop-gradient constants (argmax has no
-useful derivative).  Labels follow core.check_labels.
+useful derivative).  Labels follow core.check_labels.  `loat` also takes a
+stack of logit matrices with one label and mask row per seed; each seed's
+subset means stay boolean selections of its own row (core.per_seed), since
+a zero-filled sum would regroup numpy's pairwise sum and change the bits.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, as_matrix, check_labels, softmax_rows
+from .core import (ParameterError, ShapeError, as_matrix, as_stack, check_labels,
+                   label_entries, label_index, per_seed, softmax_rows)
 
 
 class EmptySubsetError(ValueError):
@@ -63,35 +67,35 @@ class LoatSchedule:
 
 
 def _nonlabel_mean(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    k = probs.shape[1]
-    label_p = probs[np.arange(len(labels)), labels]
-    return (probs.sum(axis=1) - label_p) / (k - 1)
+    k = probs.shape[-1]
+    return (probs.sum(axis=-1) - label_entries(probs, labels)) / (k - 1)
 
 
 def _sq_dev(probs, labels, center):
     """Deviations probs - center (zeroed at the label) and the per-sample
     (1/(K-1)) sum_{k != y} of their squares; center has one value per row."""
-    dev = probs - center[:, None]
-    dev[np.arange(len(labels)), labels] = 0.0
-    return dev, (dev ** 2).sum(axis=1) / (probs.shape[1] - 1)
+    k = probs.shape[-1]
+    dev = probs - center[..., None]
+    dev.reshape(-1, k)[label_index(labels)] = 0.0
+    return dev, (dev ** 2).sum(axis=-1) / (k - 1)
 
 
-def _check_mask(mask, n: int) -> np.ndarray:
+def _check_mask(mask, rows: tuple) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n,):
-        raise ShapeError(f"mask must be a vector of {n} entries, got shape {mask.shape}")
+    if mask.shape != rows:
+        raise ShapeError(f"mask must have shape {rows}, got {mask.shape}")
     return mask
 
 
 def _validate(probs, labels, mask):
-    probs = as_matrix(probs)
-    return probs, check_labels(labels, *probs.shape), _check_mask(mask, probs.shape[0])
+    probs = as_stack(probs)
+    return probs, check_labels(labels, *probs.shape), _check_mask(mask, probs.shape[:-1])
 
 
 def _subset_terms(probs, labels, mask, wrong: bool, what: str):
     """(P, P_lower, mean of (m_i - s_y)^2) over the correct (or wrong) subset;
     raises if it is empty."""
-    probs, labels, mask = _validate(probs, labels, mask)
+    probs, labels, mask = _validate(as_matrix(probs), labels, mask)
     subset = ~mask if wrong else mask
     if not subset.any():
         raise EmptySubsetError(f"no {what} samples in batch")
@@ -121,7 +125,7 @@ def adversarial_pairing(clean_probs, adv_probs, mask) -> float:
     adv_probs = as_matrix(adv_probs)
     if clean_probs.shape != adv_probs.shape:
         raise ShapeError("clean/adv probability shapes differ")
-    mask = _check_mask(mask, clean_probs.shape[0])
+    mask = _check_mask(mask, clean_probs.shape[:1])
     if not mask.any():
         raise EmptySubsetError("empty pairing subset")
     return float(((clean_probs - adv_probs) ** 2).sum(axis=1)[mask].mean())
@@ -129,14 +133,34 @@ def adversarial_pairing(clean_probs, adv_probs, mask) -> float:
 
 def _softmax_chain(probs: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. softmax outputs back to logits."""
-    return probs * (d_sigma - (d_sigma * probs).sum(axis=1, keepdims=True))
+    return probs * (d_sigma - (d_sigma * probs).sum(axis=-1, keepdims=True))
+
+
+def _subset_mean(values: np.ndarray, subset: np.ndarray) -> float:
+    """Mean of one seed's values over its subset rows; 0 for an empty subset."""
+    return float(values[subset].mean()) if subset.any() else 0.0
+
+
+def _penalty(scale, gamma, sq_dev, mask, pair_sq=None, subset=None) -> float:
+    """One seed's penalty: scale * (P_C_low - P_M_low), plus gamma times the
+    mean pairing distance over `subset` when that subset is nonempty."""
+    penalty = scale * (_subset_mean(sq_dev, mask) - _subset_mean(sq_dev, ~mask))
+    if subset is not None and subset.any():
+        penalty += gamma * _subset_mean(pair_sq, subset)
+    return penalty
+
+
+def _row_counts(subset: np.ndarray) -> np.ndarray:
+    """Rows in each seed's subset, at least 1, shaped to divide its (..., n, K) terms."""
+    return np.maximum(subset.sum(axis=-1), 1)[..., None, None]
 
 
 def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits=None):
     """The scheduled penalty of one batch and its exact logit gradients.
 
-    Returns (penalty_loss, clean_logit_grad, adv_logit_grad).  Only the
-    applied terms are computed, from one softmax per logit matrix:
+    Returns (penalty_loss, clean_logit_grad, adv_logit_grad), the loss one
+    value per seed for a stack.  Only the applied terms are computed, from
+    one softmax per logit matrix (or stack):
     tau*(P_C_low - P_M_low) early, its negation late, and for LORE with
     adv logits supplied gamma*AP_M early or gamma*AP_C late.  Outside
     both phases the loss is 0 and the gradients are zero matrices, and
@@ -151,29 +175,24 @@ def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits
         return 0.0, np.zeros_like(clean_logits), adv_grad
 
     probs = softmax_rows(clean_logits)
-    k = probs.shape[1]
+    k = probs.shape[-1]
     dev, sq_dev = _sq_dev(probs, labels, _nonlabel_mean(probs, labels))
-    n_c = int(mask.sum())
-    n_m = len(mask) - n_c
-    p_c = float(sq_dev[mask].mean()) if n_c else 0.0
-    p_m = float(sq_dev[~mask].mean()) if n_m else 0.0
-    sign = 1.0 if phase == "early" else -1.0
-    penalty = sign * sched.tau * (p_c - p_m)
+    scale = (1.0 if phase == "early" else -1.0) * sched.tau
     # d/d sigma of P_C_low - P_M_low: rows of each subset over that subset's size
     scaled = (2.0 / (k - 1)) * dev
-    d_sigma = sign * sched.tau * np.where(mask[:, None], scaled / max(n_c, 1),
-                                          0.0 - scaled / max(n_m, 1))
+    d_sigma = scale * np.where(mask[..., None], scaled / _row_counts(mask),
+                               0.0 - scaled / _row_counts(~mask))
+    terms = [sq_dev, mask]
 
     if sched.variant == "LORE" and adv_logits is not None:
-        adv_probs = softmax_rows(as_matrix(adv_logits))
+        adv_probs = softmax_rows(adv_logits)
         subset = ~mask if phase == "early" else mask
-        count = int(subset.sum())
         diff = probs - adv_probs
-        if count:
-            penalty += sched.gamma * float((diff ** 2).sum(axis=1)[subset].mean())
-        pair_grad = 2.0 * diff / max(count, 1)
-        d_sigma = d_sigma + sched.gamma * np.where(subset[:, None], pair_grad, 0.0)
+        terms += [(diff ** 2).sum(axis=-1), subset]
+        pair_grad = 2.0 * diff / _row_counts(subset)
+        d_sigma = d_sigma + sched.gamma * np.where(subset[..., None], pair_grad, 0.0)
         adv_grad = _softmax_chain(
-            adv_probs, sched.gamma * np.where(subset[:, None], -pair_grad, 0.0))
+            adv_probs, sched.gamma * np.where(subset[..., None], -pair_grad, 0.0))
 
+    penalty = per_seed(lambda *rows: _penalty(scale, sched.gamma, *rows), *terms)
     return penalty, _softmax_chain(probs, d_sigma), adv_grad

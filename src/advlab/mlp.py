@@ -7,6 +7,9 @@ homogeneity).  The ReLU subgradient at exactly 0 is taken as 0.
 backward and input_grad read one reverse chain, so their input gradients
 agree bit for bit.  A ForwardTrace keeps each activation once (inputs,
 hidden, logits): a hidden activation relu(z) is also its ReLU mask.
+forward, backward and input_grad also run a stack of networks (weights
+S x H_l x H_{l-1}) on a stack of batches, or on one batch shared by the
+stack; each slice gets the bits of its own 2-D call (see core).
 
 Checkpoint format (little-endian): magic "AMLP" | u8 version=1 |
 u32 L+1 | (L+1) x u32 widths | per layer row-major float64 entries.
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, as_matrix, check_count, check_finite, make_rng
+from .core import ParameterError, ShapeError, as_stack, check_count, check_finite, make_rng
 
 CHECKPOINT_MAGIC = b"AMLP"
 CHECKPOINT_VERSION = 1
@@ -66,25 +69,30 @@ def widths_of(weights: list) -> list:
     return [weights[0].shape[1]] + [w.shape[0] for w in weights]
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return a.swapaxes(-1, -2)
+
+
 def forward(weights: list, inputs) -> ForwardTrace:
     """Forward pass keeping every intermediate needed for backprop."""
-    inputs = as_matrix(inputs)
-    if inputs.shape[1] != weights[0].shape[1]:
+    inputs = as_stack(inputs)
+    if inputs.shape[-1] != weights[0].shape[-1]:
         raise ShapeError(
-            f"input dim {inputs.shape[1]} != first layer fan-in {weights[0].shape[1]}"
+            f"input dim {inputs.shape[-1]} != first layer fan-in {weights[0].shape[-1]}"
         )
     hidden = []
     h = inputs
     for w in weights[:-1]:
-        h = np.maximum(h @ w.T, 0.0)
+        h = np.maximum(h @ _t(w), 0.0)
         hidden.append(h)
-    logits = check_finite(h @ weights[-1].T, "logits")
+    logits = check_finite(h @ _t(weights[-1]), "logits")
     return ForwardTrace(inputs=inputs, hidden=hidden, logits=logits)
 
 
 def _deltas(weights: list, trace: ForwardTrace, logit_grad):
     """The reverse chain: the gradient at the output of W_L, ..., W_1, then the inputs."""
-    delta = as_matrix(logit_grad)
+    delta = as_stack(logit_grad)
     if delta.shape != trace.logits.shape:
         raise ShapeError(f"logit_grad shape {delta.shape} != logits shape {trace.logits.shape}")
     yield delta
@@ -98,11 +106,11 @@ def backward(weights: list, trace: ForwardTrace, logit_grad):
     """Exact reverse-mode gradients.
 
     Returns (weight_grads, input_grad) for the scalar whose gradient with
-    respect to the logits is `logit_grad` (n x K).
+    respect to the logits is `logit_grad` (n x K, or S x n x K for a stack).
     """
     chain = _deltas(weights, trace, logit_grad)
     # layer l's input is [inputs, *hidden][l]; the chain runs from the last layer
-    weight_grads = [next(chain).T @ h for h in reversed([trace.inputs, *trace.hidden])]
+    weight_grads = [_t(next(chain)) @ h for h in reversed([trace.inputs, *trace.hidden])]
     return weight_grads[::-1], next(chain)
 
 

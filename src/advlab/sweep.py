@@ -8,15 +8,24 @@ family, at the same epoch budget) can be attached to every adversarial
 cell.  One CSV row per run per recorded epoch, whose columns are the
 MetricsRecord fields by name.  Each (width, lambda, seed) trains once, to
 the largest budget; the shorter budgets' runs are read off that
-trajectory.  slopes_by(rows, key) fits the radius scatter per width or lambda.
+trajectory.  The seeds of one (width, lambda) train in lockstep, as one
+trainer.train_stack call (a task); a grid with fewer (width, lambda)
+stacks than pool workers splits each stack's seeds so that every worker
+gets a task.  Pool workers cap their own OpenBLAS threads at
+max(1, nproc // jobs), so `jobs` workers do not oversubscribe the cores.
+slopes_by(rows, key) fits the radius scatter per width or lambda.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import logging
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +35,7 @@ from .data import DatasetHandle
 from .loat import LoatSchedule
 from .mlp import MlpConfig
 from .objectives import ObjectiveSpec, generalization_gap
-from .trainer import TrainConfig, metric_epochs, train
+from .trainer import TrainConfig, metric_epochs, train_stack
 
 CSV_SCHEMA_VERSION = "v1"
 CSV_COLUMNS = [
@@ -111,56 +120,108 @@ def record_row(rec, run_id: str, width: int, lam, seed: int, budget: int) -> dic
     return row
 
 
+def openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if
+    no known symbol is found: the scipy_openblas and openblas prefixes, each
+    with and without the 64_ suffix."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")) + sorted(libs.glob("libopenblas*.so")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
 # The dataset of the running sweep.  Pool workers receive it once through
 # the pool initializer rather than inside every task.
 _data = None
 
 
-def _share_data(data) -> None:
+def _share_data(data, blas_threads: int | None = None) -> None:
+    """Pool initializer: hold the dataset and, if given, set the worker's OpenBLAS threads."""
     global _data
     _data = data
+    if blas_threads is not None:
+        openblas_threads()[1](blas_threads)
+
+
+def _pool(data, jobs: int) -> ProcessPoolExecutor:
+    """`jobs` workers holding `data`, each capped at max(1, nproc // jobs) OpenBLAS
+    threads; without a known OpenBLAS symbol, one warning and no cap."""
+    threads = max(1, len(os.sched_getaffinity(0)) // jobs)
+    if openblas_threads() is None:
+        logging.getLogger(__name__).warning(
+            "no OpenBLAS thread-count symbol found; pool workers keep their default threads")
+        threads = None
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_share_data,
+                               initargs=(data, threads))
 
 
 def _run_cell(args):
-    """Train one (width, lambda, seed) to the largest budget; rows of every budget.
+    """Train the seeds of one (width, lambda) in lockstep to the largest budget;
+    rows of every seed and budget, in seed order.
 
     A run of b epochs is a prefix of the longer run: lr, the LOAT schedule
     and the per-epoch generators do not depend on the budget.  So each
     budget's rows are the longer run's records at that budget's epochs.
     """
-    spec, width, lam, seed = args
+    spec, width, lam, seeds = args
     wanted = {b: metric_epochs(b, _metrics_every(b)) for b in spec.epochs_list}
-    cfg = _cell_config(spec, _data, width, lam, seed, max(spec.epochs_list))
-    _, history = train(cfg, _data, record_epochs=set().union(*wanted.values()))
+    cfgs = [_cell_config(spec, _data, width, lam, seed, max(spec.epochs_list))
+            for seed in seeds]
+    runs = train_stack(cfgs, _data, record_epochs=set().union(*wanted.values()))
     return [record_row(rec, f"w{width}_l{lam:g}_s{seed}_e{budget}", width, lam, seed, budget)
+            for seed, (_, history) in zip(seeds, runs)
             for budget in spec.epochs_list
             for rec in history if rec.epoch in wanted[budget]]
+
+
+def _tasks(spec: SweepSpec, jobs: int) -> list:
+    """The sweep's tasks (spec, width, lambda, seeds) in grid order, lambda=0 included.
+
+    One task per (width, lambda) stack; with fewer stacks than jobs, each
+    stack's seeds split into ceil(jobs / stacks) contiguous parts (at most
+    one per seed), so every worker gets a task.
+    """
+    lambdas = tuple(spec.lambdas)
+    if 0.0 not in lambdas:
+        lambdas = (0.0,) + lambdas
+    stacks = [(w, lam) for w in spec.widths for lam in lambdas]
+    seeds = spec.seeds
+    parts = min(len(seeds), -(-jobs // len(stacks)))
+    split = [seeds[i * len(seeds) // parts:(i + 1) * len(seeds) // parts] for i in range(parts)]
+    return [(spec, w, lam, part) for w, lam in stacks for part in split]
 
 
 def run_sweep(spec: SweepSpec, data: DatasetHandle, jobs: int = 1) -> list:
     """Train the full grid plus the lambda=0 family; returns CSV rows."""
     check_count(jobs, "jobs")
-    lambdas = tuple(spec.lambdas)
-    if 0.0 not in lambdas:
-        lambdas = (0.0,) + lambdas
-    cells = [(spec, w, lam, s) for w in spec.widths for lam in lambdas for s in spec.seeds]
-    # Heaviest first, so no worker is left with a long cell at the end:
-    # cells that run an attack (lambda > 0), then the widest.  The sort is
-    # stable and rows are emitted in grid order all the same.
-    order = sorted(range(len(cells)), key=lambda i: (cells[i][2] == 0.0, -cells[i][1]))
-    queue = [cells[i] for i in order]
+    tasks = _tasks(spec, jobs)
+    # Heaviest first, so no worker is left with a long task at the end:
+    # tasks that run an attack (lambda > 0), then the widest, then the most
+    # seeds.  The sort is stable and rows are emitted in grid order all the same.
+    order = sorted(range(len(tasks)),
+                   key=lambda i: (tasks[i][2] == 0.0, -tasks[i][1], -len(tasks[i][3])))
+    queue = [tasks[i] for i in order]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_data,
-                                 initargs=(data,)) as pool:
+        with _pool(data, jobs) as pool:
             done = list(pool.map(_run_cell, queue))
     else:
         _share_data(data)
         try:
-            done = [_run_cell(c) for c in queue]
+            done = [_run_cell(t) for t in queue]
         finally:
             _share_data(None)
-    by_cell = dict(zip(order, done))
-    rows = [r for i in range(len(cells)) for r in by_cell[i]]
+    by_task = dict(zip(order, done))
+    rows = [r for i in range(len(tasks)) for r in by_task[i]]
     attach_gaps(rows)
     return rows
 

@@ -11,10 +11,20 @@ reproducible in isolation and a whole run replays bit-identically
 
 epoch_wall_ms measures the batch loop only, excluding the per-epoch
 metric evaluation, matching a training-time-per-epoch reading.
+
+train_stack trains configs that differ only in their seeds (model.seed
+and seed) in lockstep, on arrays with a leading stack axis (see core): a
+sweep trains the seeds of one (width, lambda) this way, and each numpy
+call of the step serves every seed.  Each seed keeps its own init, its own
+per-epoch generators, shuffle order and attack draws, so its weights and
+records equal those of its own train() run bit for bit.  epoch_wall_ms is
+then the stacked epoch's time, shared by the stack's seeds.  train is the
+stack of one; a stack of one has no stack axis.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +33,8 @@ import numpy as np
 from .attacks import AttackSpec, pgd
 # softmax_rows is unused here but stays bound: perfbench's tracer counts the
 # softmax passes of this module through this name.
-from .core import ParameterError, check_count, make_rng, softmax_rows  # noqa: F401
+from .core import (ParameterError, check_count, make_rng, seeds_of,  # noqa: F401
+                   softmax_rows, stack_of)
 from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule, loat
@@ -83,7 +94,7 @@ class MetricsRecord:
 
 
 def sgd_step(weights: list, grads: list, velocity: list, lr: float, momentum: float):
-    """One momentum-SGD update; mutates and returns (weights, velocity)."""
+    """One momentum-SGD update of a network or a stack; mutates and returns (weights, velocity)."""
     if len(grads) != len(weights) or len(velocity) != len(weights):
         raise ParameterError("weights, grads, velocity must have equal layer counts")
     for w, g, v in zip(weights, grads, velocity):
@@ -101,8 +112,12 @@ def _epoch_rngs(seed: int, epoch: int):
 
 
 def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
-                attack_rng) -> tuple:
-    """One gradient computation; returns (loss, weight_grads).  adv is None if no attack ran."""
+                attack_rng, seeds=None) -> tuple:
+    """One gradient computation; returns (loss, weight_grads).  adv is None if no attack ran.
+
+    For a stack, attack_rng holds one generator per seed, `seeds` names the
+    seeds in stack order, and the loss has one value per seed.
+    """
     obj = cfg.objective
     clean = forward(weights, batch.inputs)
     adv = None
@@ -125,8 +140,11 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
         clean_grad = clean_grad + pen_clean
         adv_grad = adv_grad + pen_adv
 
-    if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite loss {loss} at epoch {epoch}")
+    diverged = np.flatnonzero(~np.isfinite(loss))
+    if diverged.size:
+        i = diverged[0]
+        raise DivergenceError(f"non-finite loss {np.ravel(loss)[i]} at epoch {epoch} for seed "
+                              f"{cfg.seed if seeds is None else seeds[i]}")
 
     weight_grads, _ = backward(weights, clean, clean_grad)
     if adv is not None:
@@ -144,43 +162,67 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
     computed on the training split.  Undefined metrics stay None.  Each
     split is forwarded once: the train logits serve the risk and the
     radius estimates, the test trace the risk and every eval attack's
-    clean start.
+    clean start.  For a stack of networks the forwards and attacks serve
+    every seed at once (each attack with its own generator per seed), and
+    the result is one record per seed.
     """
+    test = data.test
+    stack = weights[0].shape[:-2]  # (S,) for a stack of S networks, () for one
+    if stack:  # the test split, attacked on every network of the stack
+        test = LabeledBatch(np.broadcast_to(test.inputs, stack + test.inputs.shape),
+                            np.broadcast_to(test.labels, stack + test.labels.shape),
+                            test.num_classes)
     train_logits = forward(weights, data.train.inputs).logits
-    train_report = risk_from_logits(train_logits, data.train.labels)
-    test_trace = forward(weights, data.test.inputs)
-    test_report = risk_from_logits(test_trace.logits, data.test.labels)
-
+    test_trace = forward(weights, test.inputs)
     adv_acc = {}
     for name, spec in eval_attacks:
-        adv_inputs = pgd(weights, data.test, spec, make_rng(attack_seed),
-                         clean_trace=test_trace)
-        adv_logits = forward(weights, adv_inputs).logits
-        adv_acc[name] = float(correct_mask(adv_logits, data.test.labels).mean())
+        rng = stack_of([make_rng(attack_seed) for _ in seeds_of(weights[0])])
+        adv_logits = forward(weights, pgd(weights, test, spec, rng, clean_trace=test_trace)).logits
+        adv_acc[name] = seeds_of(correct_mask(adv_logits, test.labels).mean(axis=-1), ndim=0)
 
-    est = radius_estimates_from_logits(train_logits, data.train.labels)
-    g_ce, bound_lo, bound_hi = bounds_of(est, data.train.num_classes)
-
-    return MetricsRecord(
-        epoch=epoch,
-        clean_train_loss=train_report.mean_loss,
-        clean_train_acc=train_report.accuracy,
-        clean_test_loss=test_report.mean_loss,
-        clean_test_acc=test_report.accuracy,
-        adv_test_acc=adv_acc,
-        gamma_hat=est.gamma_hat,
-        gamma_hat_c=est.gamma_hat_c,
-        gamma_hat_m=est.gamma_hat_m,
-        gamma_ce=g_ce,
-        bound_lower=bound_lo,
-        bound_upper=bound_hi,
-        epoch_wall_ms=epoch_wall_ms,
-    )
+    records = []
+    for s, (z_train, z_test) in enumerate(zip(seeds_of(train_logits),
+                                              seeds_of(test_trace.logits))):
+        train_report = risk_from_logits(z_train, data.train.labels)
+        test_report = risk_from_logits(z_test, data.test.labels)
+        est = radius_estimates_from_logits(z_train, data.train.labels)
+        g_ce, bound_lo, bound_hi = bounds_of(est, data.train.num_classes)
+        records.append(MetricsRecord(
+            epoch=epoch,
+            clean_train_loss=train_report.mean_loss,
+            clean_train_acc=train_report.accuracy,
+            clean_test_loss=test_report.mean_loss,
+            clean_test_acc=test_report.accuracy,
+            adv_test_acc={name: float(acc[s]) for name, acc in adv_acc.items()},
+            gamma_hat=est.gamma_hat,
+            gamma_hat_c=est.gamma_hat_c,
+            gamma_hat_m=est.gamma_hat_m,
+            gamma_ce=g_ce,
+            bound_lower=bound_lo,
+            bound_upper=bound_hi,
+            epoch_wall_ms=epoch_wall_ms,
+        ))
+    return records if stack else records[0]
 
 
 def metric_epochs(epochs: int, every: int) -> set:
     """Epochs a run of `epochs` evaluates after: every `every`-th and the last."""
     return {e for e in range(1, epochs + 1) if e % every == 0 or e == epochs}
+
+
+def check_fit(cfg: TrainConfig, data: DatasetHandle) -> None:
+    """ParameterError unless the model's first and last widths fit the dataset."""
+    widths = cfg.model.layer_widths
+    if data.train.dim != widths[0]:
+        raise ParameterError(f"model.widths: first width {widths[0]} must match the "
+                             f"dataset dimension {data.train.dim}")
+    if data.train.num_classes != widths[-1]:
+        raise ParameterError(f"model.widths: last width {widths[-1]} must match the "
+                             f"class count {data.train.num_classes}")
+
+
+def _unseeded(cfg: TrainConfig) -> TrainConfig:
+    return dataclasses.replace(cfg, seed=0, model=dataclasses.replace(cfg.model, seed=0))
 
 
 def train(cfg: TrainConfig, data: DatasetHandle, record_epochs=None):
@@ -190,24 +232,33 @@ def train(cfg: TrainConfig, data: DatasetHandle, record_epochs=None):
     metric_epochs(cfg.epochs, cfg.metrics_every).  A sweep passes the
     union of several budgets' epochs to read them off one run.
     """
-    if data.train.dim != cfg.model.layer_widths[0]:
-        raise ParameterError("model input width must match dataset dimension")
-    if data.train.num_classes != cfg.model.layer_widths[-1]:
-        raise ParameterError("model output width must match class count")
+    return train_stack([cfg], data, record_epochs)[0]
 
-    weights = init_weights(cfg.model)
+
+def train_stack(cfgs: list, data: DatasetHandle, record_epochs=None) -> list:
+    """Train configs equal apart from model.seed and seed in lockstep; returns
+    (final_weights, history) per config, each equal to its own train() run.
+    A non-finite loss in any seed raises DivergenceError naming that seed."""
+    if not cfgs or any(_unseeded(c) != _unseeded(cfgs[0]) for c in cfgs):
+        raise ParameterError("a stack needs configs that differ only in model.seed and seed")
+    cfg = cfgs[0]
+    check_fit(cfg, data)
+    seeds = [c.seed for c in cfgs]
+    weights = [stack_of(layer) for layer in zip(*(init_weights(c.model) for c in cfgs))]
     velocity = [np.zeros_like(w) for w in weights]
     if record_epochs is None:
         record_epochs = metric_epochs(cfg.epochs, cfg.metrics_every)
-    history = []
+    histories = [[] for _ in cfgs]
     for epoch in range(1, cfg.epochs + 1):
-        shuffle_rng, attack_rng = _epoch_rngs(cfg.seed, epoch)
+        shuffle_rngs, attack_rngs = zip(*(_epoch_rngs(seed, epoch) for seed in seeds))
         t0 = time.perf_counter()
-        for batch in batches(data.train, cfg.batch_size, shuffle_rng):
-            _, grads = _batch_step(weights, batch, cfg, epoch, attack_rng)
+        for batch in batches(data.train, cfg.batch_size, stack_of(shuffle_rngs)):
+            _, grads = _batch_step(weights, batch, cfg, epoch, stack_of(attack_rngs), seeds)
             sgd_step(weights, grads, velocity, cfg.lr, cfg.momentum)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         if epoch in record_epochs:
-            history.append(evaluate(weights, data, cfg.eval_attacks,
-                                    epoch=epoch, epoch_wall_ms=wall_ms))
-    return weights, history
+            records = evaluate(weights, data, cfg.eval_attacks, epoch=epoch, epoch_wall_ms=wall_ms)
+            for history, rec in zip(histories, records if len(cfgs) > 1 else [records]):
+                history.append(rec)
+    per_seed_weights = zip(*(seeds_of(w) for w in weights))
+    return [(list(w), history) for w, history in zip(per_seed_weights, histories)]

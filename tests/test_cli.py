@@ -360,11 +360,14 @@ class TestConfigErrors:
         ("sweep", ["train", "lr"], -0.1, "lr"),
         ("sweep", ["train", "momentum"], 1.0, "momentum"),
         ("sweep", ["grid", "lambdas"], ["x"], "lambdas"),
+        ("train", ["model", "widths"], [5, 6, 3], "widths"),
+        ("train", ["model", "widths"], [4, 6, 2], "widths"),
     ], ids=["train-list", "attack-list", "schedule-list", "dataset-n_train-str",
             "dataset-spread-str", "train-lr-str", "sweep-momentum-str", "attack-k-float",
             "model-widths-float", "grid-widths-float", "grid-seeds-str", "model-seed-negative",
             "train-seed-negative", "grid-seeds-negative", "sweep-lr-negative",
-            "sweep-momentum-one", "grid-lambdas-str"])
+            "sweep-momentum-one", "grid-lambdas-str", "model-widths-first-not-d",
+            "model-widths-last-not-k"])
     def test_shape_exit_one_naming_the_field(self, tmp_path, capsys, command, path, value,
                                              field):
         # each of these exited 2 (runtime error) or exited 1 without the field's name, some
@@ -390,11 +393,14 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_one(self, tmp_path, capsys, jobs):
+        # --jobs 0 used to exit 1 only after creating --out
+        out = tmp_path / "o"
         argv = ["sweep", "--config", str(write_config(tmp_path, SWEEP_CONFIG)),
-                "--out", str(tmp_path / "o"), "--jobs", jobs]
+                "--out", str(out), "--jobs", jobs]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "jobs" in err
+        assert not out.exists()
 
 
 def config_hash(cfg) -> str:

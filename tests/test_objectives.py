@@ -291,6 +291,12 @@ class TestTrades:
         assert max_rel_err(g_clean, num_clean) < 1e-7
         assert max_rel_err(g_adv, num_adv) < 1e-7
 
+    def test_adv_rows_must_match_clean_rows(self):
+        # a 1-row adversarial matrix used to broadcast against 4 clean rows
+        clean = make_rng(14).standard_normal((4, 3))
+        with pytest.raises(ShapeError):
+            trades_from_logits(clean, clean[:1], [0, 1, 2, 0], 6.0)
+
     @settings(deadline=None, database=None, max_examples=300)
     @given(logits_and_labels(with_inf=True), st.integers(0, 2**32 - 1),
            st.sampled_from([0.5, 1.0, 6.0]))

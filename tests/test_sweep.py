@@ -1,3 +1,6 @@
+import logging
+import os
+
 import pytest
 
 from advlab import sweep
@@ -93,8 +96,9 @@ class TestRunSweep:
         assert strip_timing(serial) == strip_timing(parallel)
 
     def test_heaviest_cells_first_rows_in_grid_order(self, monkeypatch):
-        # cells with an attack run first, widest first, so the pool's tail
-        # holds the light cells; rows still come out in grid order
+        # a task trains the seeds of one (width, lambda) in lockstep; tasks with
+        # an attack run first, widest first, so the pool's tail holds the light
+        # tasks; rows still come out in grid order
         started = []
         run_cell = sweep._run_cell
 
@@ -109,10 +113,61 @@ class TestRunSweep:
                          attack=AttackSpec(eps=0.05, alpha=0.02, k=1),
                          batch_size=20)
         rows = run_sweep(spec, data, jobs=1)
+        stacks = [(w, lam, (0, 1)) for w in (3, 6) for lam in (0.0, 0.5, 1.0)]
+        assert started == sorted(stacks, key=lambda c: (c[1] == 0.0, -c[0]))
+        assert started[:2] == [(6, 0.5, (0, 1)), (6, 1.0, (0, 1))]
         grid = [(w, lam, s) for w in (3, 6) for lam in (0.0, 0.5, 1.0) for s in (0, 1)]
-        assert started == sorted(grid, key=lambda c: (c[1] == 0.0, -c[0]))
-        assert started[:4] == [(6, 0.5, 0), (6, 0.5, 1), (6, 1.0, 0), (6, 1.0, 1)]
         assert [(r["width"], r["lambda"], r["seed"]) for r in rows] == grid
+
+    @pytest.mark.parametrize("jobs, parts", [(1, [(0, 1, 2, 3, 4)]), (4, [(0, 1), (2, 3, 4)]),
+                                             (5, [(0,), (1, 2), (3, 4)]),
+                                             (7, [(0,), (1,), (2,), (3, 4)]),
+                                             (40, [(0,), (1,), (2,), (3,), (4,)])])
+    def test_fewer_stacks_than_jobs_split_the_seeds(self, jobs, parts):
+        # two (width, lambda) stacks: lambda 0.5 and the automatic lambda 0
+        spec = SweepSpec(widths=(4,), lambdas=(0.5,), seeds=(0, 1, 2, 3, 4), epochs_list=(1,))
+        tasks = sweep._tasks(spec, jobs)
+        assert [(w, lam, seeds) for _, w, lam, seeds in tasks] == \
+               [(4, lam, part) for lam in (0.0, 0.5) for part in parts]
+        assert len(tasks) >= min(jobs, 2 * len(spec.seeds))
+
+    def test_split_stacks_match_one_worker(self):
+        # 2 stacks for 3 workers: each stack's seeds split in two, so every worker
+        # gets a task; rows equal the unsplit run's
+        data = blob_dataset(3, 40, 20, 4, 2, 0.15)
+        spec = SweepSpec(widths=(4,), lambdas=(0.5,), seeds=(0, 1, 2), epochs_list=(2,),
+                         attack=AttackSpec(eps=0.05, alpha=0.02, k=2), batch_size=20)
+        assert len(sweep._tasks(spec, 3)) == 4
+        assert strip_timing(run_sweep(spec, data, jobs=3)) == \
+               strip_timing(run_sweep(spec, data, jobs=1))
+
+
+def _blas_threads(_):
+    """A pool task: the OpenBLAS thread count of the worker that runs it."""
+    return sweep.openblas_threads()[0]()
+
+
+class TestPoolBlasThreads:
+    def test_workers_report_the_capped_count(self):
+        blas = sweep.openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's bundled libraries export no known OpenBLAS thread-count symbol")
+        before = blas[0]()
+        with sweep._pool(None, 2) as pool:
+            counts = set(pool.map(_blas_threads, range(8)))
+        assert counts == {max(1, len(os.sched_getaffinity(0)) // 2)}
+        assert blas[0]() == before  # the parent keeps its thread count
+
+    def test_no_symbol_one_warning_and_no_cap(self, monkeypatch, caplog):
+        monkeypatch.setattr(sweep, "openblas_threads", lambda: None)
+        data = blob_dataset(1, 40, 20, 4, 2, 0.15)
+        spec = SweepSpec(widths=(4,), lambdas=(0.5,), seeds=(0,), epochs_list=(1,),
+                         attack=AttackSpec(eps=0.05, alpha=0.02, k=1), batch_size=20)
+        with caplog.at_level(logging.WARNING, logger="advlab.sweep"):
+            rows = run_sweep(spec, data, jobs=2)
+        assert len(rows) == 2
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "OpenBLAS" in caplog.records[0].getMessage()
 
 
 class TestOneTrajectoryPerCell:
