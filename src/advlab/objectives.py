@@ -121,7 +121,8 @@ def mixture_from_logits(clean_logits, adv_logits, labels, lam: float):
         adv_ce, adv_g = clean_ce, clean_g
     else:
         adv_ce, adv_g = ce_loss_and_grad(adv_logits, labels)
-    loss = (1.0 - lam) * clean_ce.mean(axis=-1) + lam * adv_ce.mean(axis=-1)
+    loss = per_seed(lambda c, a: (1.0 - lam) * float(c.mean()) + lam * float(a.mean()),
+                    clean_ce, adv_ce)
     n = clean_g.shape[-2]
     return loss, (1.0 - lam) / n * clean_g, lam / n * adv_g
 
@@ -149,7 +150,7 @@ def trades_from_logits(clean_logits, adv_logits, labels, beta: float):
     clean_ce, clean_ce_grad = _ce_terms(clean_logits, labels, lse_q, q.copy())
     # exp(log_p), not p: the KL keeps the bits of its log-domain definition
     kl = (np.exp(log_p) * r).sum(axis=-1)
-    loss = clean_ce.mean(axis=-1) + beta * kl.mean(axis=-1)
+    loss = per_seed(lambda c, k: float(c.mean()) + beta * float(k.mean()), clean_ce, kl)
     n = clean_logits.shape[-2]
     # d KL / d clean logits = q - p; d KL / d adv logits through softmax(p)
     clean_grad = (clean_ce_grad + beta * (q - p)) / n

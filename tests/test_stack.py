@@ -99,7 +99,6 @@ class TestStackedEqualsSeparate:
 
 class TestStackChecks:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_diverging_seed_is_named(self, monkeypatch):
         # seed 7's weights put its largest training logit at 0.9 of the float64
         # limit: the logits stay finite, but its cross-entropy overflows; seed 3
