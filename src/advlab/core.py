@@ -60,10 +60,11 @@ def seeds_of(a: np.ndarray, ndim: int = 2) -> list:
 
 
 def per_seed(rule, *arrays):
-    """rule(*rows) for each seed's (n,) rows of (..., n) arrays: one value for unstacked
-    arrays, else an array with one value per seed."""
-    values = [rule(*rows) for rows in zip(*(a.reshape(-1, a.shape[-1]) for a in arrays))]
-    return values[0] if arrays[0].ndim == 1 else np.array(values)
+    """rule(*rows) on (n,) arrays, or on each seed's rows of (S, n) arrays, giving
+    an array with one value per seed."""
+    if arrays[0].ndim == 1:
+        return rule(*arrays)
+    return np.array([rule(*rows) for rows in zip(*arrays)])
 
 
 def check_finite(m: np.ndarray, what: str = "result") -> np.ndarray:

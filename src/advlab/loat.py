@@ -138,7 +138,8 @@ def _softmax_chain(probs: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:
 
 def _subset_mean(values: np.ndarray, subset: np.ndarray) -> float:
     """Mean of one seed's values over its subset rows; 0 for an empty subset."""
-    return float(values[subset].mean()) if subset.any() else 0.0
+    chosen = values[subset]
+    return float(chosen.mean()) if chosen.size else 0.0
 
 
 def _penalty(scale, gamma, sq_dev, mask, pair_sq=None, subset=None) -> float:
@@ -146,13 +147,8 @@ def _penalty(scale, gamma, sq_dev, mask, pair_sq=None, subset=None) -> float:
     mean pairing distance over `subset` when that subset is nonempty."""
     penalty = scale * (_subset_mean(sq_dev, mask) - _subset_mean(sq_dev, ~mask))
     if subset is not None and subset.any():
-        penalty += gamma * _subset_mean(pair_sq, subset)
+        penalty += gamma * float(pair_sq[subset].mean())
     return penalty
-
-
-def _row_counts(subset: np.ndarray) -> np.ndarray:
-    """Rows in each seed's subset, at least 1, shaped to divide its (..., n, K) terms."""
-    return np.maximum(subset.sum(axis=-1), 1)[..., None, None]
 
 
 def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits=None):
@@ -178,18 +174,21 @@ def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits
     k = probs.shape[-1]
     dev, sq_dev = _sq_dev(probs, labels, _nonlabel_mean(probs, labels))
     scale = (1.0 if phase == "early" else -1.0) * sched.tau
+    # rows in each seed's correct and misclassified subsets
+    n_c = mask.sum(axis=-1)[..., None, None]
+    n_m = mask.shape[-1] - n_c
     # d/d sigma of P_C_low - P_M_low: rows of each subset over that subset's size
     scaled = (2.0 / (k - 1)) * dev
-    d_sigma = scale * np.where(mask[..., None], scaled / _row_counts(mask),
-                               0.0 - scaled / _row_counts(~mask))
+    d_sigma = scale * np.where(mask[..., None], scaled / np.maximum(n_c, 1),
+                               0.0 - scaled / np.maximum(n_m, 1))
     terms = [sq_dev, mask]
 
     if sched.variant == "LORE" and adv_logits is not None:
         adv_probs = softmax_rows(adv_logits)
-        subset = ~mask if phase == "early" else mask
+        subset, count = (~mask, n_m) if phase == "early" else (mask, n_c)
         diff = probs - adv_probs
         terms += [(diff ** 2).sum(axis=-1), subset]
-        pair_grad = 2.0 * diff / _row_counts(subset)
+        pair_grad = 2.0 * diff / np.maximum(count, 1)
         d_sigma = d_sigma + sched.gamma * np.where(subset[..., None], pair_grad, 0.0)
         adv_grad = _softmax_chain(
             adv_probs, sched.gamma * np.where(subset[..., None], -pair_grad, 0.0))

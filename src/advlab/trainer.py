@@ -140,9 +140,8 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
         clean_grad = clean_grad + pen_clean
         adv_grad = adv_grad + pen_adv
 
-    diverged = np.flatnonzero(~np.isfinite(loss))
-    if diverged.size:
-        i = diverged[0]
+    if not np.isfinite(loss).all():
+        i = np.flatnonzero(~np.isfinite(loss))[0]
         raise DivergenceError(f"non-finite loss {np.ravel(loss)[i]} at epoch {epoch} for seed "
                               f"{cfg.seed if seeds is None else seeds[i]}")
 

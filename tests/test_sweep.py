@@ -154,7 +154,7 @@ class TestPoolBlasThreads:
             pytest.skip("numpy's bundled libraries export no known OpenBLAS thread-count symbol")
         before = blas[0]()
         with sweep._pool(None, 2) as pool:
-            counts = set(pool.map(_blas_threads, range(8)))
+            counts = set(pool.map(_blas_threads, range(8), timeout=120))
         assert counts == {max(1, len(os.sched_getaffinity(0)) // 2)}
         assert blas[0]() == before  # the parent keeps its thread count
 
