@@ -14,11 +14,11 @@ forwarded the clean batch (the trainer does) passes that trace as
 `clean_trace`; it supplies the clean CE and the first gradient.  The
 outputs are bit-identical to forwarding every iterate twice.
 
-A stacked batch (see core) attacked through a stack of networks runs
-every seed's attack in the same numpy calls.  Its `rng` is then a list of
-generators, one per seed, and each seed's random start is drawn from its
-own, in seed order.  The labels are checked once per attack, not once per
-iterate.
+pgd attacks one network; pgd_stack attacks a stacked batch (see core)
+through a stack of networks, every seed's attack in the same numpy calls.
+Its generators are a list, one per seed, and each seed's random start is
+drawn from its own, in seed order.  The labels are checked once per
+attack, not once per iterate.
 
 FGSM is PGD with p="inf", alpha=eps, k=1: with track_best=False the
 output is clip(x + eps*sign(grad), 0, 1) bit for bit (for eps=0 any
@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import ParameterError, ShapeError, as_stack, check_labels
 from .data import LabeledBatch
-from .mlp import ForwardTrace, forward, input_grad
+from .mlp import ForwardTrace, forward, forward_stack, input_grad
 from .objectives import ce_loss, checked_ce_loss_and_grad
 
 
@@ -91,12 +91,27 @@ def _draw(rng, shape: tuple, draw) -> np.ndarray:
 
 
 def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
-        rng=None, clean_trace: ForwardTrace | None = None) -> np.ndarray:
+        rng: np.random.Generator | None = None,
+        clean_trace: ForwardTrace | None = None) -> np.ndarray:
     """k-step projected gradient ascent on CE inside the eps-ball.
 
-    `rng` is a generator, or a list of one per seed for a stacked batch.
     `clean_trace`, if given, must be forward(weights, batch.inputs).
     """
+    return _pgd(weights, batch, spec, rng, clean_trace, forward)
+
+
+def pgd_stack(weights: list, batch: LabeledBatch, spec: AttackSpec,
+              rngs: list | None = None,
+              clean_trace: ForwardTrace | None = None) -> np.ndarray:
+    """pgd of a stack of networks on a stacked batch, with one generator per seed.
+
+    `clean_trace`, if given, must be forward_stack(weights, batch.inputs).
+    """
+    return _pgd(weights, batch, spec, rngs, clean_trace, forward_stack)
+
+
+def _pgd(weights, batch, spec, rng, clean_trace, forward):
+    """The attack of pgd and pgd_stack; `forward` is the forward pass of the caller."""
     x0 = batch.inputs
     labels = batch.labels
     if spec.eps == 0.0:

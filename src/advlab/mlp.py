@@ -7,9 +7,10 @@ homogeneity).  The ReLU subgradient at exactly 0 is taken as 0.
 backward and input_grad read one reverse chain, so their input gradients
 agree bit for bit.  A ForwardTrace keeps each activation once (inputs,
 hidden, logits): a hidden activation relu(z) is also its ReLU mask.
-forward, backward and input_grad also run a stack of networks (weights
-S x H_l x H_{l-1}) on a stack of batches, or on one batch shared by the
-stack; each slice gets the bits of its own 2-D call (see core).
+forward and backward take one network.  forward_stack and backward_stack
+run a stack of networks (weights S x H_l x H_{l-1}) on a stack of batches,
+or on one batch shared by the stack, and input_grad takes either; each
+slice gets the bits of its own 2-D call (see core).
 
 Checkpoint format (little-endian): magic "AMLP" | u8 version=1 |
 u32 L+1 | (L+1) x u32 widths | per layer row-major float64 entries.
@@ -27,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, as_stack, check_count, check_finite, make_rng
+from .core import (ParameterError, ShapeError, as_matrix, as_stack, check_count, check_finite,
+                   make_rng)
 
 CHECKPOINT_MAGIC = b"AMLP"
 CHECKPOINT_VERSION = 1
@@ -74,9 +76,25 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _one(weights: list) -> list:
+    """weights, if they are one network's matrices; else ShapeError."""
+    if weights[0].ndim != 2:
+        raise ShapeError(f"expected one network's weight matrices, got ndim={weights[0].ndim}"
+                         " (a stack runs through forward_stack and backward_stack)")
+    return weights
+
+
 def forward(weights: list, inputs) -> ForwardTrace:
-    """Forward pass keeping every intermediate needed for backprop."""
-    inputs = as_stack(inputs)
+    """Forward pass of one network keeping every intermediate needed for backprop."""
+    return _forward(_one(weights), as_matrix(inputs))
+
+
+def forward_stack(weights: list, inputs) -> ForwardTrace:
+    """forward of a stack of networks on a stacked batch (S x n x d) or a shared one (n x d)."""
+    return _forward(weights, as_stack(inputs))
+
+
+def _forward(weights: list, inputs: np.ndarray) -> ForwardTrace:
     if inputs.shape[-1] != weights[0].shape[-1]:
         raise ShapeError(
             f"input dim {inputs.shape[-1]} != first layer fan-in {weights[0].shape[-1]}"
@@ -103,11 +121,21 @@ def _deltas(weights: list, trace: ForwardTrace, logit_grad):
 
 
 def backward(weights: list, trace: ForwardTrace, logit_grad):
-    """Exact reverse-mode gradients.
+    """Exact reverse-mode gradients of one network.
 
     Returns (weight_grads, input_grad) for the scalar whose gradient with
-    respect to the logits is `logit_grad` (n x K, or S x n x K for a stack).
+    respect to the logits is `logit_grad` (n x K).
     """
+    return _backward(_one(weights), trace, logit_grad)
+
+
+def backward_stack(weights: list, trace: ForwardTrace, logit_grad):
+    """backward of a stack of networks: logit_grad is S x n x K, and the
+    weight gradients and input gradient have one slice per seed."""
+    return _backward(weights, trace, logit_grad)
+
+
+def _backward(weights: list, trace: ForwardTrace, logit_grad):
     chain = _deltas(weights, trace, logit_grad)
     # layer l's input is [inputs, *hidden][l]; the chain runs from the last layer
     weight_grads = [_t(next(chain)) @ h for h in reversed([trace.inputs, *trace.hidden])]

@@ -15,11 +15,13 @@ metric evaluation, matching a training-time-per-epoch reading.
 train_stack trains configs that differ only in their seeds (model.seed
 and seed) in lockstep, on arrays with a leading stack axis (see core): a
 sweep trains the seeds of one (width, lambda) this way, and each numpy
-call of the step serves every seed.  Each seed keeps its own init, its own
-per-epoch generators, shuffle order and attack draws, so its weights and
-records equal those of its own train() run bit for bit.  epoch_wall_ms is
-then the stacked epoch's time, shared by the stack's seeds.  train is the
-stack of one; a stack of one has no stack axis.
+call of the batch step serves every seed.  Each seed keeps its own init,
+its own per-epoch generators, shuffle order and attack draws, so its
+weights and records equal those of its own train() run bit for bit.  The
+per-epoch metrics are evaluated one seed at a time, so the whole-split
+working set of evaluate is held for one network, not for the stack.
+epoch_wall_ms is the stacked epoch's time, shared by the stack's seeds.
+train runs the same loop on a stack of one, which has no stack axis.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackSpec, pgd
+from .attacks import AttackSpec, pgd, pgd_stack
 # softmax_rows is unused here but stays bound: perfbench's tracer counts the
 # softmax passes of this module through this name.
 from .core import (ParameterError, check_count, make_rng, seeds_of,  # noqa: F401
@@ -38,7 +40,7 @@ from .core import (ParameterError, check_count, make_rng, seeds_of,  # noqa: F40
 from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule, loat
-from .mlp import MlpConfig, backward, forward, init_weights
+from .mlp import MlpConfig, backward, backward_stack, forward, forward_stack, init_weights
 from .objectives import (ObjectiveSpec, correct_mask, mixture_from_logits,
                          risk_from_logits, trades_from_logits)
 
@@ -118,11 +120,13 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
     For a stack, attack_rng holds one generator per seed, `seeds` names the
     seeds in stack order, and the loss has one value per seed.
     """
+    fwd, bwd, attack = ((forward_stack, backward_stack, pgd_stack) if weights[0].ndim == 3
+                        else (forward, backward, pgd))
     obj = cfg.objective
-    clean = forward(weights, batch.inputs)
+    clean = fwd(weights, batch.inputs)
     adv = None
     if obj.needs_attack:
-        adv = forward(weights, pgd(weights, batch, cfg.attack, attack_rng, clean_trace=clean))
+        adv = fwd(weights, attack(weights, batch, cfg.attack, attack_rng, clean_trace=clean))
     adv_logits = None if adv is None else adv.logits
 
     if obj.kind == "trades":
@@ -145,9 +149,9 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
         raise DivergenceError(f"non-finite loss {np.ravel(loss)[i]} at epoch {epoch} for seed "
                               f"{cfg.seed if seeds is None else seeds[i]}")
 
-    weight_grads, _ = backward(weights, clean, clean_grad)
+    weight_grads, _ = bwd(weights, clean, clean_grad)
     if adv is not None:
-        adv_wgrads, _ = backward(weights, adv, adv_grad)
+        adv_wgrads, _ = bwd(weights, adv, adv_grad)
         weight_grads = [a + b for a, b in zip(weight_grads, adv_wgrads)]
     return loss, weight_grads
 
@@ -161,47 +165,38 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
     computed on the training split.  Undefined metrics stay None.  Each
     split is forwarded once: the train logits serve the risk and the
     radius estimates, the test trace the risk and every eval attack's
-    clean start.  For a stack of networks the forwards and attacks serve
-    every seed at once (each attack with its own generator per seed), and
-    the result is one record per seed.
+    clean start.
     """
-    test = data.test
-    stack = weights[0].shape[:-2]  # (S,) for a stack of S networks, () for one
-    if stack:  # the test split, attacked on every network of the stack
-        test = LabeledBatch(np.broadcast_to(test.inputs, stack + test.inputs.shape),
-                            np.broadcast_to(test.labels, stack + test.labels.shape),
-                            test.num_classes)
     train_logits = forward(weights, data.train.inputs).logits
-    test_trace = forward(weights, test.inputs)
+    train_report = risk_from_logits(train_logits, data.train.labels)
+    test_trace = forward(weights, data.test.inputs)
+    test_report = risk_from_logits(test_trace.logits, data.test.labels)
+
     adv_acc = {}
     for name, spec in eval_attacks:
-        rng = stack_of([make_rng(attack_seed) for _ in seeds_of(weights[0])])
-        adv_logits = forward(weights, pgd(weights, test, spec, rng, clean_trace=test_trace)).logits
-        adv_acc[name] = seeds_of(correct_mask(adv_logits, test.labels).mean(axis=-1), ndim=0)
+        adv_inputs = pgd(weights, data.test, spec, make_rng(attack_seed),
+                         clean_trace=test_trace)
+        adv_logits = forward(weights, adv_inputs).logits
+        adv_acc[name] = float(correct_mask(adv_logits, data.test.labels).mean())
 
-    records = []
-    for s, (z_train, z_test) in enumerate(zip(seeds_of(train_logits),
-                                              seeds_of(test_trace.logits))):
-        train_report = risk_from_logits(z_train, data.train.labels)
-        test_report = risk_from_logits(z_test, data.test.labels)
-        est = radius_estimates_from_logits(z_train, data.train.labels)
-        g_ce, bound_lo, bound_hi = bounds_of(est, data.train.num_classes)
-        records.append(MetricsRecord(
-            epoch=epoch,
-            clean_train_loss=train_report.mean_loss,
-            clean_train_acc=train_report.accuracy,
-            clean_test_loss=test_report.mean_loss,
-            clean_test_acc=test_report.accuracy,
-            adv_test_acc={name: float(acc[s]) for name, acc in adv_acc.items()},
-            gamma_hat=est.gamma_hat,
-            gamma_hat_c=est.gamma_hat_c,
-            gamma_hat_m=est.gamma_hat_m,
-            gamma_ce=g_ce,
-            bound_lower=bound_lo,
-            bound_upper=bound_hi,
-            epoch_wall_ms=epoch_wall_ms,
-        ))
-    return records if stack else records[0]
+    est = radius_estimates_from_logits(train_logits, data.train.labels)
+    g_ce, bound_lo, bound_hi = bounds_of(est, data.train.num_classes)
+
+    return MetricsRecord(
+        epoch=epoch,
+        clean_train_loss=train_report.mean_loss,
+        clean_train_acc=train_report.accuracy,
+        clean_test_loss=test_report.mean_loss,
+        clean_test_acc=test_report.accuracy,
+        adv_test_acc=adv_acc,
+        gamma_hat=est.gamma_hat,
+        gamma_hat_c=est.gamma_hat_c,
+        gamma_hat_m=est.gamma_hat_m,
+        gamma_ce=g_ce,
+        bound_lower=bound_lo,
+        bound_upper=bound_hi,
+        epoch_wall_ms=epoch_wall_ms,
+    )
 
 
 def metric_epochs(epochs: int, every: int) -> set:
@@ -231,13 +226,17 @@ def train(cfg: TrainConfig, data: DatasetHandle, record_epochs=None):
     metric_epochs(cfg.epochs, cfg.metrics_every).  A sweep passes the
     union of several budgets' epochs to read them off one run.
     """
-    return train_stack([cfg], data, record_epochs)[0]
+    return _train([cfg], data, record_epochs)[0]
 
 
 def train_stack(cfgs: list, data: DatasetHandle, record_epochs=None) -> list:
     """Train configs equal apart from model.seed and seed in lockstep; returns
     (final_weights, history) per config, each equal to its own train() run.
     A non-finite loss in any seed raises DivergenceError naming that seed."""
+    return _train(cfgs, data, record_epochs)
+
+
+def _train(cfgs: list, data: DatasetHandle, record_epochs) -> list:
     if not cfgs or any(_unseeded(c) != _unseeded(cfgs[0]) for c in cfgs):
         raise ParameterError("a stack needs configs that differ only in model.seed and seed")
     cfg = cfgs[0]
@@ -256,8 +255,12 @@ def train_stack(cfgs: list, data: DatasetHandle, record_epochs=None) -> list:
             sgd_step(weights, grads, velocity, cfg.lr, cfg.momentum)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         if epoch in record_epochs:
-            records = evaluate(weights, data, cfg.eval_attacks, epoch=epoch, epoch_wall_ms=wall_ms)
-            for history, rec in zip(histories, records if len(cfgs) > 1 else [records]):
-                history.append(rec)
-    per_seed_weights = zip(*(seeds_of(w) for w in weights))
-    return [(list(w), history) for w, history in zip(per_seed_weights, histories)]
+            for history, w in zip(histories, _networks(weights)):
+                history.append(evaluate(w, data, cfg.eval_attacks,
+                                        epoch=epoch, epoch_wall_ms=wall_ms))
+    return list(zip(_networks(weights), histories))
+
+
+def _networks(weights: list) -> list:
+    """Each seed's network (list of matrices) of a stack, in seed order."""
+    return [list(w) for w in zip(*(seeds_of(w) for w in weights))]

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advlab import trainer
-from advlab.attacks import AttackSpec
+from advlab.attacks import AttackSpec, pgd, pgd_stack
 from advlab.core import ParameterError, ShapeError, check_labels, make_rng
 from advlab.data import LabeledBatch, blob_dataset
 from advlab.loat import LoatSchedule
-from advlab.mlp import MlpConfig, init_weights
+from advlab.mlp import MlpConfig, backward, forward, forward_stack, init_weights
 from advlab.objectives import ObjectiveSpec
-from advlab.trainer import (DivergenceError, TrainConfig, _batch_step, evaluate,
-                            train, train_stack)
+from advlab.trainer import DivergenceError, TrainConfig, _batch_step, train, train_stack
 
 DATA = blob_dataset(4, 24, 12, 5, 3, 0.3)
 OBJECTIVES = {"mixture-0": ObjectiveSpec(kind="mixture", lam=0.0),
@@ -87,14 +86,15 @@ class TestStackedEqualsSeparate:
             assert rngs[s].bit_generator.state == want_rngs[s].bit_generator.state
 
     @pytest.mark.parametrize("random_start", [False, True])
-    def test_evaluate_one_record_per_seed(self, random_start):
-        attacks = (("fgsm", AttackSpec(eps=0.1, alpha=0.1, k=1)),
-                   ("pgd", AttackSpec(p="two", eps=0.5, alpha=0.2, k=3,
-                                      random_start=random_start)))
+    def test_pgd_stack_slices_equal_pgd(self, random_start):
+        spec = AttackSpec(p="two", eps=0.5, alpha=0.2, k=3, random_start=random_start)
         weights = [init_weights(MlpConfig([5, 7, 3], seed=s)) for s in (2, 9, 4)]
         stacked = [np.stack(layer) for layer in zip(*weights)]
-        got = evaluate(stacked, DATA, attacks, epoch=3, epoch_wall_ms=1.5)
-        assert got == [evaluate(w, DATA, attacks, epoch=3, epoch_wall_ms=1.5) for w in weights]
+        batch = LabeledBatch(np.stack([DATA.test.inputs] * 3),
+                             np.stack([DATA.test.labels] * 3), 3)
+        got = pgd_stack(stacked, batch, spec, [make_rng(s) for s in (5, 6, 7)])
+        for s, (w, seed) in enumerate(zip(weights, (5, 6, 7))):
+            assert np.array_equal(got[s], pgd(w, DATA.test, spec, make_rng(seed)))
 
 
 class TestStackChecks:
@@ -127,6 +127,18 @@ class TestStackChecks:
             train_stack([base, dataclasses.replace(base, **change)], DATA)
         with pytest.raises(ParameterError):
             train_stack([], DATA)
+
+    def test_one_network_functions_refuse_a_stack(self):
+        # a stack runs through forward_stack, backward_stack and pgd_stack
+        stacked = [np.stack(layer) for layer in zip(*(init_weights(MlpConfig([5, 6, 3], seed=s))
+                                                      for s in (1, 2)))]
+        trace = forward_stack(stacked, DATA.test.inputs)
+        with pytest.raises(ShapeError, match="ndim=3"):
+            forward(stacked, DATA.test.inputs)
+        with pytest.raises(ShapeError, match="ndim=3"):
+            backward(stacked, trace, np.zeros_like(trace.logits))
+        with pytest.raises(ShapeError, match="ndim=3"):
+            pgd(stacked, DATA.test, AttackSpec(k=1))
 
     def test_stack_labels_one_row_per_seed(self):
         assert check_labels([[0, 2], [1, 1]], 2, 2, 3).shape == (2, 2)
