@@ -18,7 +18,7 @@ from .fisher_rao import (BoundInputs, RadiusEstimates, UndefinedMetricError,
                          radius_estimates)
 from .loat import (EmptySubsetError, LoatSchedule, adversarial_pairing,
                    penalty_correct, penalty_wrong)
-from .mlp import (ForwardTrace, MlpConfig, backward, forward, init_weights,
+from .mlp import (ForwardTrace, MlpConfig, backward, forward, init_weights, input_grad,
                   load_checkpoint, save_checkpoint)
 from .objectives import (ObjectiveSpec, RiskReport, ce_loss, ce_loss_and_grad,
                          generalization_gap, risk)

@@ -67,9 +67,17 @@ def per_seed(rule, *arrays):
     return np.array([rule(*rows) for rows in zip(*arrays)])
 
 
-def check_finite(m: np.ndarray, what: str = "result") -> np.ndarray:
+class NonFiniteError(FloatingPointError):
+    """An array holds inf or nan; `part` indexes the first of its per-seed parts that does."""
+
+
+def check_finite(m, what: str = "result", ndim: int = 2):
+    """m, unless it holds inf or nan; NonFiniteError's part counts parts of `ndim` axes."""
     if not np.all(np.isfinite(m)):
-        raise FloatingPointError(f"{what} contains non-finite values")
+        err = NonFiniteError(f"{what} contains non-finite values")
+        err.part = next(i for i, a in enumerate(seeds_of(np.asarray(m), ndim))
+                        if not np.all(np.isfinite(a)))
+        raise err
     return m
 
 

@@ -162,9 +162,12 @@ def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits
     both phases the loss is 0 and the gradients are zero matrices, and
     the adversarial gradient is zero unless the pairing term applies.
     Masks are constants: no gradient flows through the correctness
-    indicators.
+    indicators.  adv_logits, if given, must have the shape of clean_logits.
     """
     clean_logits, labels, mask = _validate(clean_logits, labels, mask)
+    if adv_logits is not None and np.shape(adv_logits) != clean_logits.shape:
+        raise ShapeError(f"adv_logits shape {np.shape(adv_logits)} != "
+                         f"clean_logits shape {clean_logits.shape}")
     adv_grad = np.zeros_like(clean_logits)
     phase = sched.phase(epoch)
     if phase == "off":

@@ -4,9 +4,10 @@ A network is a list of weight matrices W_1..W_L, layer l shaped
 H_l x H_{l-1}; logits(x) = W_L relu(... relu(W_1 x)).  There are no bias
 vectors, so scaling every W_l by c > 0 scales logits by c^L (positive
 homogeneity).  The ReLU subgradient at exactly 0 is taken as 0.
-backward and input_grad read one reverse chain, so their input gradients
-agree bit for bit.  A ForwardTrace keeps each activation once (inputs,
-hidden, logits): a hidden activation relu(z) is also its ReLU mask.
+backward (weight gradients) and input_grad read one reverse chain:
+backward forms no input product delta @ W_1, and input_grad no weight
+gradient.  A ForwardTrace keeps each activation once (inputs, hidden,
+logits): a hidden activation relu(z) is also its mask.
 forward and backward take one network.  forward_stack and backward_stack
 run a stack of networks (weights S x H_l x H_{l-1}) on a stack of batches,
 or on one batch shared by the stack, and input_grad takes either; each
@@ -109,7 +110,7 @@ def _forward(weights: list, inputs: np.ndarray) -> ForwardTrace:
 
 
 def _deltas(weights: list, trace: ForwardTrace, logit_grad):
-    """The reverse chain: the gradient at the output of W_L, ..., W_1, then the inputs."""
+    """The reverse chain: the gradient at the output of W_L, ..., W_1."""
     delta = as_stack(logit_grad)
     if delta.shape != trace.logits.shape:
         raise ShapeError(f"logit_grad shape {delta.shape} != logits shape {trace.logits.shape}")
@@ -117,37 +118,31 @@ def _deltas(weights: list, trace: ForwardTrace, logit_grad):
     for w, h in zip(reversed(weights[1:]), reversed(trace.hidden)):
         delta = (delta @ w) * (h > 0.0)
         yield delta
-    yield delta @ weights[0]
 
 
-def backward(weights: list, trace: ForwardTrace, logit_grad):
-    """Exact reverse-mode gradients of one network.
-
-    Returns (weight_grads, input_grad) for the scalar whose gradient with
-    respect to the logits is `logit_grad` (n x K).
-    """
+def backward(weights: list, trace: ForwardTrace, logit_grad) -> list:
+    """Exact reverse-mode weight gradients [dW_1, ..., dW_L] of one network for
+    the scalar whose gradient with respect to the logits is `logit_grad` (n x K)."""
     return _backward(_one(weights), trace, logit_grad)
 
 
-def backward_stack(weights: list, trace: ForwardTrace, logit_grad):
-    """backward of a stack of networks: logit_grad is S x n x K, and the
-    weight gradients and input gradient have one slice per seed."""
+def backward_stack(weights: list, trace: ForwardTrace, logit_grad) -> list:
+    """backward of a stack of networks: logit_grad is S x n x K, and each
+    weight gradient has one slice per seed."""
     return _backward(weights, trace, logit_grad)
 
 
-def _backward(weights: list, trace: ForwardTrace, logit_grad):
-    chain = _deltas(weights, trace, logit_grad)
+def _backward(weights: list, trace: ForwardTrace, logit_grad) -> list:
     # layer l's input is [inputs, *hidden][l]; the chain runs from the last layer
-    weight_grads = [_t(next(chain)) @ h for h in reversed([trace.inputs, *trace.hidden])]
-    return weight_grads[::-1], next(chain)
+    layer_inputs = reversed([trace.inputs, *trace.hidden])
+    return [_t(d) @ h for d, h in zip(_deltas(weights, trace, logit_grad), layer_inputs)][::-1]
 
 
 def input_grad(weights: list, trace: ForwardTrace, logit_grad) -> np.ndarray:
-    """The input gradient of `backward` alone, bit-identical to backward(...)[1]:
-    the same reverse chain read to its end, without the weight gradients."""
+    """Exact input gradient of one network or a stack: backward's chain, then delta @ W_1."""
     for delta in _deltas(weights, trace, logit_grad):
         pass
-    return delta
+    return delta @ weights[0]
 
 
 def save_checkpoint(weights: list, path) -> None:

@@ -22,6 +22,7 @@ per-epoch metrics are evaluated one seed at a time, so the whole-split
 working set of evaluate is held for one network, not for the stack.
 epoch_wall_ms is the stacked epoch's time, shared by the stack's seeds.
 train runs the same loop on a stack of one, which has no stack axis.
+A blow-up raises DivergenceError, with numpy's overflow warnings silenced.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 from .attacks import AttackSpec, pgd, pgd_stack
 # softmax_rows is unused here but stays bound: perfbench's tracer counts the
 # softmax passes of this module through this name.
-from .core import (ParameterError, check_count, make_rng, seeds_of,  # noqa: F401
-                   softmax_rows, stack_of)
+from .core import (NonFiniteError, ParameterError, check_count, check_finite,  # noqa: F401
+                   make_rng, seeds_of, softmax_rows, stack_of)
 from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule, loat
@@ -46,7 +47,7 @@ from .objectives import (ObjectiveSpec, correct_mask, mixture_from_logits,
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Non-finite logits or loss in training, named by seed, epoch and batch."""
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,11 @@ def _epoch_rngs(seed: int, epoch: int):
 
 
 def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
-                attack_rng, seeds=None) -> tuple:
+                attack_rng) -> tuple:
     """One gradient computation; returns (loss, weight_grads).  adv is None if no attack ran.
 
-    For a stack, attack_rng holds one generator per seed, `seeds` names the
-    seeds in stack order, and the loss has one value per seed.
+    For a stack, attack_rng holds one generator per seed and the loss has
+    one value per seed.  Non-finite logits or loss raise NonFiniteError.
     """
     fwd, bwd, attack = ((forward_stack, backward_stack, pgd_stack) if weights[0].ndim == 3
                         else (forward, backward, pgd))
@@ -144,16 +145,11 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
         clean_grad = clean_grad + pen_clean
         adv_grad = adv_grad + pen_adv
 
-    if not np.isfinite(loss).all():
-        i = np.flatnonzero(~np.isfinite(loss))[0]
-        raise DivergenceError(f"non-finite loss {np.ravel(loss)[i]} at epoch {epoch} for seed "
-                              f"{cfg.seed if seeds is None else seeds[i]}")
-
-    weight_grads, _ = bwd(weights, clean, clean_grad)
+    check_finite(loss, "loss", ndim=0)
+    grads = bwd(weights, clean, clean_grad)
     if adv is not None:
-        adv_wgrads, _ = bwd(weights, adv, adv_grad)
-        weight_grads = [a + b for a, b in zip(weight_grads, adv_wgrads)]
-    return loss, weight_grads
+        grads = [a + b for a, b in zip(grads, bwd(weights, adv, adv_grad))]
+    return loss, grads
 
 
 def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
@@ -232,7 +228,7 @@ def train(cfg: TrainConfig, data: DatasetHandle, record_epochs=None):
 def train_stack(cfgs: list, data: DatasetHandle, record_epochs=None) -> list:
     """Train configs equal apart from model.seed and seed in lockstep; returns
     (final_weights, history) per config, each equal to its own train() run.
-    A non-finite loss in any seed raises DivergenceError naming that seed."""
+    A blow-up in any seed raises DivergenceError naming that seed."""
     return _train(cfgs, data, record_epochs)
 
 
@@ -250,15 +246,27 @@ def _train(cfgs: list, data: DatasetHandle, record_epochs) -> list:
     for epoch in range(1, cfg.epochs + 1):
         shuffle_rngs, attack_rngs = zip(*(_epoch_rngs(seed, epoch) for seed in seeds))
         t0 = time.perf_counter()
-        for batch in batches(data.train, cfg.batch_size, stack_of(shuffle_rngs)):
-            _, grads = _batch_step(weights, batch, cfg, epoch, stack_of(attack_rngs), seeds)
-            sgd_step(weights, grads, velocity, cfg.lr, cfg.momentum)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        if epoch in record_epochs:
-            for history, w in zip(histories, _networks(weights)):
-                history.append(evaluate(w, data, cfg.eval_attacks,
-                                        epoch=epoch, epoch_wall_ms=wall_ms))
+        with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
+            for index, batch in enumerate(batches(data.train, cfg.batch_size,
+                                                  stack_of(shuffle_rngs))):
+                try:
+                    _, grads = _batch_step(weights, batch, cfg, epoch, stack_of(attack_rngs))
+                except NonFiniteError as err:
+                    raise _diverged(err, seeds[err.part], f"epoch {epoch}, batch {index}") from err
+                sgd_step(weights, grads, velocity, cfg.lr, cfg.momentum)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            if epoch in record_epochs:
+                for seed, history, w in zip(seeds, histories, _networks(weights)):
+                    try:
+                        history.append(evaluate(w, data, cfg.eval_attacks,
+                                                epoch=epoch, epoch_wall_ms=wall_ms))
+                    except NonFiniteError as err:
+                        raise _diverged(err, seed, f"epoch {epoch}, evaluation") from err
     return list(zip(_networks(weights), histories))
+
+
+def _diverged(err: NonFiniteError, seed: int, where: str) -> DivergenceError:
+    return DivergenceError(f"seed {seed} diverged at {where}: {err}")
 
 
 def _networks(weights: list) -> list:

@@ -8,16 +8,21 @@ cannot change them too.
 _batch_step is the training step as it read before the label rule, the
 LOAT phase, the no-attack marker and the correct/misclassified split each
 got one definition, kept verbatim.  It calls the library's forward, pgd,
-objectives, loat and backward, so it pins how the step composes them.
+objectives and loat, so it pins how the step composes them, and takes its
+weight gradients from full_backward.
+
+full_backward is the reverse chain as it read when backward returned the
+input gradient too, kept verbatim with the library helpers written out in
+numpy: (weight_grads, input_grad) of one network or a stack.
 """
 
 import numpy as np
 
 from advlab.attacks import pgd
-from advlab.core import softmax_rows
+from advlab.core import ShapeError, softmax_rows
 from advlab.data import LabeledBatch
 from advlab.loat import loat
-from advlab.mlp import backward, forward
+from advlab.mlp import forward
 from advlab.objectives import mixture_from_logits, trades_from_logits
 from advlab.trainer import DivergenceError, TrainConfig
 
@@ -73,6 +78,27 @@ def trades_four_lse(clean_logits, adv_logits, labels, beta):
     return loss, clean_grad, adv_grad
 
 
+def _deltas(weights: list, trace, logit_grad):
+    """The reverse chain: the gradient at the output of W_L, ..., W_1, then the inputs."""
+    delta = np.ascontiguousarray(logit_grad, dtype=np.float64)
+    if delta.shape != trace.logits.shape:
+        raise ShapeError(f"logit_grad shape {delta.shape} != logits shape {trace.logits.shape}")
+    yield delta
+    for w, h in zip(reversed(weights[1:]), reversed(trace.hidden)):
+        delta = (delta @ w) * (h > 0.0)
+        yield delta
+    yield delta @ weights[0]
+
+
+def full_backward(weights: list, trace, logit_grad):
+    """(weight_grads, input_grad) for the scalar whose logit gradient is logit_grad."""
+    chain = _deltas(weights, trace, logit_grad)
+    # layer l's input is [inputs, *hidden][l]; the chain runs from the last layer
+    weight_grads = [next(chain).swapaxes(-1, -2) @ h
+                    for h in reversed([trace.inputs, *trace.hidden])]
+    return weight_grads[::-1], next(chain)
+
+
 def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
                 attack_rng) -> tuple:
     """One gradient computation; returns (loss, weight_grads)."""
@@ -105,8 +131,8 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss} at epoch {epoch}")
 
-    weight_grads, _ = backward(weights, clean_trace, clean_grad)
+    weight_grads, _ = full_backward(weights, clean_trace, clean_grad)
     if adv_trace is not clean_trace:
-        adv_wgrads, _ = backward(weights, adv_trace, adv_grad)
+        adv_wgrads, _ = full_backward(weights, adv_trace, adv_grad)
         weight_grads = [a + b for a, b in zip(weight_grads, adv_wgrads)]
     return loss, weight_grads

@@ -96,8 +96,8 @@ def test_criterion_01_gradient_correctness():
         _, pen_clean, pen_adv = loat(
             clean_trace.logits, batch.labels, mask, epoch, sched,
             adv_trace.logits)
-        wg_clean, _ = backward(weights, clean_trace, g_clean + pen_clean)
-        wg_adv, _ = backward(weights, adv_trace, g_adv + pen_adv)
+        wg_clean = backward(weights, clean_trace, g_clean + pen_clean)
+        wg_adv = backward(weights, adv_trace, g_adv + pen_adv)
         analytic = [a + b for a, b in zip(wg_clean, wg_adv)]
         numeric = fd_weight_grads(total_loss, weights, h=1e-5)
         err = max_rel_err(analytic, numeric)

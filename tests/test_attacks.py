@@ -10,10 +10,10 @@ from hypothesis.extra import numpy as hnp
 from advlab.attacks import AttackSpec, eval_attack_pair, pgd, project
 from advlab.core import ParameterError, ShapeError, make_rng
 from advlab.data import LabeledBatch, synth_blobs
-from advlab.mlp import MlpConfig, backward, forward, init_weights
+from advlab.mlp import MlpConfig, forward, init_weights
 from advlab.objectives import ce_loss
 
-from oracles import ce_logit_grad
+from oracles import ce_logit_grad, full_backward
 
 
 def corner_search_linf(weights, batch, eps):
@@ -45,7 +45,8 @@ def fgsm_spec(eps):
 def fgsm_sign(weights, batch):
     """Per-coordinate sign of the full-backward input gradient of the mean CE."""
     trace = forward(weights, batch.inputs)
-    return np.sign(backward(weights, trace, ce_logit_grad(trace.logits, batch.labels))[1])
+    return np.sign(full_backward(weights, trace,
+                                 ce_logit_grad(trace.logits, batch.labels))[1])
 
 
 def pgd_two_forward_oracle(weights, batch, spec, rng=None):
@@ -55,7 +56,7 @@ def pgd_two_forward_oracle(weights, batch, spec, rng=None):
 
     def grad_at(x):
         trace = forward(weights, x)
-        return backward(weights, trace, ce_logit_grad(trace.logits, batch.labels))[1]
+        return full_backward(weights, trace, ce_logit_grad(trace.logits, batch.labels))[1]
 
     x0, labels = batch.inputs, batch.labels
     if spec.eps == 0.0:

@@ -119,6 +119,21 @@ class TestSweepCommand:
         finals = [r for r in rows if r["epoch"] == 2 and r["lambda"] == 0.5]
         assert all(r["gap_ce"] is not None for r in finals)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blow_up_exits_two_with_one_line_naming_the_seed(self, tmp_path, capsys):
+        cfg = {
+            "dataset": {"kind": "synthetic", "seed": 0, "n_train": 60,
+                        "n_test": 30, "d": 4, "K": 3, "spread": 0.1},
+            "grid": {"widths": [4], "lambdas": [0.5], "seeds": [0, 1], "epochs_list": [2]},
+            "attack": {"epsilon": 0.05, "alpha": 0.02, "k": 2},
+            "train": {"batch_size": 8, "lr": 1e200},
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("runtime error: seed 0 diverged at epoch 1, batch 1: ")
+
     def test_missing_grid_is_validation_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {
             "dataset": {"kind": "synthetic", "n_train": 30, "n_test": 30,

@@ -305,6 +305,22 @@ class TestLoat:
             loat(np.zeros((3, 2)), [0, 1, 0], [True, False], 1,
                  LoatSchedule(variant="SLORE"))
 
+    @pytest.mark.parametrize("adv_shape", [(1, 3), (4, 2), (4, 3, 1)])
+    def test_adv_logits_of_another_shape_rejected(self, adv_shape):
+        # a 1-row matrix against 4 clean rows used to broadcast into a penalty
+        clean = make_rng(8).standard_normal((4, 3))
+        with pytest.raises(ShapeError, match="adv_logits shape"):
+            loat(clean, [0, 1, 2, 0], [True, False, True, False], 1,
+                 LoatSchedule(variant="LORE"), np.zeros(adv_shape))
+
+    @pytest.mark.parametrize("adv_shape", [(2, 1, 3), (1, 4, 3), (4, 3)])
+    def test_stacked_adv_logits_of_another_shape_rejected(self, adv_shape):
+        clean = make_rng(9).standard_normal((2, 4, 3))
+        labels = [[0, 1, 2, 0], [2, 2, 1, 0]]
+        mask = [[True, False, True, False], [False, True, True, False]]
+        with pytest.raises(ShapeError, match="adv_logits shape"):
+            loat(clean, labels, mask, 1, LoatSchedule(variant="LORE"), np.zeros(adv_shape))
+
 
 class TestPhase:
     def test_phase_by_epoch(self):

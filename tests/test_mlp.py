@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from advlab.core import ShapeError, make_rng
 from advlab.data import synth_blobs
-from advlab.mlp import (MlpConfig, backward, forward, init_weights, input_grad,
-                        load_checkpoint, save_checkpoint)
+from advlab.mlp import (MlpConfig, backward, backward_stack, forward, forward_stack,
+                        init_weights, input_grad, load_checkpoint, save_checkpoint)
 from advlab.objectives import ce_loss
 
 from fd_utils import fd_weight_grads, fd_matrix_grad, max_rel_err
-from oracles import ce_logit_grad
+from oracles import ce_logit_grad, full_backward
 
 
 @st.composite
@@ -22,6 +22,26 @@ def small_nets(draw):
                                      init_scale=draw(st.sampled_from([None, 0.3, 3.0]))))
     x = make_rng(seed + 1).uniform(size=(draw(st.integers(1, 6)), widths[0]))
     return weights, x
+
+
+@st.composite
+def relu_nets(draw, stacked):
+    """Random widths with one to three hidden layers, inputs in [0, 1] and a logit
+    gradient; if stacked, S in 2..3 networks on their own batches or on one shared."""
+    widths = draw(st.lists(st.integers(1, 8), min_size=3, max_size=5))
+    seed = draw(st.integers(0, 2**31))
+    scale = draw(st.sampled_from([None, 0.3, 3.0]))
+    size = draw(st.integers(2, 3)) if stacked else 1
+    nets = [init_weights(MlpConfig(widths, seed=seed + s, init_scale=scale))
+            for s in range(size)]
+    n = draw(st.integers(1, 6))
+    rows = (size, n) if stacked else (n,)
+    rng = make_rng(seed)
+    weights = [np.stack(layer) for layer in zip(*nets)] if stacked else nets[0]
+    x = rng.uniform(size=(*rows, widths[0]))
+    if stacked and draw(st.booleans()):
+        x = x[0]  # one batch shared by the stack
+    return weights, x, rng.standard_normal((*rows, widths[-1]))
 
 
 class TestInit:
@@ -108,7 +128,8 @@ class TestBackward:
     def test_zero_logit_grad(self):
         w = init_weights(MlpConfig([4, 3, 2], seed=0))
         trace = forward(w, make_rng(1).uniform(size=(5, 4)))
-        wg, xg = backward(w, trace, np.zeros_like(trace.logits))
+        wg = backward(w, trace, np.zeros_like(trace.logits))
+        xg = input_grad(w, trace, np.zeros_like(trace.logits))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in wg)
         assert np.array_equal(xg, np.zeros((5, 4)))
 
@@ -117,7 +138,7 @@ class TestBackward:
         x = make_rng(3).uniform(size=(5, 4))
         trace = forward(w, x)
         logit_grad = make_rng(4).standard_normal((5, 3))
-        wg, xg = backward(w, trace, logit_grad)
+        wg, xg = backward(w, trace, logit_grad), input_grad(w, trace, logit_grad)
         assert np.allclose(wg[0], logit_grad.T @ x, rtol=1e-12)
         assert np.allclose(xg, logit_grad @ w[0], rtol=1e-12)
 
@@ -140,7 +161,8 @@ class TestBackward:
 
             trace = forward(weights, batch.inputs)
             logit_grad = ce_logit_grad(trace.logits, batch.labels) / batch.n
-            analytic_w, analytic_x = backward(weights, trace, logit_grad)
+            analytic_w = backward(weights, trace, logit_grad)
+            analytic_x = input_grad(weights, trace, logit_grad)
             numeric_w = fd_weight_grads(loss_fn, weights)
             assert max_rel_err(analytic_w, numeric_w) < 1e-5, f"trial {trial}"
 
@@ -156,15 +178,55 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(w, trace, np.zeros((5, 4)))
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["network", "stack"])
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(data=st.data())
+    def test_equals_full_backward(self, stacked, data):
+        # the weight-only backward and input_grad keep every bit of the two-output chain
+        weights, x, logit_grad = data.draw(relu_nets(stacked))
+        trace = (forward_stack if stacked else forward)(weights, x)
+        want_w, want_x = full_backward(weights, trace, logit_grad)
+        got_w = (backward_stack if stacked else backward)(weights, trace, logit_grad)
+        assert len(got_w) == len(want_w)
+        assert all(np.array_equal(g, w) for g, w in zip(got_w, want_w))
+        assert np.array_equal(input_grad(weights, trace, logit_grad), want_x)
+
+
+class TestEulerIdentity:
+    """A bias-free ReLU net is positively homogeneous of degree L in its weights,
+    so for sample i's cross-entropy sum_l <W_l, d loss_i / d W_l> = L * u_i, with
+    u_i = <softmax(f_i), f_i> - f_{i, y_i} (Liang et al., arXiv:1711.01530)."""
+
+    @settings(deadline=None, database=None, max_examples=80)
+    @given(small_nets(), st.data())
+    def test_weight_gradients_meet_euler(self, net, data):
+        weights, x = net
+        trace = forward(weights, x)
+        n, k = trace.logits.shape
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        grad = ce_logit_grad(trace.logits, labels)  # row i: d loss_i / d f_i
+        # the same chain with |W| bounds every term of both sides
+        magnitude = forward([np.abs(w) for w in weights], x).logits
+        layers = len(weights)
+        for i in range(n):
+            one_row = np.zeros_like(grad)
+            one_row[i] = grad[i]
+            lhs = sum(float((w * g).sum())
+                      for w, g in zip(weights, backward(weights, trace, one_row)))
+            u = float(grad[i] @ trace.logits[i])
+            scale = layers * float(np.abs(grad[i]) @ magnitude[i])
+            assert abs(lhs - layers * u) <= 1e-12 * scale
+
 
 class TestInputGrad:
     @pytest.mark.parametrize("widths", [[4, 3], [6, 5, 3], [7, 9, 6, 4]])
     def test_bit_identical_to_backward(self, widths):
+        # the input gradient of the two-output backward, bit for bit
         w = init_weights(MlpConfig(widths, seed=len(widths)))
         trace = forward(w, make_rng(5).uniform(size=(11, widths[0])))
         logit_grad = make_rng(6).standard_normal(trace.logits.shape)
         assert np.array_equal(input_grad(w, trace, logit_grad),
-                              backward(w, trace, logit_grad)[1])
+                              full_backward(w, trace, logit_grad)[1])
 
     def test_logit_grad_shape_error(self):
         w = init_weights(MlpConfig([4, 3], seed=0))

@@ -206,8 +206,8 @@ class TestMixture:
         weights = init_weights(MlpConfig([5, 6, 3], seed=7))
         adv = np.clip(batch.inputs + 0.01, 0.0, 1.0)
         loss, g_clean, g_adv = mixture_through_model(weights, batch, 0.5, adv)
-        wg_clean, _ = backward(weights, forward(weights, batch.inputs), g_clean)
-        wg_adv, _ = backward(weights, forward(weights, adv), g_adv)
+        wg_clean = backward(weights, forward(weights, batch.inputs), g_clean)
+        wg_adv = backward(weights, forward(weights, adv), g_adv)
         analytic = [a + b for a, b in zip(wg_clean, wg_adv)]
 
         from fd_utils import fd_weight_grads
@@ -315,8 +315,8 @@ class TestTrades:
         weights = init_weights(MlpConfig([4, 5, 3], seed=13))
         adv = np.clip(batch.inputs + 0.02, 0.0, 1.0)
         _, g_clean, g_adv = trades_through_model(weights, batch, 6.0, adv)
-        wg_clean, _ = backward(weights, forward(weights, batch.inputs), g_clean)
-        wg_adv, _ = backward(weights, forward(weights, adv), g_adv)
+        wg_clean = backward(weights, forward(weights, batch.inputs), g_clean)
+        wg_adv = backward(weights, forward(weights, adv), g_adv)
         analytic = [a + b for a, b in zip(wg_clean, wg_adv)]
 
         from fd_utils import fd_weight_grads

@@ -78,7 +78,7 @@ class TestStackedEqualsSeparate:
         stacked = [np.stack(layer) for layer in zip(*weights)]
         batch = LabeledBatch(np.stack([b.inputs for b in parts]),
                              np.stack([b.labels for b in parts]), 3)
-        loss, grads = _batch_step(stacked, batch, cfg, epoch, rngs, seeds)
+        loss, grads = _batch_step(stacked, batch, cfg, epoch, rngs)
         for s in range(len(cfgs)):
             want_loss, want_grads = _batch_step(weights[s], parts[s], cfg, epoch, want_rngs[s])
             assert loss[s] == want_loss
@@ -117,6 +117,21 @@ class TestStackChecks:
         with pytest.raises(DivergenceError, match="seed 7"):
             train(cfgs[1], DATA)
         with pytest.raises(DivergenceError, match="seed 7"):
+            train_stack(cfgs, DATA)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blown_up_seed_is_named_with_epoch_and_batch(self, monkeypatch):
+        # seed 7, the middle of the stack, has its logits overflow at the first
+        # batch; seeds 3 and 5 train normally
+        def init(model):
+            weights = init_weights(model)
+            return [w * 1e160 for w in weights] if model.seed == 7 else weights
+
+        monkeypatch.setattr(trainer, "init_weights", init)
+        cfgs = [TrainConfig(model=MlpConfig([5, 6, 3], seed=s), objective=ObjectiveSpec(lam=0.0),
+                            epochs=2, batch_size=8, seed=s) for s in (3, 7, 5)]
+        with pytest.raises(DivergenceError, match="^seed 7 diverged at epoch 1, batch 0: "
+                                                  "logits contains non-finite values$"):
             train_stack(cfgs, DATA)
 
     @pytest.mark.parametrize("change", [dict(lr=0.2), dict(epochs=3),

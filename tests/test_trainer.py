@@ -145,6 +145,19 @@ class TestTrain:
         with pytest.raises((DivergenceError, FloatingPointError)):
             train(cfg, data)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("batch_size, where", [(8, "epoch 1, batch 1"),
+                                                   (120, "epoch 1, evaluation")])
+    def test_blow_up_names_seed_epoch_and_batch(self, batch_size, where):
+        # lr 1e200 overflows the logits of the next forward: the second batch's,
+        # or with one batch per epoch the evaluation's; numpy warns of nothing
+        cfg = TrainConfig(model=MlpConfig([5, 8, 3], seed=0),
+                          objective=ObjectiveSpec(kind="standard"),
+                          epochs=2, batch_size=batch_size, lr=1e200, seed=4)
+        with pytest.raises(DivergenceError, match=f"^seed 4 diverged at {where}: "
+                                                  "logits contains non-finite values$"):
+            train(cfg, blob_data(seed=5))
+
     def test_metrics_cadence(self):
         data = blob_data(seed=6)
         cfg = TrainConfig(model=MlpConfig([5, 4, 3], seed=0),
