@@ -68,11 +68,11 @@ def per_seed(rule, *arrays):
 
 
 class NonFiniteError(FloatingPointError):
-    """An array holds inf or nan; `part` indexes the first of its per-seed parts that does."""
+    """An array holds inf or nan; `part` is the index of its first such per-seed part."""
 
 
 def check_finite(m, what: str = "result", ndim: int = 2):
-    """m, unless it holds inf or nan; NonFiniteError's part counts parts of `ndim` axes."""
+    """m, unless it holds inf or nan; the error's part indexes seeds_of(m, ndim)."""
     if not np.all(np.isfinite(m)):
         err = NonFiniteError(f"{what} contains non-finite values")
         err.part = next(i for i, a in enumerate(seeds_of(np.asarray(m), ndim))
