@@ -12,7 +12,9 @@ mlp.input_grad, the input-only backward, which skips the weight
 gradients an attack would throw away.  A caller that has already
 forwarded the clean batch (the trainer does) passes that trace as
 `clean_trace`; it supplies the clean CE and the first gradient.  The
-outputs are bit-identical to forwarding every iterate twice.
+outputs are bit-identical to forwarding every iterate twice.  An l-inf
+step allocates one array and applies the step size, the iterate and the
+ball-and-box clip to its sign in place.
 
 pgd attacks one network; pgd_stack attacks a stacked batch (see core)
 through a stack of networks, every seed's attack in the same numpy calls.
@@ -119,6 +121,9 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
     if spec.p == "inf":
         # The l-inf projection acts per coordinate and is monotone, so it
         # equals one clip between the projections of the box corners 0 and 1.
+        # Each step does that clip in place as a maximum with lo, then a
+        # minimum with hi: neither the step nor lo or hi is ever -0.0, so
+        # the ties np.clip breaks the other way hold equal bits.
         lo = project(x0, np.zeros_like(x0), "inf", spec.eps)
         hi = project(x0, np.ones_like(x0), "inf", spec.eps)
     if spec.random_start:
@@ -149,13 +154,17 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
         best_x = x0.copy()
         best_loss = ce_loss(clean_trace.logits, labels)[0] if spec.random_start else loss
         improved = loss > best_loss
-        best_x[improved] = x[improved]
+        np.copyto(best_x, x, where=improved[..., None])
         best_loss = np.maximum(best_loss, loss)
 
     for step in range(spec.k):
         grad = input_grad(weights, trace, logit_grad)
         if spec.p == "inf":
-            x = np.clip(x + spec.alpha * np.sign(grad), lo, hi)
+            moved = np.sign(grad)
+            moved *= spec.alpha
+            moved += x
+            np.maximum(moved, lo, out=moved)
+            x = np.minimum(moved, hi, out=moved)
         else:
             norms = np.linalg.norm(grad, axis=-1, keepdims=True)
             x = project(x0, x + spec.alpha * grad / np.maximum(norms, 1e-300), "two", spec.eps)
@@ -164,7 +173,7 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
             loss, logit_grad = checked_ce_loss_and_grad(trace.logits, labels)
         if spec.track_best:
             improved = loss > best_loss
-            best_x[improved] = x[improved]
+            np.copyto(best_x, x, where=improved[..., None])
             best_loss = np.maximum(best_loss, loss)
 
     return best_x if spec.track_best else x

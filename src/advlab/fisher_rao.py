@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, as_matrix, check_labels, softmax_rows
+from .core import ParameterError, as_matrix, check_count, check_labels, softmax_rows
 from .data import LabeledBatch
 from .mlp import forward
 from .objectives import correct_mask
@@ -174,32 +174,34 @@ def empirical_rademacher(loss_table, rng: np.random.Generator, draws: int):
     estimate of the sup over the full hypothesis ball.
 
     The draws go through one reused float64 sign buffer in chunks of
-    min(4096, 2^24 // n) rows, so it holds at most 128 MiB; the int32
-    signs are drawn straight into it in blocks of at most 4 MiB.  Each
-    chunk is one gemm against the table.  Consecutive draws continue one
-    generator stream, so the signs and the generator's state afterwards
-    do not depend on the chunking.  The gemm's bits do depend on its row
-    count: for n <= 4096 the chunks are 4096 rows as they always were,
-    and for larger n the last bits of the estimate can differ from the
-    4096-row chunks of earlier versions.
+    min(4096, 2^24 // n) rows, so it holds at most 128 MiB.  The signs
+    are read off uint32 words drawn in blocks of at most 4 MiB, one word
+    per sign: numpy's integers(0, 2) is the top bit of one 32-bit output,
+    so copysign(1, word as int32) writes -xi in one pass, and each chunk
+    is one gemm against -loss_table, whose products equal xi * loss bit
+    for bit.  The signs and the generator's state afterwards are those of
+    integers(0, 2) draws, and consecutive draws continue one generator
+    stream, so neither depends on the chunking.  The gemm's bits do
+    depend on its row count: for n <= 4096 the chunks are 4096 rows as
+    they always were, and for larger n the last bits of the estimate can
+    differ from the 4096-row chunks of earlier versions.
     """
     table = _loss_table(loss_table)
-    if draws < 1:
-        raise ParameterError("draws must be >= 1")
+    check_count(draws, "draws")
     n = table.shape[1]
     rows = min(4096, max(1, 2**24 // n), draws)
     block = max(1, min(256, 2**20 // n))
     buf = np.empty((rows, n))
+    neg = -table
     values = np.empty(draws)
     for done in range(0, draws, rows):
         chunk = buf[: min(rows, draws - done)]
         for r in range(0, len(chunk), block):
-            # int32 draws take the same 32-bit path as int64 ones for this
-            # range, so the signs are the same at half the memory
+            # a word with its top bit set is xi = +1 and a negative int32
             part = chunk[r : r + block]
-            np.multiply(rng.integers(0, 2, size=part.shape, dtype=np.int32), 2.0, out=part)
-        chunk -= 1.0
-        values[done : done + len(chunk)] = (chunk @ table.T).max(axis=1) / n
+            words = rng.integers(0, 2**32, size=part.shape, dtype=np.uint32)
+            np.copysign(1.0, words.view(np.int32), out=part)
+        values[done : done + len(chunk)] = (chunk @ neg.T).max(axis=1) / n
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
     return estimate, stderr

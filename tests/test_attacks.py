@@ -322,14 +322,17 @@ class TestOneForwardPerIterate:
 
 @st.composite
 def attack_cases(draw):
-    """A small random net, a batch with entries on the 0/1 edges or inside,
-    and an attack with eps tiny, 8/255 or larger than the box."""
+    """A small random net, a batch with entries on the 0/1 edges (-0.0 too)
+    or inside, and an attack with eps tiny, 8/255 or larger than the box.
+    A zero init_scale gives all-zero input gradients, so a step can add
+    +0.0 to a -0.0 entry: the l-inf step's maximum/minimum must then give
+    the bits of np.clip."""
     d, hidden, k, n = (draw(st.integers(1, 6)), draw(st.integers(1, 8)),
                        draw(st.integers(2, 4)), draw(st.integers(1, 8)))
     weights = init_weights(MlpConfig([d, hidden, k], seed=draw(st.integers(0, 2**31)),
-                                     init_scale=draw(st.sampled_from([None, 0.3, 3.0]))))
+                                     init_scale=draw(st.sampled_from([None, 0.0, 0.3, 3.0]))))
     inputs = draw(hnp.arrays(np.float64, (n, d),
-                             elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+                             elements=st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)))
     labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
     eps = draw(st.sampled_from([1e-6, 8.0 / 255.0, 1.5]))
     spec = AttackSpec(p=draw(st.sampled_from(["inf", "two"])), eps=eps,
@@ -346,6 +349,15 @@ class TestPgdProperties:
         clean_trace = forward(weights, batch.inputs) if use_clean_trace else None
         got = pgd(weights, batch, spec, make_rng(seed), clean_trace=clean_trace)
         assert np.array_equal(got, pgd_two_forward_oracle(weights, batch, spec, make_rng(seed)))
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(attack_cases())
+    def test_oracle_bits_with_signed_zeros(self, case):
+        # array_equal reads -0.0 == 0.0; the raw words tell them apart
+        weights, batch, spec, seed = case
+        got = pgd(weights, batch, spec, make_rng(seed))
+        want = pgd_two_forward_oracle(weights, batch, spec, make_rng(seed))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @settings(deadline=None, database=None, max_examples=200)
     @given(attack_cases())

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from advlab.core import ParameterError, make_rng
@@ -14,7 +14,7 @@ from advlab.fisher_rao import (BoundInputs, RadiusEstimates,
                                exhaustive_rademacher, fr_integrand, fr_norm_ce,
                                gamma_ce, max_logit_gap, radius_estimates,
                                radius_estimates_from_logits)
-from advlab.mlp import MlpConfig, init_weights
+from advlab.mlp import MlpConfig, forward, init_weights
 
 
 def rademacher_oracle(table, n_draws, seed):
@@ -68,6 +68,13 @@ def empirical_4096_row_oracle(table, rng, draws):
         done += chunk
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
     return float(values.mean()), stderr
+
+
+def same_state(a, b) -> bool:
+    """Equal bit_generator.state dicts; MT19937, Philox and SFC64 hold arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
 
 
 def traced_peak_bytes(fn, *args):
@@ -209,6 +216,49 @@ class TestBoundsOf:
         assert bounds_of(est, k) == (None, None, None)
 
 
+class TestNodeRescaling:
+    """Scaling hidden unit j's incoming row by c > 0 and its outgoing column by
+    1/c leaves a bias-free ReLU net's function unchanged, since relu(c z) =
+    c relu(z).  Every metric read off the logits is invariant, while the
+    Frobenius norm is not (Neyshabur et al., Path-SGD, arXiv:1506.02617)."""
+
+    @settings(deadline=None, database=None, max_examples=150)
+    @given(st.integers(1, 6), st.lists(st.integers(1, 8), min_size=1, max_size=2),
+           st.integers(2, 5), st.integers(2, 30), st.integers(0, 2**31),
+           st.floats(0.05, 0.8) | st.floats(1.25, 20.0), st.data())
+    def test_metrics_invariant_frobenius_not(self, d, hidden, k, n, seed, c, data):
+        weights = init_weights(MlpConfig([d, *hidden, k], seed=seed))
+        layer = data.draw(st.integers(0, len(hidden) - 1))
+        unit = data.draw(st.integers(0, hidden[layer] - 1))
+        scaled = [w.copy() for w in weights]
+        scaled[layer][unit] *= c
+        scaled[layer + 1][:, unit] /= c
+        rng = make_rng(seed + 1)
+        batch = LabeledBatch(rng.uniform(size=(n, d)), rng.integers(0, k, size=n), k)
+
+        logits = forward(weights, batch.inputs).logits
+        scale = 1.0 + np.abs(logits).max()
+        # a rounding-level change must not flip a sample between correct and wrong
+        top_two = np.sort(logits, axis=1)[:, -2:]
+        assume(np.all(top_two[:, 1] - top_two[:, 0] > 1e-3 * scale))
+        close = dict(rel=1e-9, abs=1e-12 * scale)
+        assert forward(scaled, batch.inputs).logits == pytest.approx(logits, **close)
+        assert fr_norm_ce(scaled, batch) == pytest.approx(fr_norm_ce(weights, batch), **close)
+        est, est_scaled = radius_estimates(weights, batch), radius_estimates(scaled, batch)
+        assert (est_scaled.n_correct, est_scaled.n_wrong) == (est.n_correct, est.n_wrong)
+        for name in ("gamma_hat", "gamma_hat_c", "gamma_hat_m"):
+            want = getattr(est, name)
+            assert getattr(est_scaled, name) == (None if want is None
+                                                 else pytest.approx(want, **close))
+        for got, want in zip(bounds_of(est_scaled, k), bounds_of(est, k)):
+            assert got == (None if want is None else pytest.approx(want, rel=1e-8, abs=1e-8))
+
+        row, col = np.sum(weights[layer][unit] ** 2), np.sum(weights[layer + 1][:, unit] ** 2)
+        assume(abs((c**2 - 1.0) * row + (c**-2 - 1.0) * col) > 1e-6 * (row + col))
+        frobenius = [np.sqrt(sum(np.sum(w**2) for w in net)) for net in (weights, scaled)]
+        assert frobenius[1] != pytest.approx(frobenius[0], rel=1e-9)
+
+
 class TestComplexityBounds:
     def test_worked_example(self):
         # n=100 split evenly, K=10, gamma_hat_m=1, Gamma=0
@@ -337,14 +387,47 @@ class TestRademacher:
     @settings(deadline=None, database=None, max_examples=40)
     @given(st.integers(1, 7), st.integers(1, 4096) | st.sampled_from([1, 33, 4095, 4096]),
            st.integers(1, 9000) | st.sampled_from([1, 2, 4095, 4096, 4097, 8193]),
-           st.integers(0, 2**31))
-    @example(4, 300, 9000, 1)  # here 256-row gemm blocks would change the result
-    def test_empirical_equals_4096_row_oracle(self, h, n, draws, seed):
+           st.integers(0, 2**31), st.booleans())
+    @example(4, 300, 9000, 1, False)  # here 256-row gemm blocks would change the result
+    @example(3, 5, 7, 2, True)
+    def test_empirical_equals_4096_row_oracle(self, h, n, draws, seed, pending_half):
+        # pending_half: one int32 draw first leaves the generator holding the
+        # other half of a 64-bit output, which the first sign must use
         table = make_rng(seed).uniform(-1.0, 3.0, size=(h, n))
         rng, oracle_rng = make_rng(seed + 1), make_rng(seed + 1)
+        if pending_half:
+            rng.integers(0, 5, dtype=np.int32)
+            oracle_rng.integers(0, 5, dtype=np.int32)
         assert empirical_rademacher(table, rng, draws) == \
             empirical_4096_row_oracle(table, oracle_rng, draws)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                               np.random.SFC64, np.random.PCG64DXSM])
+    @pytest.mark.parametrize("pending_half", [False, True])
+    def test_empirical_equals_4096_row_oracle_other_generators(self, bit_generator,
+                                                                pending_half):
+        table = make_rng(21).uniform(-1.0, 3.0, size=(3, 70))
+        rng, oracle_rng = (np.random.Generator(bit_generator(22)) for _ in range(2))
+        if pending_half:
+            rng.integers(0, 5, dtype=np.int32)
+            oracle_rng.integers(0, 5, dtype=np.int32)
+        assert empirical_rademacher(table, rng, 4100) == \
+            empirical_4096_row_oracle(table, oracle_rng, 4100)
+        assert same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                               np.random.Philox, np.random.SFC64,
+                                               np.random.PCG64DXSM])
+    def test_sign_is_top_bit_of_uint32_word(self, bit_generator):
+        # empirical_rademacher reads integers(0, 2) off full-range uint32 words;
+        # a numpy whose bounded draw is not the word's top bit fails here
+        words_rng, bits_rng = (np.random.Generator(bit_generator(23)) for _ in range(2))
+        for size in (1, 7, 1000):
+            words = words_rng.integers(0, 2**32, size=size, dtype=np.uint32)
+            bits = bits_rng.integers(0, 2, size=size, dtype=np.int32)
+            assert np.array_equal(words >> 31, bits)
+        assert same_state(words_rng.bit_generator.state, bits_rng.bit_generator.state)
 
     @pytest.mark.parametrize("n, draws, limit_mib", [(4000, 20000, 140), (60000, 600, 200)])
     def test_empirical_peak_memory(self, n, draws, limit_mib):
@@ -362,5 +445,6 @@ class TestRademacher:
     def test_validation(self):
         with pytest.raises(ParameterError):
             exhaustive_rademacher(np.zeros((2, 21)))
-        with pytest.raises(ParameterError):
-            empirical_rademacher(np.zeros((1, 3)), make_rng(0), 0)
+        for draws in (0, 2.5, True, "3"):
+            with pytest.raises(ParameterError):
+                empirical_rademacher(np.zeros((1, 3)), make_rng(0), draws)
