@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digests that tell whether two checkouts of advlab compute the same bits.
 
-    python3 tools/bitcheck.py [--src DIR] [--jobs 1 2]
+    python3 tools/bitcheck.py [--src DIR]
 
 Prints one JSON line of SHA-256 digests; run it on two checkouts (or on one
 with --src pointing at the other's src/) and compare the lines.  Timing
@@ -19,8 +19,9 @@ fields are left out, so equal lines mean equal outputs:
                   state after it, for five bit generators, with and without a
                   pending 32-bit half
   sweep_csv_jobsJ, manifest_jobsJ
-                  `advlab sweep` at --jobs J on perfbench's sweep_grid config
-                  (data seed 11): sweep.csv without epoch_wall_ms, manifest.json
+                  `advlab sweep` at --jobs J = 1 and 2 on perfbench's
+                  sweep_grid config (data seed 11): sweep.csv without
+                  epoch_wall_ms, manifest.json
 
 Uses only the standard library, numpy and advlab; a full run takes about
 8 s on two cores.
@@ -163,8 +164,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory holding the advlab package (default: this checkout's src/)")
-    parser.add_argument("--jobs", type=int, nargs="*", default=[1, 2],
-                        help="--jobs values to run the sweep at (none skips the sweep)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import advlab.cli  # noqa: F401 - binds the submodules used below
@@ -173,7 +172,7 @@ def main(argv=None) -> int:
     out = {**train_digests(lab), "attacks": attack_digest(lab),
            "rademacher": rademacher_digest(lab)}
     with tempfile.TemporaryDirectory() as tmp:
-        for jobs in args.jobs:
+        for jobs in (1, 2):
             out.update(sweep_digests(lab, jobs, Path(tmp)))
     print(json.dumps(out))
     return 0
