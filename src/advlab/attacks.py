@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, as_stack, check_labels
+from .core import ParameterError, ShapeError, as_stack, check_labels, draw_per_seed
 from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, forward_stack, input_grad
 from .objectives import ce_loss, checked_ce_loss_and_grad
@@ -82,16 +82,6 @@ def project(x0, x, p: str, eps: float) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def _draw(rng, shape: tuple, draw) -> np.ndarray:
-    """draw(generator, shape) for a matrix shape; for a stack, each seed's
-    generator draws its own matrix, in seed order."""
-    if len(shape) == 2:
-        return draw(rng, shape)
-    if isinstance(rng, np.random.Generator) or len(rng) != shape[0]:
-        raise ParameterError(f"a stack of {shape[0]} needs one generator per seed")
-    return np.stack([draw(r, shape[1:]) for r in rng])
-
-
 def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
         rng: np.random.Generator | None = None,
         clean_trace: ForwardTrace | None = None) -> np.ndarray:
@@ -129,15 +119,16 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
     if spec.random_start:
         if rng is None:
             raise ParameterError("random_start requires an rng")
+        seeds = x0.shape[0] if x0.ndim == 3 else None
         if spec.p == "inf":
-            x = np.clip(x0 + _draw(rng, x0.shape, lambda r, shape: r.uniform(
-                -spec.eps, spec.eps, size=shape)), lo, hi)
+            x = np.clip(x0 + draw_per_seed(rng, lambda r: r.uniform(
+                -spec.eps, spec.eps, size=x0.shape[-2:]), seeds), lo, hi)
         else:
             # each generator draws its direction, then its radius
-            direction = _draw(rng, x0.shape, lambda r, shape: r.standard_normal(shape))
+            direction = draw_per_seed(rng, lambda r: r.standard_normal(x0.shape[-2:]), seeds)
             direction /= np.maximum(np.linalg.norm(direction, axis=-1, keepdims=True), 1e-300)
-            radius = spec.eps * _draw(rng, x0.shape[:-1] + (1,), lambda r, shape: r.uniform(
-                0.0, 1.0, size=shape)) ** (1.0 / x0.shape[-1])
+            radius = spec.eps * draw_per_seed(rng, lambda r: r.uniform(
+                0.0, 1.0, size=(x0.shape[-2], 1)), seeds) ** (1.0 / x0.shape[-1])
             x = project(x0, x0 + radius * direction, "two", spec.eps)
     else:
         x = x0.copy()

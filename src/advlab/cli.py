@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import sweep as sweep_mod
 from .attacks import AttackSpec, eval_attack_pair
 from .core import ParameterError, check_count
-from .data import DatasetHandle, blob_dataset, load_array, load_idx
+from .data import DatasetHandle, blob_dataset, idx_dataset, load_array
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule
 from .mlp import MlpConfig, save_checkpoint
@@ -35,37 +36,42 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
-# The JSON types a config number may take, by the type of its field's default.
-_NUMBER = {int: int, float: (int, float)}
+# A field's JSON types by its annotation (a bool is never a number); a tuple is read from a list.
+_JSON = {int: int, float: (int, float), str: str, list: list, tuple: list,
+         int | None: (int, type(None)), float | None: (int, float, type(None))}
 
 
 def _field(cfg: dict, field: str, types, where: str, default=None):
-    """cfg[field], an instance of `types`; required unless a default is given."""
+    """cfg[field], an instance of `types` and not a bool; required unless a default is given."""
     if field not in cfg and default is None:
         raise ConfigError(f"{where}.{field}: missing required field")
     value = cfg.get(field, default)
-    if not isinstance(value, types):
-        want = getattr(types, "__name__", "a number")
+    if isinstance(value, bool) or not isinstance(value, types):
+        want = getattr(types, "__name__", None) or " or ".join(t.__name__ for t in types)
         raise ConfigError(f"{where}.{field}: expected {want}, got {type(value).__name__}")
     return value
 
 
-def _build(cls, section: dict, where: str, renames=()):
-    section = dict(section)
-    for src, dst in renames:
-        if src in section:
-            section[dst] = section.pop(src)
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = set(section) - set(defaults)
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-    for name in section:
-        if type(defaults[name]) in _NUMBER:  # exact type: bool defaults are not numbers
-            _field(section, name, _NUMBER[type(defaults[name])], where)
+def _build(target, sections: dict, renames=None, given=None):
+    """target(**given, **fields), the fields read from config sections {name: object}: each
+    key, after `renames`, names a parameter of target (a spec class or a loader) that no
+    earlier key or `given` sets, and takes the JSON type of its annotation (_JSON).  Errors
+    name the section and key, or for target's own errors the first section."""
+    params = inspect.signature(target, eval_str=True).parameters
+    fields = dict(given or {})
+    for where, section in sections.items():
+        for key in section:
+            name = (renames or {}).get(key, key)
+            if name not in params or name in fields:
+                raise ConfigError(f"{where}.{key}: "
+                                  + ("already set" if name in fields else "unknown field"))
+            kind = params[name].annotation
+            value = _field(section, key, _JSON[kind], where) if kind in _JSON else section[key]
+            fields[name] = tuple(value) if kind is tuple else value
     try:
-        return cls(**section)
+        return target(**fields)
     except (ParameterError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{next(iter(sections))}: {exc}") from exc
 
 
 def _read_input(what: str, load, *args):
@@ -83,58 +89,43 @@ def _read_config(path) -> dict:
     return cfg
 
 
-# Synthetic dataset fields and their defaults, in blob_dataset's argument order.
-_SYNTHETIC = {"seed": 0, "n_train": 1000, "n_test": 500, "d": 16, "K": 4, "spread": 0.08}
+# Each kind's loader, bound at import: _build reads its own signature, not a wrapper's.
+_DATASETS = {"synthetic": blob_dataset, "idx": idx_dataset}
 
 
 def build_dataset(cfg: dict) -> DatasetHandle:
     kind = _field(cfg, "kind", str, "dataset")
-    if kind == "synthetic":
-        try:
-            return blob_dataset(*(_field(cfg, name, _NUMBER[type(default)], "dataset", default)
-                                  for name, default in _SYNTHETIC.items()))
-        except ParameterError as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
-    if kind == "idx":
-        trainb, testb = (_read_input("dataset", load_idx,
-                                     _field(cfg, f"{split}_images", str, "dataset"),
-                                     _field(cfg, f"{split}_labels", str, "dataset"),
-                                     cfg.get(f"{split}_limit")) for split in ("train", "test"))
-        return DatasetHandle(trainb, testb, name=cfg.get("name", "idx"), source="idx-files")
-    raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
+    if kind not in _DATASETS:
+        raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
+    fields = {key: value for key, value in cfg.items() if key != "kind"}
+    return _read_input("dataset", _build, _DATASETS[kind], {"dataset": fields})
 
 
-# Config sections: the spec each one builds and its key renames.
-_SECTIONS = {
-    "model": (MlpConfig, [("widths", "layer_widths")]),
-    "objective": (ObjectiveSpec, [("lambda", "lam")]),
-    "attack": (AttackSpec, [("epsilon", "eps")]),
-    "schedule": (LoatSchedule, [("E1", "e1"), ("E2", "e2")]),
+# Spec sections: the spec each one builds and its key renames.
+_SPECS = {
+    "model": (MlpConfig, {"widths": "layer_widths"}),
+    "objective": (ObjectiveSpec, {"lambda": "lam"}),
+    "attack": (AttackSpec, {"epsilon": "eps"}),
+    "schedule": (LoatSchedule, {"E1": "e1", "E2": "e2"}),
 }
 
 
-def _build_sections(cfg: dict, names) -> dict:
-    built = {}
-    for name in names:
-        cls, renames = _SECTIONS[name]
-        built[name] = _build(cls, _field(cfg, name, dict, "config", {}), name, renames)
-    return built
-
-
-def _with_train_fields(cfg: dict, built: dict) -> dict:
-    """built plus cfg's train section, whose keys may not replace built ones."""
-    train_fields = _field(cfg, "train", dict, "config", {})
-    clash = sorted(set(train_fields) & set(built))
-    if clash:
-        raise ConfigError(f"train: {clash} belong in their own sections, not in train")
-    return {**built, **train_fields}
+def _sections(cfg: dict, required: str, optional) -> dict:
+    """A command's sections but the dataset, by name: `required` and `optional` ones ({} if
+    missing), each an object, spec sections built.  Any other top-level key is an error."""
+    for key in cfg:
+        if key not in ("dataset", required, *optional):
+            raise ConfigError(f"config.{key}: unknown section")
+    sections = {name: _field(cfg, name, dict, "config", {} if name in optional else None)
+                for name in (required, *optional)}
+    return {name: _build(_SPECS[name][0], {name: s}, _SPECS[name][1]) if name in _SPECS else s
+            for name, s in sections.items()}
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    _field(cfg, "model", dict, "config")
-    built = _build_sections(cfg, ("model", "objective", "attack", "schedule"))
-    built["eval_attacks"] = eval_attack_pair(built["attack"])
-    return _build(TrainConfig, _with_train_fields(cfg, built), "train")
+    specs = _sections(cfg, "model", ("objective", "attack", "schedule", "train"))
+    return _build(TrainConfig, {"train": specs.pop("train")},
+                  given={**specs, "eval_attacks": eval_attack_pair(specs["attack"])})
 
 
 def _content_hash(payload) -> str:
@@ -143,11 +134,9 @@ def _content_hash(payload) -> str:
 
 
 def _sweep_spec(cfg: dict) -> sweep_mod.SweepSpec:
-    grid = _field(cfg, "grid", dict, "config")
-    built = _build_sections(cfg, ("attack", "schedule"))
-    for name in ("widths", "lambdas", "seeds", "epochs_list"):
-        built[name] = tuple(_field(grid, name, list, "grid"))
-    return _build(sweep_mod.SweepSpec, _with_train_fields(cfg, built), "grid")
+    specs = _sections(cfg, "grid", ("attack", "schedule", "train"))
+    return _build(sweep_mod.SweepSpec, {name: specs.pop(name) for name in ("grid", "train")},
+                  given=specs)
 
 
 def _run_config(config_path, out_dir, build, run, **manifest_extra) -> int:
@@ -180,11 +169,8 @@ def cmd_train(config_path, out_dir) -> int:
         sweep_mod.write_csv(rows, out / "history.csv")
         save_checkpoint(weights, out / "final.ckpt")
 
-    def build(raw, data):
-        cfg = build_train_config(raw)
-        check_fit(cfg, data)
-        return cfg
-    return _run_config(config_path, out_dir, build, run)
+    return _run_config(config_path, out_dir,
+                       lambda raw, data: check_fit(build_train_config(raw), data), run)
 
 
 def cmd_sweep(config_path, out_dir, jobs: int) -> int:

@@ -14,7 +14,8 @@ out x in weights), so one numpy call serves S trajectories.  A matrix is a
 stack of one read without that axis: the same code runs on both, and every
 row reduction runs along the last axis, so each slice gets the bits of its
 own 2-D call.  stack_of builds a stack from per-seed parts, seeds_of splits
-one, and per_seed maps a per-seed scalar rule over it.
+one, per_seed maps a per-seed scalar rule over it, and draw_per_seed is the
+one rule for random draws: one generator, or a list with one per seed.
 """
 
 from __future__ import annotations
@@ -140,6 +141,15 @@ def exp_logsumexp_rows(m):
         if bad.any():
             lse[bad] = np.log(np.exp(m[bad]).sum(axis=-1, keepdims=True))
     return e, lse
+
+
+def draw_per_seed(rng, draw, seeds: int | None = None):
+    """draw(rng) of one generator, or draw(g) of each generator g of a list, one per seed,
+    stacked in seed order; given `seeds`, a ParameterError unless rng is a list of that many."""
+    one = isinstance(rng, np.random.Generator)
+    if seeds is not None and (one or len(rng) != seeds):
+        raise ParameterError(f"a stack of {seeds} needs one generator per seed")
+    return draw(rng) if one else np.stack([draw(r) for r in rng])
 
 
 def make_rng(seed: int) -> np.random.Generator:

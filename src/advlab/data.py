@@ -13,13 +13,15 @@ u32 n | u32 K``, then n*d float64 entries (row-major) and n int32 labels.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ParameterError, as_matrix, as_stack, check_count, check_labels, make_rng
+from .core import (ParameterError, as_matrix, as_stack, check_count, check_labels, draw_per_seed,
+                   make_rng)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -79,7 +81,7 @@ def _read_idx(path, expected_magic: int, what: str):
     if len(raw) < header_len:
         raise FormatError(f"{what}: truncated dimension header in {path}")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     body = np.frombuffer(raw, dtype=np.uint8, offset=header_len)
     if body.size != count:
         raise FormatError(f"{what}: expected {count} bytes of data, found {body.size} in {path}")
@@ -99,8 +101,7 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> LabeledBatch
             f"image count {images.shape[0]} != label count {labels.shape[0]}"
         )
     if limit is not None:
-        if limit < 1:
-            raise ParameterError("limit must be >= 1")
+        check_count(limit, "limit")
         images = images[:limit]
         labels = labels[:limit]
     n = images.shape[0]
@@ -131,11 +132,20 @@ def synth_blobs(rng: np.random.Generator, n: int, d: int, K: int, spread: float)
     return _blobs(rng, [n], d, K, spread)[0]
 
 
-def blob_dataset(seed: int, n_train: int, n_test: int, d: int, K: int,
-                 spread: float) -> DatasetHandle:
+def blob_dataset(seed: int = 0, n_train: int = 1000, n_test: int = 500, d: int = 16, K: int = 4,
+                 spread: float = 0.08) -> DatasetHandle:
     """Train/test splits sampled around one shared set of cluster centers."""
     train, test = _blobs(make_rng(seed), [n_train, n_test], d, K, spread)
     return DatasetHandle(train, test, name=f"blobs-{d}d-{K}k", source="synthetic")
+
+
+def idx_dataset(train_images: str, train_labels: str, test_images: str, test_labels: str,
+                train_limit: int | None = None, test_limit: int | None = None,
+                name: str = "idx") -> DatasetHandle:
+    """Train/test splits from two MNIST-style IDX image/label pairs (see load_idx)."""
+    return DatasetHandle(load_idx(train_images, train_labels, train_limit),
+                         load_idx(test_images, test_labels, test_limit),
+                         name=name, source="idx-files")
 
 
 def batches(b: LabeledBatch, batch_size: int, rng):
@@ -146,10 +156,7 @@ def batches(b: LabeledBatch, batch_size: int, rng):
     the stacked gather of those orders.
     """
     check_count(batch_size, "batch_size")
-    if isinstance(rng, np.random.Generator):
-        order = rng.permutation(b.n)
-    else:
-        order = np.stack([r.permutation(b.n) for r in rng])
+    order = draw_per_seed(rng, lambda r: r.permutation(b.n))
     for start in range(0, b.n, batch_size):
         idx = order[..., start : start + batch_size]
         yield LabeledBatch(b.inputs[idx], b.labels[idx], b.num_classes)

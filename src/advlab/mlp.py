@@ -171,6 +171,8 @@ def load_checkpoint(path) -> list:
     offset = 9 + 4 * nw
     _check_length(raw, offset, "width table")
     widths = struct.unpack(f"<{nw}I", raw[9:offset])
+    if min(widths) < 1:
+        raise ValueError(f"checkpoint widths {list(widths)} must all be >= 1")
     counts = [widths[l] * widths[l - 1] for l in range(1, nw)]
     expected = offset + 8 * sum(counts)
     if len(raw) != expected:

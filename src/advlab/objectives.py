@@ -43,8 +43,8 @@ class ObjectiveSpec:
 
     @staticmethod
     def check_lam(value, name: str = "lam") -> None:
-        """The mixture-weight rule: a real number in [0, 1]."""
-        if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+        """The mixture-weight rule: a real number in [0, 1], and not a bool."""
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 <= value <= 1):
             raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
 
     @property

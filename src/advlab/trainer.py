@@ -46,6 +46,9 @@ from .objectives import (ObjectiveSpec, correct_mask, mixture_from_logits,
                          risk_from_logits, trades_from_logits)
 
 
+EVAL_ATTACK_SEED = 12345  # every evaluate draws its eval attacks from this seed's stream
+
+
 class DivergenceError(RuntimeError):
     """Non-finite logits or loss in training, named by seed, epoch and batch."""
 
@@ -153,8 +156,7 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
 
 
 def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
-             epoch: int = 0, epoch_wall_ms: float = 0.0,
-             attack_seed: int = 12345) -> MetricsRecord:
+             epoch: int = 0, epoch_wall_ms: float = 0.0) -> MetricsRecord:
     """Full-split metrics: risks, adversarial accuracies, radius estimates.
 
     Radius estimates (and hence gamma_ce and the complexity bounds) are
@@ -170,7 +172,7 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
 
     adv_acc = {}
     for name, spec in eval_attacks:
-        adv_inputs = pgd(weights, data.test, spec, make_rng(attack_seed),
+        adv_inputs = pgd(weights, data.test, spec, make_rng(EVAL_ATTACK_SEED),
                          clean_trace=test_trace)
         adv_logits = forward(weights, adv_inputs).logits
         adv_acc[name] = float(correct_mask(adv_logits, data.test.labels).mean())
@@ -200,8 +202,8 @@ def metric_epochs(epochs: int, every: int) -> set:
     return {e for e in range(1, epochs + 1) if e % every == 0 or e == epochs}
 
 
-def check_fit(cfg: TrainConfig, data: DatasetHandle) -> None:
-    """ParameterError unless the model's first and last widths fit the dataset."""
+def check_fit(cfg: TrainConfig, data: DatasetHandle) -> TrainConfig:
+    """cfg, unless the model's first or last width does not fit the dataset (ParameterError)."""
     widths = cfg.model.layer_widths
     if data.train.dim != widths[0]:
         raise ParameterError(f"model.widths: first width {widths[0]} must match the "
@@ -209,6 +211,7 @@ def check_fit(cfg: TrainConfig, data: DatasetHandle) -> None:
     if data.train.num_classes != widths[-1]:
         raise ParameterError(f"model.widths: last width {widths[-1]} must match the "
                              f"class count {data.train.num_classes}")
+    return cfg
 
 
 def _unseeded(cfg: TrainConfig) -> TrainConfig:

@@ -1,20 +1,32 @@
+import contextlib
 import hashlib
+import inspect
+import io
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import advlab
+from advlab import cli
+from advlab.attacks import AttackSpec
 from advlab.cli import main
 from advlab.core import make_rng
-from advlab.data import DatasetHandle, LabeledBatch, blob_dataset, dump_array
+from advlab.data import DatasetHandle, LabeledBatch, blob_dataset, dump_array, idx_dataset
+from advlab.loat import LoatSchedule
 from advlab.mlp import MlpConfig, forward, init_weights, load_checkpoint
-from advlab.sweep import read_csv
-from advlab.trainer import evaluate
+from advlab.objectives import ObjectiveSpec
+from advlab.sweep import SweepSpec, read_csv
+from advlab.trainer import TrainConfig, check_fit, evaluate
 
 
 def base_config(**overrides):
@@ -294,32 +306,54 @@ class TestPlotscriptCommand:
                      "--out", str(tmp_path)]) == 1
 
 
+@pytest.fixture
+def idx_section(tmp_path):
+    """A dataset section of kind idx: 20 train and 20 test 3x3 images."""
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(20, 3, 3)).astype(np.uint8)
+    labels = rng.integers(0, 10, size=20).astype(np.uint8)
+    section = {"kind": "idx"}
+    for split in ("train", "test"):
+        img = tmp_path / f"{split}_img.idx"
+        lab = tmp_path / f"{split}_lab.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, *images.shape) + images.tobytes())
+        lab.write_bytes(struct.pack(">II", 0x801, 20) + labels.tobytes())
+        section.update({f"{split}_images": str(img), f"{split}_labels": str(lab)})
+    return section
+
+
 class TestDatasetSection:
-    def test_idx_kind_roundtrip(self, tmp_path):
-        import struct
-        rng = np.random.default_rng(0)
-        images = rng.integers(0, 256, size=(20, 3, 3)).astype(np.uint8)
-        labels = rng.integers(0, 10, size=20).astype(np.uint8)
-        paths = {}
-        for split in ("train", "test"):
-            img = tmp_path / f"{split}_img.idx"
-            lab = tmp_path / f"{split}_lab.idx"
-            with open(img, "wb") as fh:
-                fh.write(struct.pack(">IIII", 0x803, *images.shape))
-                fh.write(images.tobytes())
-            with open(lab, "wb") as fh:
-                fh.write(struct.pack(">II", 0x801, 20))
-                fh.write(labels.tobytes())
-            paths[split] = (str(img), str(lab))
-        cfg = base_config(dataset={
-            "kind": "idx",
-            "train_images": paths["train"][0], "train_labels": paths["train"][1],
-            "test_images": paths["test"][0], "test_labels": paths["test"][1],
-        })
+    def test_idx_kind_roundtrip(self, tmp_path, idx_section):
+        cfg = base_config(dataset=idx_section)
         cfg["model"]["widths"] = [9, 6, 10]
         cfg_path = write_config(tmp_path, cfg)
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_reads_the_loader_signature_under_a_wrapper(self, monkeypatch):
+        # perfbench's tracer replaces module functions by (*args, **kwargs) wrappers
+        monkeypatch.setattr(cli, "blob_dataset", lambda *args, **kwargs: None)
+        data = cli.build_dataset({"kind": "synthetic", "seed": 1, "n_train": 8, "n_test": 6,
+                                  "d": 2, "K": 2})
+        assert (data.train.n, data.test.n, data.train.dim) == (8, 6, 2)
+
+    def test_idx_limits_and_name(self, idx_section):
+        data = cli.build_dataset({**idx_section, "train_limit": 5, "test_limit": 7,
+                                  "name": "mini"})
+        assert (data.train.n, data.test.n, data.name, data.source) == (5, 7, "mini", "idx-files")
+
+    @pytest.mark.parametrize("field, value", [("train_limit", "5"), ("train_limit", 2.5),
+                                              ("test_limit", True), ("train_images", 5),
+                                              ("name", 3)])
+    def test_idx_field_of_the_wrong_type_exit_one(self, tmp_path, capsys, idx_section, field,
+                                                  value):
+        # a string or float limit exited 2 with a bare TypeError, and true kept one sample
+        cfg = base_config(dataset={**idx_section, field: value})
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: dataset.{field}: expected ")
+        assert not out.exists()
 
     def test_unknown_kind(self, tmp_path, capsys):
         cfg = base_config(dataset={"kind": "imagenet"})
@@ -337,8 +371,47 @@ SWEEP_CONFIG = {
 }
 
 
+# The top-level sections each command reads.
+SECTIONS = {"train": ["dataset", "model", "objective", "attack", "schedule", "train"],
+            "sweep": ["dataset", "grid", "attack", "schedule", "train"]}
+# Every key a config may hold at some level: sections, parameters, dataset kind, renames.
+KNOWN_KEYS = {name for target in (blob_dataset, idx_dataset, MlpConfig, ObjectiveSpec, AttackSpec,
+                                   LoatSchedule, TrainConfig, SweepSpec)
+              for name in inspect.signature(target).parameters}
+KNOWN_KEYS |= {*SECTIONS["train"], *SECTIONS["sweep"], "kind", "widths", "lambda", "epsilon",
+               "E1", "E2"}
+
+
+@st.composite
+def configs_with_an_unknown_key(draw):
+    """(command, a valid config of it with one unknown key added, that key as where.key)."""
+    command = draw(st.sampled_from(sorted(SECTIONS)))
+    cfg = json.loads(json.dumps(base_config() if command == "train" else SWEEP_CONFIG))
+    where = draw(st.sampled_from(["config"] + SECTIONS[command]))
+    key = draw(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,11}", fullmatch=True)
+               .filter(lambda k: k not in KNOWN_KEYS))
+    node = cfg if where == "config" else cfg.setdefault(where, {})
+    node[key] = draw(st.sampled_from([0, 1.5, "x", True, None, [1], {}]))
+    return command, cfg, f"{where}.{key}"
+
+
 class TestConfigErrors:
     """Configs that passed section validation but failed while running."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=configs_with_an_unknown_key())
+    def test_unknown_key_anywhere_exit_one_naming_it(self, case):
+        # an unknown key in the dataset, the grid or at the top level was ignored
+        command, cfg, where_key = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", str(write_config(Path(tmp), cfg)),
+                             "--out", str(out)])
+            assert code == 1
+            assert stderr.getvalue().startswith(f"error: {where_key}: unknown ")
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, train_fields, field", [
         ("train", {"attack": {"epsilon": 0.1}}, "attack"),
@@ -377,16 +450,29 @@ class TestConfigErrors:
         ("sweep", ["grid", "lambdas"], ["x"], "lambdas"),
         ("train", ["model", "widths"], [5, 6, 3], "widths"),
         ("train", ["model", "widths"], [4, 6, 2], "widths"),
+        ("train", ["dataset", "seed"], True, "dataset.seed"),
+        ("train", ["attack", "epsilon"], True, "attack.epsilon"),
+        ("train", ["train", "lr"], True, "train.lr"),
+        ("sweep", ["grid", "lambdas"], [True], "lambdas"),
+        ("train", ["schedul"], {"variant": "LORE"}, "config.schedul"),
+        ("sweep", ["objective"], {"kind": "trades"}, "config.objective"),
+        ("train", ["dataset", "n_trian"], 40, "dataset.n_trian"),
+        ("sweep", ["grid", "epochs"], [9], "grid.epochs"),
+        ("sweep", ["train", "widths"], [4], "train.widths"),
+        ("train", ["objective", "lam"], 0.5, "objective.lam"),
     ], ids=["train-list", "attack-list", "schedule-list", "dataset-n_train-str",
             "dataset-spread-str", "train-lr-str", "sweep-momentum-str", "attack-k-float",
             "model-widths-float", "grid-widths-float", "grid-seeds-str", "model-seed-negative",
             "train-seed-negative", "grid-seeds-negative", "sweep-lr-negative",
             "sweep-momentum-one", "grid-lambdas-str", "model-widths-first-not-d",
-            "model-widths-last-not-k"])
+            "model-widths-last-not-k", "dataset-seed-bool", "attack-epsilon-bool",
+            "train-lr-bool", "grid-lambdas-bool", "top-level-typo", "sweep-objective",
+            "dataset-typo", "grid-typo", "sweep-train-grid-list", "objective-lambda-twice"])
     def test_shape_exit_one_naming_the_field(self, tmp_path, capsys, command, path, value,
                                              field):
-        # each of these exited 2 (runtime error) or exited 1 without the field's name, some
-        # after creating --out; the spec that owns the field now rejects it before that
+        # each of these exited 2 (runtime error), exited 1 without the field's name, some
+        # after creating --out, or exited 0 running something else than the config says;
+        # the spec that owns the field now rejects it before --out exists
         cfg = json.loads(json.dumps(base_config() if command == "train" else SWEEP_CONFIG))
         *parents, last = path
         node = cfg
@@ -416,6 +502,15 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "jobs" in err
         assert not out.exists()
+
+
+def test_readme_example_config_builds():
+    """The README's example config passes the CLI's reader, so the docs cannot drift from it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command_line = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    (example,) = re.findall(r"```json\n(.*?)```", command_line, re.S)
+    cfg = json.loads(example)
+    check_fit(cli.build_train_config(cfg), cli.build_dataset(cfg["dataset"]))
 
 
 def config_hash(cfg) -> str:

@@ -47,10 +47,12 @@ class TestLoadIdx:
         batch = load_idx(img_path, lab_path, limit=5)
         assert batch.n == 5
 
-    def test_limit_zero_rejected(self, idx_pair):
+    @pytest.mark.parametrize("limit", [0, "5", 2.5, True])
+    def test_limit_zero_rejected(self, idx_pair, limit):
+        # "5" and 2.5 raised a bare TypeError, and True kept one sample
         img_path, lab_path, *_ = idx_pair
-        with pytest.raises(ParameterError):
-            load_idx(img_path, lab_path, limit=0)
+        with pytest.raises(ParameterError, match="limit"):
+            load_idx(img_path, lab_path, limit=limit)
 
     def test_bad_magic(self, idx_pair):
         img_path, lab_path, *_ = idx_pair
@@ -72,6 +74,14 @@ class TestLoadIdx:
         broken.write_bytes(img_path.read_bytes()[:keep])
         with pytest.raises(FormatError, match="truncated"):
             load_idx(broken, lab_path)
+
+    def test_dims_whose_product_wraps_int64(self, tmp_path, idx_pair):
+        # 2^31 * 2^31 * 4 = 2^64 wrapped to 0 in int64, so an empty body passed
+        _, lab_path, *_ = idx_pair
+        huge = tmp_path / "huge.idx"
+        huge.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 2**31, 4))
+        with pytest.raises(FormatError, match=f"expected {2**64} bytes of data, found 0"):
+            load_idx(huge, lab_path)
 
     def test_padded_body(self, tmp_path, idx_pair):
         img_path, lab_path, *_ = idx_pair

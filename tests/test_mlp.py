@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,13 @@ class TestCheckpoint:
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:cut])
         with pytest.raises(ValueError, match=f"file has {cut}"):
+            load_checkpoint(path)
+
+    def test_zero_width_rejected(self, tmp_path):
+        # widths [4, 0, 2] have an empty body and loaded as (0, 4) and (2, 0) weights
+        path = tmp_path / "zero.ckpt"
+        path.write_bytes(b"AMLP\x01" + struct.pack("<4I", 3, 4, 0, 2))
+        with pytest.raises(ValueError, match=r"\[4, 0, 2\] must all be >= 1"):
             load_checkpoint(path)
 
     def test_too_few_widths_rejected(self, tmp_path):

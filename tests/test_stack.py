@@ -98,6 +98,16 @@ class TestStackedEqualsSeparate:
 
 
 class TestStackChecks:
+    @pytest.mark.parametrize("p", ["inf", "two"])
+    def test_pgd_stack_needs_one_generator_per_seed(self, p):
+        spec = AttackSpec(p=p, eps=0.5, alpha=0.2, k=1, random_start=True)
+        stacked = [np.stack(layer) for layer in zip(*(init_weights(MlpConfig([5, 7, 3], seed=s))
+                                                      for s in (2, 9)))]
+        batch = LabeledBatch(np.stack([DATA.test.inputs] * 2), np.stack([DATA.test.labels] * 2), 3)
+        for rngs in (make_rng(5), [make_rng(5)], [make_rng(s) for s in (5, 6, 7)]):
+            with pytest.raises(ParameterError, match="a stack of 2 needs one generator per seed"):
+                pgd_stack(stacked, batch, spec, rngs)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_diverging_seed_is_named(self, monkeypatch):
         # seed 7's weights put its largest training logit at 0.9 of the float64
