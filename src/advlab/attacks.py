@@ -6,10 +6,12 @@ a clamp into [0,1]^d.  With track_best the per-sample iterate with
 maximal CE is returned, and the clean start is always a candidate, so
 CE(output) >= CE(clean) holds per sample by construction.
 
-Each iterate is forwarded once, and that forward serves both its
-track-best CE and the input gradient of the next step.  Gradients use
-mlp.input_grad, the input-only backward, which skips the weight
-gradients an attack would throw away.  A caller that has already
+The attack is one loop over iterates 0..k, the start (clean or random)
+and each step's output.  Each iterate is forwarded once, and its one CE
+pass gives both its track-best candidate update and the input gradient
+of the next step; without track_best the last iterate is not forwarded.
+Gradients use mlp.input_grad, the input-only backward, which skips the
+weight gradients an attack would throw away.  A caller that has already
 forwarded the clean batch (the trainer does) passes that trace as
 `clean_trace`; it supplies the clean CE and the first gradient.  The
 outputs are bit-identical to forwarding every iterate twice.  An l-inf
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, as_stack, check_labels, draw_per_seed
+from .core import ParameterError, ShapeError, as_stack, check_count, check_labels, draw_per_seed
 from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, forward_stack, input_grad
 from .objectives import ce_loss, checked_ce_loss_and_grad
@@ -53,8 +55,9 @@ class AttackSpec:
     def __post_init__(self):
         if self.p not in ("inf", "two"):
             raise ParameterError("p must be 'inf' or 'two'")
-        if self.eps < 0 or self.alpha <= 0 or self.k < 1:
-            raise ParameterError("require eps >= 0, alpha > 0, k >= 1")
+        if self.eps < 0 or self.alpha <= 0:
+            raise ParameterError("require eps >= 0, alpha > 0")
+        check_count(self.k, "k")
 
 
 def eval_attack_pair(spec: AttackSpec) -> tuple:
@@ -104,8 +107,7 @@ def pgd_stack(weights: list, batch: LabeledBatch, spec: AttackSpec,
 
 def _pgd(weights, batch, spec, rng, clean_trace, forward):
     """The attack of pgd and pgd_stack; `forward` is the forward pass of the caller."""
-    x0 = batch.inputs
-    labels = batch.labels
+    x = x0 = batch.inputs
     if spec.eps == 0.0:
         return x0.copy()
     if spec.p == "inf":
@@ -130,38 +132,33 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
             radius = spec.eps * draw_per_seed(rng, lambda r: r.uniform(
                 0.0, 1.0, size=(x0.shape[-2], 1)), seeds) ** (1.0 / x0.shape[-1])
             x = project(x0, x0 + radius * direction, "two", spec.eps)
-    else:
-        x = x0.copy()
 
-    # The clean forward gives the track-best baseline and, without a
-    # random start, the first iterate's trace as well.  Every iterate's
-    # one CE pass gives its track-best loss and the next step's gradient.
+    # The clean point is always a candidate: with a random start its CE is
+    # the baseline, and without one it is iterate 0 over a -inf baseline.
     if clean_trace is None and (spec.track_best or not spec.random_start):
         clean_trace = forward(weights, x0)
     trace = forward(weights, x) if spec.random_start else clean_trace
-    labels = check_labels(labels, *trace.logits.shape)
-    loss, logit_grad = checked_ce_loss_and_grad(trace.logits, labels)
+    labels = check_labels(batch.labels, *trace.logits.shape)
     if spec.track_best:
         best_x = x0.copy()
-        best_loss = ce_loss(clean_trace.logits, labels)[0] if spec.random_start else loss
-        improved = loss > best_loss
-        np.copyto(best_x, x, where=improved[..., None])
-        best_loss = np.maximum(best_loss, loss)
+        best_loss = ce_loss(clean_trace.logits, labels)[0] if spec.random_start else -np.inf
 
-    for step in range(spec.k):
-        grad = input_grad(weights, trace, logit_grad)
-        if spec.p == "inf":
-            moved = np.sign(grad)
-            moved *= spec.alpha
-            moved += x
-            np.maximum(moved, lo, out=moved)
-            x = np.minimum(moved, hi, out=moved)
-        else:
-            norms = np.linalg.norm(grad, axis=-1, keepdims=True)
-            x = project(x0, x + spec.alpha * grad / np.maximum(norms, 1e-300), "two", spec.eps)
-        if spec.track_best or step < spec.k - 1:
+    for step in range(spec.k + 1):
+        if step:
+            grad = input_grad(weights, trace, logit_grad)
+            if spec.p == "inf":
+                moved = np.sign(grad)
+                moved *= spec.alpha
+                moved += x
+                np.maximum(moved, lo, out=moved)
+                x = np.minimum(moved, hi, out=moved)
+            else:
+                norms = np.linalg.norm(grad, axis=-1, keepdims=True)
+                x = project(x0, x + spec.alpha * grad / np.maximum(norms, 1e-300), "two", spec.eps)
+            if step == spec.k and not spec.track_best:
+                break
             trace = forward(weights, x)
-            loss, logit_grad = checked_ce_loss_and_grad(trace.logits, labels)
+        loss, logit_grad = checked_ce_loss_and_grad(trace.logits, labels)
         if spec.track_best:
             improved = loss > best_loss
             np.copyto(best_x, x, where=improved[..., None])

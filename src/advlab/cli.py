@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,13 +43,15 @@ _JSON = {int: int, float: (int, float), str: str, list: list, tuple: list,
 
 
 def _field(cfg: dict, field: str, types, where: str, default=None):
-    """cfg[field], an instance of `types` and not a bool; required unless a default is given."""
+    """cfg[field], a finite instance of `types`, not a bool; required unless a default is given."""
     if field not in cfg and default is None:
         raise ConfigError(f"{where}.{field}: missing required field")
     value = cfg.get(field, default)
     if isinstance(value, bool) or not isinstance(value, types):
         want = getattr(types, "__name__", None) or " or ".join(t.__name__ for t in types)
         raise ConfigError(f"{where}.{field}: expected {want}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}.{field}: expected a finite number, got {value}")
     return value
 
 

@@ -135,6 +135,7 @@ def synth_blobs(rng: np.random.Generator, n: int, d: int, K: int, spread: float)
 def blob_dataset(seed: int = 0, n_train: int = 1000, n_test: int = 500, d: int = 16, K: int = 4,
                  spread: float = 0.08) -> DatasetHandle:
     """Train/test splits sampled around one shared set of cluster centers."""
+    check_count(seed, "seed", least=0)
     train, test = _blobs(make_rng(seed), [n_train, n_test], d, K, spread)
     return DatasetHandle(train, test, name=f"blobs-{d}d-{K}k", source="synthetic")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, as_matrix, check_count, check_labels, softmax_rows
+from .core import ParameterError, as_matrix, check_count, check_labels, label_index, softmax_rows
 from .data import LabeledBatch
 from .mlp import forward
 from .objectives import correct_mask
@@ -61,7 +61,7 @@ def fr_integrand(logits, labels) -> np.ndarray:
     logits = as_matrix(logits)
     labels = check_labels(labels, *logits.shape)
     probs = softmax_rows(logits)
-    return (probs * logits).sum(axis=1) - logits[np.arange(len(labels)), labels]
+    return (probs * logits).sum(axis=1) - logits[label_index(labels)]
 
 
 def fr_norm_ce(weights: list, batch: LabeledBatch):
@@ -83,8 +83,8 @@ def max_logit_gap(logits, labels) -> np.ndarray:
     """Per-sample max_{k != y} |f_k - f_y|."""
     logits = as_matrix(logits)
     labels = check_labels(labels, *logits.shape)
-    gaps = np.abs(logits - logits[np.arange(len(labels)), labels][:, None])
-    gaps[np.arange(len(labels)), labels] = -np.inf
+    gaps = np.abs(logits - logits[label_index(labels)][:, None])
+    gaps[label_index(labels)] = -np.inf
     return gaps.max(axis=1)
 
 

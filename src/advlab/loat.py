@@ -18,15 +18,15 @@ adds gamma*AP_M early and gamma*AP_C late.  A penalty whose sample subset
 is empty contributes zero for that batch.  `loat` computes these applied
 terms and their logit gradients in one pass; P_C, P_M and the Jensen term
 are diagnostics with standalone functions, used by the inequality tests.
-Both take each (1/(K-1)) sum_{k != y} (s_k - c_i)^2 from one helper
-(c_i = s_y or m_i).
+Both take each (1/(K-1)) sum_{k != y} (s_k - c_i)^2 from one helper (c_i =
+s_y or m_i), and every subset mean from one rule, _subset_means.
 
 Correct/wrong masks come from clean logits (objectives.correct_mask), one
 entry per row, and are treated as stop-gradient constants (argmax has no
 useful derivative).  Labels follow core.check_labels.  `loat` also takes a
 stack of logit matrices with one label and mask row per seed; each seed's
-subset means stay boolean selections of its own row (core.per_seed), since
-a zero-filled sum would regroup numpy's pairwise sum and change the bits.
+subset means stay boolean selections of its own row, in one pass over
+the seeds, since a zero-filled sum would regroup numpy's pairwise sum.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ParameterError, ShapeError, as_matrix, as_stack, check_labels,
+from .core import (ParameterError, ShapeError, as_matrix, as_stack, check_count, check_labels,
                    label_entries, label_index, per_seed, softmax_rows)
 
 
@@ -54,8 +54,8 @@ class LoatSchedule:
     def __post_init__(self):
         if self.variant not in ("SLORE", "LORE", "OFF"):
             raise ParameterError("variant must be SLORE, LORE, or OFF")
-        if self.e1 > self.e2:
-            raise ParameterError("require e1 <= e2")
+        check_count(self.e1, "e1", least=0)
+        check_count(self.e2, "e2", least=self.e1)
         if self.tau < 0 or self.gamma < 0:
             raise ParameterError("tau and gamma must be >= 0")
 
@@ -99,9 +99,9 @@ def _subset_terms(probs, labels, mask, wrong: bool, what: str):
     subset = ~mask if wrong else mask
     if not subset.any():
         raise EmptySubsetError(f"no {what} samples in batch")
-    label_p, m = probs[np.arange(len(labels)), labels], _nonlabel_mean(probs, labels)
-    terms = [_sq_dev(probs, labels, c)[1] for c in (label_p, m)] + [(m - label_p) ** 2]
-    return tuple(float(t[subset].mean()) for t in terms)
+    label_p, m = label_entries(probs, labels), _nonlabel_mean(probs, labels)
+    p, p_low = (_sq_dev(probs, labels, c)[1] for c in (label_p, m))
+    return tuple(map(float, _subset_means(p, subset, p_low, subset, (m - label_p) ** 2, subset)))
 
 
 def penalty_correct(probs, labels, mask):
@@ -128,7 +128,7 @@ def adversarial_pairing(clean_probs, adv_probs, mask) -> float:
     mask = _check_mask(mask, clean_probs.shape[:1])
     if not mask.any():
         raise EmptySubsetError("empty pairing subset")
-    return float(((clean_probs - adv_probs) ** 2).sum(axis=1)[mask].mean())
+    return float(_subset_means(((clean_probs - adv_probs) ** 2).sum(axis=1), mask)[0])
 
 
 def _softmax_chain(probs: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:
@@ -136,19 +136,11 @@ def _softmax_chain(probs: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:
     return probs * (d_sigma - (d_sigma * probs).sum(axis=-1, keepdims=True))
 
 
-def _subset_mean(values: np.ndarray, subset: np.ndarray) -> float:
-    """Mean of one seed's values over its subset rows; 0 for an empty subset."""
-    chosen = values[subset]
-    return float(chosen.mean()) if chosen.size else 0.0
-
-
-def _penalty(scale, gamma, sq_dev, mask, pair_sq=None, subset=None) -> float:
-    """One seed's penalty: scale * (P_C_low - P_M_low), plus gamma times the
-    mean pairing distance over `subset` when that subset is nonempty."""
-    penalty = scale * (_subset_mean(sq_dev, mask) - _subset_mean(sq_dev, ~mask))
-    if subset is not None and subset.any():
-        penalty += gamma * float(pair_sq[subset].mean())
-    return penalty
+def _subset_means(*pairs) -> np.ndarray:
+    """Per seed, the mean of each (values, subset) pair's values over the subset's rows,
+    shape (..., pairs): a boolean selection of the seed's rows, 0 for an empty subset."""
+    return np.asarray(per_seed(lambda *rows: [c.mean() if c.size else 0.0 for c in (
+        v[s] for v, s in zip(rows[::2], rows[1::2]))], *pairs))
 
 
 def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits=None):
@@ -184,17 +176,22 @@ def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits
     scaled = (2.0 / (k - 1)) * dev
     d_sigma = scale * np.where(mask[..., None], scaled / np.maximum(n_c, 1),
                                0.0 - scaled / np.maximum(n_m, 1))
-    terms = [sq_dev, mask]
+    pairing = ()
 
     if sched.variant == "LORE" and adv_logits is not None:
         adv_probs = softmax_rows(adv_logits)
         subset, count = (~mask, n_m) if phase == "early" else (mask, n_c)
         diff = probs - adv_probs
-        terms += [(diff ** 2).sum(axis=-1), subset]
+        pairing = ((diff ** 2).sum(axis=-1), subset)
         pair_grad = 2.0 * diff / np.maximum(count, 1)
         d_sigma = d_sigma + sched.gamma * np.where(subset[..., None], pair_grad, 0.0)
         adv_grad = _softmax_chain(
             adv_probs, sched.gamma * np.where(subset[..., None], -pair_grad, 0.0))
 
-    penalty = per_seed(lambda *rows: _penalty(scale, sched.gamma, *rows), *terms)
-    return penalty, _softmax_chain(probs, d_sigma), adv_grad
+    # one pass over the seeds gives the subset means of P_C_low, P_M_low and the pairing
+    # term; an empty pairing subset adds nothing, so a -0.0 penalty keeps its sign
+    means = _subset_means(sq_dev, mask, sq_dev, ~mask, *pairing)
+    penalty = scale * (means[..., 0] - means[..., 1])
+    if pairing:
+        penalty = np.where(subset.any(axis=-1), penalty + sched.gamma * means[..., 2], penalty)
+    return (penalty if penalty.ndim else float(penalty)), _softmax_chain(probs, d_sigma), adv_grad

@@ -113,6 +113,12 @@ class TestAttackSpec:
         with pytest.raises(ParameterError):
             AttackSpec(k=0)
 
+    @pytest.mark.parametrize("k", [2.5, True], ids=["float", "bool"])
+    def test_k_must_be_an_integer(self, k):
+        # k=2.5 was accepted and pgd then raised a bare TypeError; k=True ran one step
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            AttackSpec(k=k)
+
 
 class TestEvalAttackPair:
     def test_fgsm_step_and_pgd_without_random_start(self):

@@ -211,6 +211,13 @@ class TestBoundsCommand:
         assert report["bound_lower"] == pytest.approx(0.2549240285843747, abs=1e-9)
         assert report["bound_upper"] == pytest.approx(0.39634538482168413, abs=1e-9)
 
+    def test_truncated_dump_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "logits.bin"
+        dump_array(np.eye(3), np.arange(3), 3, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        assert main(["bounds", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: dump length")
+
     def test_undefined_metrics_stay_null(self, tmp_path, capsys):
         logits = np.zeros((4, 3))
         logits[:, 0] = 1.0  # every row correct
@@ -460,6 +467,16 @@ class TestConfigErrors:
         ("sweep", ["grid", "epochs"], [9], "grid.epochs"),
         ("sweep", ["train", "widths"], [4], "train.widths"),
         ("train", ["objective", "lam"], 0.5, "objective.lam"),
+        ("train", ["attack", "epsilon"], float("nan"), "attack.epsilon"),
+        ("train", ["schedule"], {"variant": "SLORE", "tau": float("nan")}, "schedule.tau"),
+        ("train", ["schedule"], {"variant": "LORE", "gamma": float("inf")}, "schedule.gamma"),
+        ("train", ["objective"], {"kind": "trades", "beta": float("nan")}, "objective.beta"),
+        ("sweep", ["dataset", "spread"], float("nan"), "dataset.spread"),
+        ("train", ["model", "init_scale"], float("nan"), "model.init_scale"),
+        ("train", ["train", "lr"], float("inf"), "train.lr"),
+        ("sweep", ["attack"], {"epsilon": float("inf")}, "attack.epsilon"),
+        ("train", ["attack", "alpha"], float("inf"), "attack.alpha"),
+        ("train", ["dataset", "seed"], -1, "seed"),
     ], ids=["train-list", "attack-list", "schedule-list", "dataset-n_train-str",
             "dataset-spread-str", "train-lr-str", "sweep-momentum-str", "attack-k-float",
             "model-widths-float", "grid-widths-float", "grid-seeds-str", "model-seed-negative",
@@ -467,11 +484,15 @@ class TestConfigErrors:
             "sweep-momentum-one", "grid-lambdas-str", "model-widths-first-not-d",
             "model-widths-last-not-k", "dataset-seed-bool", "attack-epsilon-bool",
             "train-lr-bool", "grid-lambdas-bool", "top-level-typo", "sweep-objective",
-            "dataset-typo", "grid-typo", "sweep-train-grid-list", "objective-lambda-twice"])
+            "dataset-typo", "grid-typo", "sweep-train-grid-list", "objective-lambda-twice",
+            "attack-epsilon-nan", "schedule-tau-nan", "schedule-gamma-inf", "trades-beta-nan",
+            "dataset-spread-nan", "model-init_scale-nan", "train-lr-inf", "sweep-epsilon-inf",
+            "attack-alpha-inf", "dataset-seed-negative"])
     def test_shape_exit_one_naming_the_field(self, tmp_path, capsys, command, path, value,
                                              field):
         # each of these exited 2 (runtime error), exited 1 without the field's name, some
-        # after creating --out, or exited 0 running something else than the config says;
+        # after creating --out, or exited 0 running something else than the config says
+        # (json reads NaN and Infinity, and a non-finite number ran until the loss diverged);
         # the spec that owns the field now rejects it before --out exists
         cfg = json.loads(json.dumps(base_config() if command == "train" else SWEEP_CONFIG))
         *parents, last = path

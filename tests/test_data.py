@@ -1,11 +1,16 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advlab.core import ParameterError, make_rng
-from advlab.data import (FormatError, LabeledBatch, batches, dump_array,
+from advlab.data import (DatasetHandle, FormatError, LabeledBatch, batches, dump_array,
                          load_array, load_idx, synth_blobs)
+from advlab.mlp import MlpConfig, init_weights, load_checkpoint, save_checkpoint
 
 
 def write_idx_images(path, images):
@@ -170,6 +175,44 @@ class TestDumpFormat:
         path.write_bytes(b"XXXX" + b"\0" * 20)
         with pytest.raises(FormatError):
             load_array(path)
+
+
+def _write_dump(path, rng, n, d, k):
+    dump_array(rng.uniform(size=(n, d)), rng.integers(0, k, size=n), k, path)
+
+
+def _write_checkpoint(path, rng, n, d, k):
+    save_checkpoint(init_weights(MlpConfig([d, n, k], seed=int(rng.integers(100)))), path)
+
+
+class TestPartialFilesRejected:
+    """A binary reader accepts one whole file, and no prefix or zero-padded extension of it."""
+
+    @pytest.mark.parametrize("write, load, error", [
+        (_write_dump, load_array, FormatError), (_write_checkpoint, load_checkpoint, ValueError),
+    ], ids=["dump", "checkpoint"])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 4), d=st.integers(1, 3),
+           k=st.integers(2, 4), pads=st.lists(st.integers(1, 64), min_size=1, max_size=4))
+    def test_every_strict_prefix_and_padding(self, write, load, error, seed, n, d, k, pads):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.bin"
+            write(path, make_rng(seed), n, d, k)
+            raw = path.read_bytes()
+            load(path)  # the whole file loads
+            for variant in [raw[:cut] for cut in range(len(raw))] + [raw + b"\0" * p for p in pads]:
+                path.write_bytes(variant)
+                with pytest.raises(error):
+                    load(path)
+
+
+class TestDatasetHandle:
+    @pytest.mark.parametrize("d, k", [(3, 2), (2, 3)], ids=["d", "K"])
+    def test_splits_must_share_d_and_k(self, d, k):
+        train = LabeledBatch(np.full((4, 2), 0.5), np.array([0, 1, 0, 1]), 2)
+        test = LabeledBatch(np.full((4, d), 0.5), np.array([0, 1, 0, 1]), k)
+        with pytest.raises(ParameterError, match="share d and K"):
+            DatasetHandle(train, test, name="t", source="synthetic")
 
 
 class TestLabeledBatch:

@@ -22,6 +22,18 @@ class TestSchedule:
         with pytest.raises(ParameterError):
             LoatSchedule(tau=-1.0)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"e1": True}, "e1"), ({"e1": 1.5}, "e1"), ({"e1": -1}, "e1"), ({"e2": 2.5}, "e2"),
+        ({"e2": True}, "e2"),
+    ], ids=["e1-bool", "e1-float", "e1-negative", "e2-float", "e2-bool"])
+    def test_phase_bounds_are_integers(self, fields, name):
+        # each of these was accepted, and phase() compared epochs against it
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            LoatSchedule(**fields)
+
+    def test_e1_zero_and_e2_equal_e1(self):
+        assert LoatSchedule(e1=0, e2=0, variant="SLORE").phase(0) == "early"
+
     def test_defaults(self):
         s = LoatSchedule()
         assert (s.e1, s.e2, s.tau, s.gamma, s.variant) == (1, 100, 1.0, 0.05, "OFF")

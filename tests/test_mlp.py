@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab.core import ShapeError, make_rng
+from advlab.core import ParameterError, ShapeError, make_rng
 from advlab.data import synth_blobs
 from advlab.mlp import (MlpConfig, backward, backward_stack, forward, forward_stack,
                         init_weights, input_grad, load_checkpoint, save_checkpoint)
@@ -60,6 +60,10 @@ class TestInit:
         w = init_weights(MlpConfig([5, 4, 3], seed=0, init_scale=0.0))
         logits = forward(w, make_rng(0).uniform(size=(6, 5))).logits
         assert np.array_equal(logits, np.zeros((6, 3)))
+
+    def test_one_width_rejected(self):
+        with pytest.raises(ParameterError, match="length >= 2"):
+            MlpConfig([5])
 
 
 class TestForward:
@@ -282,6 +286,12 @@ class TestCheckpoint:
         path = tmp_path / "zero.ckpt"
         path.write_bytes(b"AMLP\x01" + struct.pack("<4I", 3, 4, 0, 2))
         with pytest.raises(ValueError, match=r"\[4, 0, 2\] must all be >= 1"):
+            load_checkpoint(path)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:4] + b"\x02" + raw[5:])
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
             load_checkpoint(path)
 
     def test_too_few_widths_rejected(self, tmp_path):

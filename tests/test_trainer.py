@@ -53,6 +53,13 @@ class TestSgdStep:
             sgd_step([np.zeros((2, 2))], [np.zeros((2, 3))], [np.zeros((2, 2))],
                      lr=0.1, momentum=0.0)
 
+    @pytest.mark.parametrize("grads, velocity", [(1, 2), (2, 1)], ids=["grads", "velocity"])
+    def test_mismatched_layer_counts(self, grads, velocity):
+        w = [np.zeros((2, 2)), np.zeros((2, 2))]
+        with pytest.raises(ParameterError, match="equal layer counts"):
+            sgd_step(w, [np.zeros((2, 2))] * grads, [np.zeros((2, 2))] * velocity,
+                     lr=0.1, momentum=0.0)
+
 
 class TestTrainConfig:
     def test_validation(self):

@@ -15,6 +15,12 @@ fields are left out, so equal lines mean equal outputs:
   train_stack_4   weights and histories of one 4-seed trainer.train_stack call
   attacks         pgd and pgd_stack outputs for l-inf / l2, with and without a
                   random start and track-best, on inputs holding -0.0 entries
+  loat            loat.loat's penalty and both logit gradients, signs of zeros
+                  included, for SLORE / LORE in the early, off and late phases,
+                  over all-correct, all-wrong and mixed masks, with and without
+                  adversarial logits, for K = 2 and 4, random and tied clean
+                  logits (tied ones make the late penalty -0.0), on a matrix and
+                  a 3-seed stack
   rademacher      empirical_rademacher's (estimate, stderr) and the generator
                   state after it, for five bit generators, with and without a
                   pending 32-bit half
@@ -24,7 +30,7 @@ fields are left out, so equal lines mean equal outputs:
                   epoch_wall_ms, manifest.json
 
 Uses only the standard library, numpy and advlab; a full run takes about
-8 s on two cores.
+10 s on two cores.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -129,6 +136,26 @@ def attack_digest(lab):
     return digest(parts)
 
 
+def loat_digest(lab):
+    parts = []
+    for k in (2, 4):
+        rng = np.random.default_rng(k)
+        adv, random_clean = rng.standard_normal((2, 3, 12, k))
+        labels = rng.integers(0, k, size=(3, 12))
+        masks = (np.ones((3, 12), bool), np.zeros((3, 12), bool), rng.uniform(size=(3, 12)) < 0.5)
+        # tied clean logits give softmax rows of exactly 1/k, so both subset terms are
+        # exact zeros and the late penalty -tau * (0 - 0) is -0.0
+        for clean in (random_clean, np.zeros_like(random_clean)):
+            for variant in ("SLORE", "LORE"):
+                sched = lab.loat.LoatSchedule(e1=1, e2=3, tau=0.7, gamma=0.3, variant=variant)
+                for epoch, mask, adv_logits in itertools.product((1, 2, 3), masks, (None, adv)):
+                    parts.append(lab.loat.loat(clean[0], labels[0], mask[0], epoch, sched,
+                                               None if adv_logits is None else adv[0]))
+                    parts.append(lab.loat.loat(clean, labels, mask, epoch, sched, adv_logits))
+    # a scalar penalty enters as a 0-d array, so the sign of a zero shows in its bytes
+    return digest(np.asarray(a) for result in parts for a in result)
+
+
 def rademacher_digest(lab):
     parts = []
     for bit_generator in (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
@@ -169,7 +196,7 @@ def main(argv=None) -> int:
     import advlab.cli  # noqa: F401 - binds the submodules used below
     import advlab as lab
 
-    out = {**train_digests(lab), "attacks": attack_digest(lab),
+    out = {**train_digests(lab), "attacks": attack_digest(lab), "loat": loat_digest(lab),
            "rademacher": rademacher_digest(lab)}
     with tempfile.TemporaryDirectory() as tmp:
         for jobs in (1, 2):
