@@ -15,8 +15,8 @@ weight gradients an attack would throw away.  A caller that has already
 forwarded the clean batch (the trainer does) passes that trace as
 `clean_trace`; it supplies the clean CE and the first gradient.  The
 outputs are bit-identical to forwarding every iterate twice.  An l-inf
-step allocates one array and applies the step size, the iterate and the
-ball-and-box clip to its sign in place.
+step allocates nothing: it works in place on the gradient and on the
+iterate, which starts as a copy of the clean input.
 
 pgd attacks one network; pgd_stack attacks a stacked batch (see core)
 through a stack of networks, every seed's attack in the same numpy calls.
@@ -107,9 +107,10 @@ def pgd_stack(weights: list, batch: LabeledBatch, spec: AttackSpec,
 
 def _pgd(weights, batch, spec, rng, clean_trace, forward):
     """The attack of pgd and pgd_stack; `forward` is the forward pass of the caller."""
-    x = x0 = batch.inputs
+    x0 = batch.inputs
+    x = x0.copy()  # the iterate, which l-inf steps update in place
     if spec.eps == 0.0:
-        return x0.copy()
+        return x
     if spec.p == "inf":
         # The l-inf projection acts per coordinate and is monotone, so it
         # equals one clip between the projections of the box corners 0 and 1.
@@ -123,15 +124,16 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
             raise ParameterError("random_start requires an rng")
         seeds = x0.shape[0] if x0.ndim == 3 else None
         if spec.p == "inf":
-            x = np.clip(x0 + draw_per_seed(rng, lambda r: r.uniform(
-                -spec.eps, spec.eps, size=x0.shape[-2:]), seeds), lo, hi)
+            x += draw_per_seed(rng, lambda r: r.uniform(-spec.eps, spec.eps, x0.shape[-2:]), seeds)
+            np.clip(x, lo, hi, out=x)
         else:
             # each generator draws its direction, then its radius
             direction = draw_per_seed(rng, lambda r: r.standard_normal(x0.shape[-2:]), seeds)
             direction /= np.maximum(np.linalg.norm(direction, axis=-1, keepdims=True), 1e-300)
             radius = spec.eps * draw_per_seed(rng, lambda r: r.uniform(
                 0.0, 1.0, size=(x0.shape[-2], 1)), seeds) ** (1.0 / x0.shape[-1])
-            x = project(x0, x0 + radius * direction, "two", spec.eps)
+            x += radius * direction
+            x = project(x0, x, "two", spec.eps)
 
     # The clean point is always a candidate: with a random start its CE is
     # the baseline, and without one it is iterate 0 over a -inf baseline.
@@ -147,11 +149,11 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
         if step:
             grad = input_grad(weights, trace, logit_grad)
             if spec.p == "inf":
-                moved = np.sign(grad)
-                moved *= spec.alpha
-                moved += x
-                np.maximum(moved, lo, out=moved)
-                x = np.minimum(moved, hi, out=moved)
+                np.sign(grad, out=grad)
+                grad *= spec.alpha
+                x += grad
+                np.maximum(x, lo, out=x)
+                np.minimum(x, hi, out=x)
             else:
                 norms = np.linalg.norm(grad, axis=-1, keepdims=True)
                 x = project(x0, x + spec.alpha * grad / np.maximum(norms, 1e-300), "two", spec.eps)

@@ -137,8 +137,7 @@ def _softmax_chain(probs: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:
 
 
 def _subset_means(*pairs) -> np.ndarray:
-    """Per seed, the mean of each (values, subset) pair's values over the subset's rows,
-    shape (..., pairs): a boolean selection of the seed's rows, 0 for an empty subset."""
+    """(..., pairs): per seed, values[subset].mean() of each (values, subset) pair, 0 if empty."""
     return np.asarray(per_seed(lambda *rows: [c.mean() if c.size else 0.0 for c in (
         v[s] for v, s in zip(rows[::2], rows[1::2]))], *pairs))
 
