@@ -15,8 +15,8 @@ weight gradients an attack would throw away.  A caller that has already
 forwarded the clean batch (the trainer does) passes that trace as
 `clean_trace`; it supplies the clean CE and the first gradient.  The
 outputs are bit-identical to forwarding every iterate twice.  An l-inf
-step allocates nothing: it works in place on the gradient and on the
-iterate, which starts as a copy of the clean input.
+step allocates one array, the step, and applies it and the ball-and-box
+clip to the iterate in place; the iterate starts as a copy of the input.
 
 pgd attacks one network; pgd_stack attacks a stacked batch (see core)
 through a stack of networks, every seed's attack in the same numpy calls.
@@ -149,9 +149,9 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
         if step:
             grad = input_grad(weights, trace, logit_grad)
             if spec.p == "inf":
-                np.sign(grad, out=grad)
-                grad *= spec.alpha
-                x += grad
+                moved = np.sign(grad)  # numpy's in-place sign is several times slower
+                moved *= spec.alpha
+                x += moved
                 np.maximum(x, lo, out=x)
                 np.minimum(x, hi, out=x)
             else:
