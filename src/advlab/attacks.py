@@ -108,7 +108,7 @@ def pgd_stack(weights: list, batch: LabeledBatch, spec: AttackSpec,
 def _pgd(weights, batch, spec, rng, clean_trace, forward):
     """The attack of pgd and pgd_stack; `forward` is the forward pass of the caller."""
     x0 = batch.inputs
-    x = x0.copy()  # the iterate, which l-inf steps update in place
+    x = x0.copy()  # the iterate, which random starts and l-inf steps update in place
     if spec.eps == 0.0:
         return x
     if spec.p == "inf":
