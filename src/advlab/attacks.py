@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, as_stack, check_count, check_labels, draw_per_seed
+from .core import (ParameterError, ShapeError, as_stack, check_count, check_labels, check_real,
+                   draw_per_seed)
 from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, forward_stack, input_grad
 from .objectives import ce_loss, checked_ce_loss_and_grad
@@ -55,8 +56,8 @@ class AttackSpec:
     def __post_init__(self):
         if self.p not in ("inf", "two"):
             raise ParameterError("p must be 'inf' or 'two'")
-        if self.eps < 0 or self.alpha <= 0:
-            raise ParameterError("require eps >= 0, alpha > 0")
+        check_real(self.eps, "eps", "[0, inf)")
+        check_real(self.alpha, "alpha", "(0, inf)")
         check_count(self.k, "k")
 
 

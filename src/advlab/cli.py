@@ -18,13 +18,12 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import sweep as sweep_mod
 from .attacks import AttackSpec, eval_attack_pair
-from .core import ParameterError, check_count
+from .core import ParameterError, check_count, check_real
 from .data import DatasetHandle, blob_dataset, idx_dataset, load_array
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule
@@ -37,21 +36,21 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
-# A field's JSON types by its annotation (a bool is never a number); a tuple is read from a list.
-_JSON = {int: int, float: (int, float), str: str, list: list, tuple: list,
+# A field's JSON types by its annotation (a bool is only a bool); a tuple is read from a list.
+_JSON = {bool: bool, int: int, float: (int, float), str: str, list: list, tuple: list,
          int | None: (int, type(None)), float | None: (int, float, type(None))}
 
 
 def _field(cfg: dict, field: str, types, where: str, default=None):
-    """cfg[field], a finite instance of `types`, not a bool; required unless a default is given."""
+    """cfg[field]: of `types`, a bool only for bool, finite; required unless a default is given."""
     if field not in cfg and default is None:
         raise ConfigError(f"{where}.{field}: missing required field")
     value = cfg.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, types):
+    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
         want = getattr(types, "__name__", None) or " or ".join(t.__name__ for t in types)
         raise ConfigError(f"{where}.{field}: expected {want}, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}.{field}: expected a finite number, got {value}")
+    if isinstance(value, float):
+        check_real(value, f"{where}.{field}", "(-inf, inf)")
     return value
 
 

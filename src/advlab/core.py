@@ -1,6 +1,7 @@
 """Array checks, stable row softmax/logsumexp, and seeded randomness.
 
-check_labels is the one label rule; losses, masks, metrics and batches apply it.
+check_labels is the one label rule, check_count the one integer rule and check_real the
+one real-number rule; losses, masks, metrics, batches, specs and loaders apply them.
 exp_logsumexp_rows is the only row logsumexp: one exp pass gives both the
 softmax numerator and scipy's split-max logsumexp of a logit matrix.
 
@@ -19,6 +20,8 @@ one rule for random draws: one generator, or a list with one per seed.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -86,6 +89,15 @@ def check_count(value, name: str, least: int = 1) -> None:
     """Raise ParameterError unless value is an int >= least (numpy ints pass, bool fails)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_real(value, name: str, interval: str) -> None:
+    """ParameterError unless value is a finite real, not a bool, in `interval`, e.g. "[0, 1)"."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (abs(value) < np.inf and lo <= value <= hi)
+            or (value == lo and interval[0] == "(") or (value == hi and interval[-1] == ")")):
+        raise ParameterError(f"{name} must be a finite real number in {interval}, got {value!r}")
 
 
 def check_labels(labels, *shape) -> np.ndarray:

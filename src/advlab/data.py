@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ParameterError, as_matrix, as_stack, check_count, check_labels, draw_per_seed,
-                   make_rng)
+from .core import (ParameterError, as_matrix, as_stack, check_count, check_labels, check_real,
+                   draw_per_seed, make_rng)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -43,7 +43,7 @@ class LabeledBatch:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels",
                            check_labels(self.labels, *inputs.shape[:-1], self.num_classes))
-        if inputs.min() < 0.0 or inputs.max() > 1.0:
+        if not (inputs.min() >= 0.0 and inputs.max() <= 1.0):  # NaN fails both
             raise ParameterError("inputs must lie in [0, 1]")
 
     @property
@@ -111,8 +111,9 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> LabeledBatch
 
 def _blobs(rng: np.random.Generator, sizes, d: int, K: int, spread: float) -> list:
     """One batch per size, sampled around one shared draw of K centers."""
-    if K < 2 or min(sizes) < K or d < 1 or spread <= 0:
-        raise ParameterError("require n >= K >= 2 for every split, d >= 1, spread > 0")
+    if K < 2 or min(sizes) < K or d < 1:
+        raise ParameterError("require n >= K >= 2 for every split, d >= 1")
+    check_real(spread, "spread", "(0, inf)")
     centers = rng.uniform(0.0, 1.0, size=(K, d))
     out = []
     for n in sizes:

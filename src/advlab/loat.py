@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ParameterError, ShapeError, as_matrix, as_stack, check_count, check_labels,
-                   label_entries, label_index, per_seed, softmax_rows)
+                   check_real, label_entries, label_index, per_seed, softmax_rows)
 
 
 class EmptySubsetError(ValueError):
@@ -56,8 +56,8 @@ class LoatSchedule:
             raise ParameterError("variant must be SLORE, LORE, or OFF")
         check_count(self.e1, "e1", least=0)
         check_count(self.e2, "e2", least=self.e1)
-        if self.tau < 0 or self.gamma < 0:
-            raise ParameterError("tau and gamma must be >= 0")
+        check_real(self.tau, "tau", "[0, inf)")
+        check_real(self.gamma, "gamma", "[0, inf)")
 
     def phase(self, epoch: int) -> str:
         """"early" (epoch <= e1), "late" (epoch >= e2) or "off"; always "off" for OFF."""

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ParameterError, ShapeError, as_matrix, as_stack, check_count, check_finite,
-                   make_rng)
+                   check_real, make_rng)
 
 CHECKPOINT_MAGIC = b"AMLP"
 CHECKPOINT_VERSION = 1
@@ -48,6 +48,8 @@ class MlpConfig:
         for w in self.layer_widths:
             check_count(w, "layer_widths entry")
         check_count(self.seed, "seed", least=0)
+        if self.init_scale is not None:
+            check_real(self.init_scale, "init_scale", "[0, inf)")
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,14 @@ one label row per seed (see core); a loss is then one value per seed.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 # softmax_rows is unused but stays bound: perfbench counts softmax passes by it.
 from .core import (ParameterError, ShapeError, as_matrix, as_stack,  # noqa: F401
-                   check_labels, exp_logsumexp_rows, label_entries, label_index, per_seed,
-                   softmax_rows)
+                   check_labels, check_real, exp_logsumexp_rows, label_entries, label_index,
+                   per_seed, softmax_rows)
 from .data import LabeledBatch
 from .mlp import forward
 
@@ -35,17 +34,10 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in ("standard", "mixture", "trades"):
             raise ParameterError("kind must be standard, mixture, or trades")
-        ObjectiveSpec.check_lam(self.lam)
+        check_real(self.lam, "lam", "[0, 1]")
+        check_real(self.beta, "beta", "(0, inf)")
         if self.kind == "standard":  # the mixture at lambda=0
             object.__setattr__(self, "lam", 0.0)
-        if self.beta <= 0.0:
-            raise ParameterError("beta must be > 0")
-
-    @staticmethod
-    def check_lam(value, name: str = "lam") -> None:
-        """The mixture-weight rule: a real number in [0, 1], and not a bool."""
-        if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 <= value <= 1):
-            raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
 
     @property
     def needs_attack(self) -> bool:
@@ -115,7 +107,7 @@ def mixture_from_logits(clean_logits, adv_logits, labels, lam: float):
     mean loss (weighting and 1/n included), one per seed for a stack.
     adv_logits None means no attack ran: the clean CE pass serves both branches.
     """
-    ObjectiveSpec.check_lam(lam)
+    check_real(lam, "lam", "[0, 1]")
     clean_ce, clean_g = ce_loss_and_grad(clean_logits, labels)
     if adv_logits is None:
         adv_ce, adv_g = clean_ce, clean_g
@@ -133,8 +125,7 @@ def trades_from_logits(clean_logits, adv_logits, labels, beta: float):
     Returns (loss, clean_logit_grad, adv_logit_grad) for the mean loss, all
     read from one exp_logsumexp_rows call per logit matrix.
     """
-    if beta <= 0.0:
-        raise ParameterError("beta must be > 0")
+    check_real(beta, "beta", "(0, inf)")
     clean_logits = as_stack(clean_logits)
     adv_logits = as_stack(adv_logits)
     if adv_logits.shape != clean_logits.shape:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackSpec, eval_attack_pair
-from .core import ParameterError, check_count
+from .core import ParameterError, check_count, check_real
 from .data import DatasetHandle
 from .loat import LoatSchedule
 from .mlp import MlpConfig
@@ -63,7 +63,7 @@ class SweepSpec:
     momentum: float = 0.9
 
     def __post_init__(self):
-        rules = {"widths": check_count, "lambdas": ObjectiveSpec.check_lam,
+        rules = {"widths": check_count, "lambdas": lambda v, name: check_real(v, name, "[0, 1]"),
                  "seeds": lambda v, name: check_count(v, name, least=0), "epochs_list": check_count}
         for name, rule in rules.items():
             values = getattr(self, name)
@@ -75,7 +75,8 @@ class SweepSpec:
                 warnings.warn(f"duplicate values in {name}; deduplicating")
                 object.__setattr__(self, name, tuple(dict.fromkeys(values)))
         check_count(self.batch_size, "batch_size")
-        TrainConfig.check_sgd(self.lr, self.momentum)
+        check_real(self.lr, "lr", "[0, inf)")
+        check_real(self.momentum, "momentum", "[0, 1)")
 
 
 @dataclass(frozen=True)
@@ -274,12 +275,14 @@ def read_csv(path) -> list:
         missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise ParameterError(f"CSV missing columns: {missing}")
-        for raw in reader:
+        for i, raw in enumerate(reader, start=1):
             row = dict(raw)
             for k in numeric:
                 row[k] = float(raw[k]) if raw[k] != "" else None
             for k in ("width", "seed", "epoch_budget", "epoch"):
                 if row[k] is not None:
+                    if not row[k].is_integer():
+                        raise ParameterError(f"CSV row {i}: {k} {raw[k]!r} is not an integer")
                     row[k] = int(row[k])
             rows.append(row)
     return rows

@@ -37,7 +37,7 @@ from .attacks import AttackSpec, pgd, pgd_stack
 # softmax_rows is unused here but stays bound: perfbench's tracer counts the
 # softmax passes of this module through this name.
 from .core import (NonFiniteError, ParameterError, check_count, check_finite,  # noqa: F401
-                   make_rng, seeds_of, softmax_rows, stack_of)
+                   check_real, make_rng, seeds_of, softmax_rows, stack_of)
 from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule, loat
@@ -71,15 +71,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "metrics_every"):
             check_count(getattr(self, name), name)
         check_count(self.seed, "seed", least=0)
-        TrainConfig.check_sgd(self.lr, self.momentum)
-
-    @staticmethod
-    def check_sgd(lr, momentum) -> None:
-        """The optimizer rule: lr >= 0 and momentum in [0, 1)."""
-        if not lr >= 0.0:
-            raise ParameterError(f"lr must be >= 0, got {lr!r}")
-        if not 0.0 <= momentum < 1.0:
-            raise ParameterError(f"momentum must lie in [0, 1), got {momentum!r}")
+        check_real(self.lr, "lr", "[0, inf)")
+        check_real(self.momentum, "momentum", "[0, 1)")
 
 
 @dataclass(frozen=True)

@@ -477,6 +477,8 @@ class TestConfigErrors:
         ("sweep", ["attack"], {"epsilon": float("inf")}, "attack.epsilon"),
         ("train", ["attack", "alpha"], float("inf"), "attack.alpha"),
         ("train", ["dataset", "seed"], -1, "seed"),
+        ("train", ["attack", "random_start"], "false", "attack.random_start"),
+        ("sweep", ["attack"], {"track_best": None}, "attack.track_best"),
     ], ids=["train-list", "attack-list", "schedule-list", "dataset-n_train-str",
             "dataset-spread-str", "train-lr-str", "sweep-momentum-str", "attack-k-float",
             "model-widths-float", "grid-widths-float", "grid-seeds-str", "model-seed-negative",
@@ -487,7 +489,8 @@ class TestConfigErrors:
             "dataset-typo", "grid-typo", "sweep-train-grid-list", "objective-lambda-twice",
             "attack-epsilon-nan", "schedule-tau-nan", "schedule-gamma-inf", "trades-beta-nan",
             "dataset-spread-nan", "model-init_scale-nan", "train-lr-inf", "sweep-epsilon-inf",
-            "attack-alpha-inf", "dataset-seed-negative"])
+            "attack-alpha-inf", "dataset-seed-negative", "attack-random_start-str",
+            "attack-track_best-null"])
     def test_shape_exit_one_naming_the_field(self, tmp_path, capsys, command, path, value,
                                              field):
         # each of these exited 2 (runtime error), exited 1 without the field's name, some
@@ -594,6 +597,22 @@ class TestInputErrors:
         assert main([a.format(missing=missing) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nope.bin" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["correlate", "{csv}", "--regime", "early"],
+        ["plotscript", "{csv}", "--figure", "fig4", "--out", "{out}"],
+    ], ids=["correlate", "plotscript"])
+    def test_non_integral_csv_width(self, tmp_path, capsys, argv):
+        from advlab.sweep import CSV_COLUMNS, write_csv
+        row = {c: None for c in CSV_COLUMNS}
+        row.update(run_id="r0", width=2.7, seed=0, epoch_budget=1, epoch=1, gamma_ce=1.0,
+                   gap_ce=1.0)
+        path = tmp_path / "sweep.csv"
+        write_csv([row], path)
+        out = tmp_path / "plots"
+        assert main([a.format(csv=path, out=out) for a in argv]) == 1
+        assert capsys.readouterr().err == "error: CSV row 1: width '2.7' is not an integer\n"
+        assert not out.exists()
 
     def test_missing_idx_file(self, tmp_path, capsys):
         cfg = base_config(dataset={

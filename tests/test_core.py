@@ -11,8 +11,15 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 import advlab
-from advlab.core import (ParameterError, ShapeError, check_labels, exp_logsumexp_rows,
-                         make_rng, softmax_rows)
+from advlab.attacks import AttackSpec
+from advlab.core import (ParameterError, ShapeError, check_labels, check_real,
+                         exp_logsumexp_rows, make_rng, softmax_rows)
+from advlab.data import blob_dataset
+from advlab.loat import LoatSchedule
+from advlab.mlp import MlpConfig
+from advlab.objectives import ObjectiveSpec, mixture_from_logits, trades_from_logits
+from advlab.sweep import SweepSpec
+from advlab.trainer import TrainConfig
 
 from oracles import logsumexp_split_max
 
@@ -32,6 +39,73 @@ class TestCheckLabels:
     def test_not_a_vector_of_n(self, labels):
         with pytest.raises(ShapeError):
             check_labels(labels, 2, 3)
+
+
+_LOGITS = np.array([[1.0, -0.5], [0.25, 2.0]])
+
+# (field, interval, build): build(value) sets the field, or passes the argument, to value
+REAL_FIELDS = [
+    ("eps", "[0, inf)", lambda v: AttackSpec(eps=v)),
+    ("alpha", "(0, inf)", lambda v: AttackSpec(alpha=v)),
+    ("tau", "[0, inf)", lambda v: LoatSchedule(tau=v)),
+    ("gamma", "[0, inf)", lambda v: LoatSchedule(gamma=v)),
+    ("lam", "[0, 1]", lambda v: ObjectiveSpec(lam=v)),
+    ("beta", "(0, inf)", lambda v: ObjectiveSpec(kind="trades", beta=v)),
+    ("lam", "[0, 1]", lambda v: mixture_from_logits(_LOGITS, None, [0, 1], v)),
+    ("beta", "(0, inf)", lambda v: trades_from_logits(_LOGITS, _LOGITS[::-1], [0, 1], v)),
+    ("init_scale", "[0, inf)", lambda v: MlpConfig([2, 3, 2], init_scale=v)),
+    ("lr", "[0, inf)", lambda v: TrainConfig(MlpConfig([2, 2]), lr=v)),
+    ("momentum", "[0, 1)", lambda v: TrainConfig(MlpConfig([2, 2]), momentum=v)),
+    ("lr", "[0, inf)", lambda v: SweepSpec((2,), (0.5,), (0,), (1,), lr=v)),
+    ("momentum", "[0, 1)", lambda v: SweepSpec((2,), (0.5,), (0,), (1,), momentum=v)),
+    ("lambdas", "[0, 1]", lambda v: SweepSpec((2,), (0.5, v), (0,), (1,))),
+    ("spread", "(0, inf)", lambda v: blob_dataset(n_train=4, n_test=4, d=2, K=2, spread=v)),
+]
+REAL_IDS = ["attack-eps", "attack-alpha", "schedule-tau", "schedule-gamma", "objective-lam",
+            "objective-beta", "mixture-lam", "trades-beta", "model-init_scale", "train-lr",
+            "train-momentum", "sweep-lr", "sweep-momentum", "sweep-lambdas", "blobs-spread"]
+
+
+def _ends(interval):
+    """(closed finite ends, the first values outside each finite end) of an interval."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    closed = [e for e, bracket in ((lo, interval[0] == "["), (hi, interval[-1] == "]")) if bracket]
+    outside = [] if np.isinf(lo) else [lo if interval[0] == "(" else np.nextafter(lo, -np.inf)]
+    outside += [] if np.isinf(hi) else [hi if interval[-1] == ")" else np.nextafter(hi, np.inf)]
+    return [e for e in closed if np.isfinite(e)], outside
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("field, interval, build", REAL_FIELDS, ids=REAL_IDS)
+    def test_every_real_field_through_the_api(self, field, interval, build):
+        # NaN, both infinities, a bool and the first value outside each finite end are
+        # rejected naming the field; each closed finite end is accepted
+        closed, outside = _ends(interval)
+        for value in [np.nan, np.inf, -np.inf, True, *outside]:
+            with pytest.raises(ParameterError, match=field):
+                build(value)
+        for value in closed:
+            build(value)
+
+    @pytest.mark.parametrize("value", [0.5, 1, np.float64(0.5), np.float32(1.0), np.int64(0)])
+    def test_accepts_numpy_and_python_reals(self, value):
+        check_real(value, "x", "[0, 1]")
+
+    def test_an_int_too_large_for_a_float_is_finite(self):
+        check_real(10**400, "x", "(-inf, inf)")
+        with pytest.raises(ParameterError):
+            check_real(10**400, "x", "[0, 1]")
+
+    @pytest.mark.parametrize("value", [np.bool_(True), False, "0.5", None, 0.5 + 0j,
+                                       np.array(0.5)])
+    def test_rejects_what_is_not_a_real_number(self, value):
+        with pytest.raises(ParameterError, match="x must be a finite real number in"):
+            check_real(value, "x", "[0, 1]")
+
+    def test_message_names_field_interval_and_value(self):
+        with pytest.raises(ParameterError) as info:
+            check_real(1.0, "momentum", "[0, 1)")
+        assert str(info.value) == "momentum must be a finite real number in [0, 1), got 1.0"
 
 
 class TestSoftmax:

@@ -220,6 +220,15 @@ class TestLabeledBatch:
         with pytest.raises(ParameterError):
             LabeledBatch(np.array([[1.5]]), np.array([0]), 2)
 
+    @pytest.mark.parametrize("inputs", [np.full((2, 3), np.nan), [[0.5, np.nan, 0.5], [0.0] * 3],
+                                        np.full((2, 2, 3), np.nan)],
+                             ids=["all-nan", "one-nan", "stack"])
+    def test_rejects_nan_inputs(self, inputs):
+        # NaN < 0 and NaN > 1 are both False, so the range check must fail on NaN
+        labels = [[0, 1], [1, 0]] if np.ndim(inputs) == 3 else [0, 1]
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            LabeledBatch(inputs, labels, 2)
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ParameterError):
             LabeledBatch(np.array([[0.5]]), np.array([2]), 2)

@@ -271,6 +271,21 @@ class TestCsvRoundTrip:
                 else:
                     assert back[k] == pytest.approx(orig[k], rel=1e-12)
 
+    @pytest.mark.parametrize("column", ["width", "seed", "epoch_budget", "epoch"])
+    def test_non_integral_integer_column_rejected(self, column, tmp_path):
+        # a non-integral value is an error, not truncated; an integral float still reads
+        rows = [{c: None for c in CSV_COLUMNS} for _ in range(2)]
+        for i, row in enumerate(rows):
+            row.update(run_id=f"r{i}", width=4, seed=0, epoch_budget=2, epoch=2)
+        rows[1][column] = 2.7
+        path = tmp_path / "bad.csv"
+        write_csv(rows, path)
+        with pytest.raises(ParameterError, match=f"row 2: {column} '2.7' is not an integer"):
+            read_csv(path)
+        rows[1][column] = 2.0
+        write_csv(rows, path)
+        assert read_csv(path)[1][column] == 2
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("run_id,width\nx,4\n")
