@@ -67,12 +67,12 @@ REAL_IDS = ["attack-eps", "attack-alpha", "schedule-tau", "schedule-gamma", "obj
 
 
 def _ends(interval):
-    """(closed finite ends, the first values outside each finite end) of an interval."""
+    """(closed ends, the first values outside each finite end) of an interval."""
     lo, hi = (float(end) for end in interval[1:-1].split(","))
     closed = [e for e, bracket in ((lo, interval[0] == "["), (hi, interval[-1] == "]")) if bracket]
     outside = [] if np.isinf(lo) else [lo if interval[0] == "(" else np.nextafter(lo, -np.inf)]
     outside += [] if np.isinf(hi) else [hi if interval[-1] == ")" else np.nextafter(hi, np.inf)]
-    return [e for e in closed if np.isfinite(e)], outside
+    return closed, outside
 
 
 class TestCheckReal:
