@@ -70,6 +70,7 @@ def eval_attack_pair(spec: AttackSpec) -> tuple:
 
 def project(x0, x, p: str, eps: float) -> np.ndarray:
     """Project x onto the eps-ball around x0, then clamp into [0,1]."""
+    check_real(eps, "eps", "[0, inf)")
     x0 = as_stack(x0)
     x = as_stack(x)
     if x0.shape != x.shape:

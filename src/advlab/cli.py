@@ -5,7 +5,8 @@ Subcommands:
   sweep       run a width/lambda/seed/budget grid; writes a long-format CSV
   correlate   Pearson/Spearman between gamma_ce and the generalization gap
   bounds      radius estimates and complexity bounds from a logit dump
-  plotscript  emit a standalone matplotlib script for a figure
+  plotscript  write a figure's data (figN.json, from sweep.figure_data) and
+              plot_figN.py, a script that draws it and needs only matplotlib
 
 Exit codes: 0 success, 1 input error (an invalid config, or an input file
 that is missing, unreadable or malformed), 2 runtime error.
@@ -203,60 +204,46 @@ def cmd_bounds(dump_path) -> int:
     return 0
 
 
-_FIG2_BODY = """
-for width, group in adv.groupby("width"):
-    pts = group.dropna(subset=["gamma_hat_c", "gamma_hat_m"])
-    slope, intercept = np.polyfit(pts["gamma_hat_c"], pts["gamma_hat_m"], 1)
-    ax.scatter(pts["gamma_hat_c"], pts["gamma_hat_m"], label=f"width={width} slope={slope:.3f}", s=12)
-    xs = np.linspace(pts["gamma_hat_c"].min(), pts["gamma_hat_c"].max(), 2)
-    ax.plot(xs, slope * xs + intercept, "--")
-ax.set_xlabel("gamma_hat (correct subset)")
-ax.set_ylabel("gamma_hat (misclassified subset)")
-"""
+# The script plotscript writes, with its JSON file's path for the %r: it draws any
+# sweep.figure_data dict with matplotlib alone.
+_SCRIPT = '''"""Draws an advlab figure from its JSON data; needs only matplotlib."""
+import json
 
-# fig3 and fig4: per budget, mean gamma_ce and gap at the runs' last epochs against {x}
-_FINALS_BODY = """
-finals = adv.sort_values("epoch").groupby("run_id").tail(1)
-for budget, group in finals.groupby("epoch_budget"):
-    agg = group.groupby("{x}")[["gamma_ce", "gap_ce"]].mean()
-    ax.plot(agg.index, agg["gamma_ce"], marker="o", label=f"gamma_ce (budget {{budget}})")
-    ax.plot(agg.index, agg["gap_ce"], marker="x", label=f"gap (budget {{budget}})")
-ax.set_xlabel("{xlabel}")
-"""
+import matplotlib.pyplot as plt
 
-# Each figure's script body and the columns a CSV row must fill to be plotted.
-_FIGURES = {
-    "fig2": (_FIG2_BODY, ["width", "gamma_hat_c", "gamma_hat_m"]),
-    "fig3": (_FINALS_BODY.format(x="lambda", xlabel="trade-off factor lambda"),
-             ["lambda", "gamma_ce", "gap_ce"]),
-    "fig4": (_FINALS_BODY.format(x="width", xlabel="hidden units"), ["width", "gamma_ce", "gap_ce"]),
-}
+with open(%r) as fh:
+    data = json.load(fh)
+fig, ax = plt.subplots(figsize=(7, 5))
+if data["figure"] == "fig2":
+    for s in data["series"]:
+        slope = "undefined" if s["slope"] is None else f"{s['slope']:.3f}"
+        ax.scatter([p[0] for p in s["points"]], [p[1] for p in s["points"]], s=12,
+                   label=f"width={s['width']} slope={slope}")
+        if s["line"]:
+            ax.plot(*zip(*s["line"]), "--")
+    ax.set_xlabel("gamma_hat (correct subset)")
+    ax.set_ylabel("gamma_hat (misclassified subset)")
+else:  # fig3 and fig4: per budget, mean gamma_ce and gap at the runs' last epochs against x
+    for s in data["series"]:
+        for key, marker, name in (("gamma_ce", "o", "gamma_ce"), ("gap_ce", "x", "gap")):
+            ys = [float("nan") if y is None else y for y in s[key]]
+            ax.plot(s[data["x"]], ys, marker=marker, label=f"{name} (budget {s['epoch_budget']})")
+    ax.set_xlabel({"lambda": "trade-off factor lambda", "width": "hidden units"}[data["x"]])
+ax.legend(fontsize=7)
+fig.tight_layout()
+fig.savefig(f"{data['figure']}.png", dpi=150)
+print(f"wrote {data['figure']}.png")
+'''
 
 
 def cmd_plotscript(csv_path, figure, out_dir) -> int:
-    rows = _read_input("csv", sweep_mod.read_csv, csv_path)  # validates the schema
-    body, needed = _FIGURES[figure]
-    if not any(all(r.get(c) is not None for c in needed) for r in rows):
-        raise ParameterError(f"CSV has no usable rows for {figure} (columns {needed})")
+    data = sweep_mod.figure_data(_read_input("csv", sweep_mod.read_csv, csv_path), figure)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    script = f'''"""Standalone plot script generated from {Path(csv_path).name}."""
-import matplotlib.pyplot as plt
-import numpy as np
-import pandas as pd
-
-df = pd.read_csv({str(Path(csv_path).resolve())!r})
-adv = df[df["lambda"].fillna(0) > 0]
-fig, ax = plt.subplots(figsize=(7, 5))
-{body}
-ax.legend(fontsize=7)
-fig.tight_layout()
-fig.savefig("{figure}.png", dpi=150)
-print("wrote {figure}.png")
-'''
-    path = out / f"plot_{figure}.py"
-    path.write_text(script)
-    print(str(path))
+    data_path, path = out / f"{figure}.json", out / f"plot_{figure}.py"
+    data_path.write_text(json.dumps(data))
+    path.write_text(_SCRIPT % str(data_path.resolve()))
+    print(f"{data_path}\n{path}")
     return 0
 
 
@@ -284,9 +271,9 @@ def main(argv=None) -> int:
     p_bounds.add_argument("dump")
     p_bounds.set_defaults(run=lambda a: cmd_bounds(a.dump))
 
-    p_plot = sub.add_parser("plotscript", help="emit a plotting script")
+    p_plot = sub.add_parser("plotscript", help="write a figure's data and a script drawing it")
     p_plot.add_argument("csv")
-    p_plot.add_argument("--figure", choices=sorted(_FIGURES), required=True)
+    p_plot.add_argument("--figure", choices=["fig2", "fig3", "fig4"], required=True)
     p_plot.add_argument("--out", default=".")
     p_plot.set_defaults(run=lambda a: cmd_plotscript(a.csv, a.figure, a.out))
 

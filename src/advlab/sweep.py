@@ -13,7 +13,9 @@ trainer.train_stack call (a task); a grid with fewer (width, lambda)
 stacks than pool workers splits each stack's seeds so that every worker
 gets a task.  Pool workers cap their own OpenBLAS threads at
 max(1, nproc // jobs), so `jobs` workers do not oversubscribe the cores.
-slopes_by(rows, key) fits the radius scatter per width or lambda.
+slopes_by(rows, key) fits the radius scatter per width or lambda, and
+figure_data(rows, figure) gives the series of Figures 2-4 that `advlab
+plotscript` writes.
 """
 
 from __future__ import annotations
@@ -279,6 +281,8 @@ def read_csv(path) -> list:
             row = dict(raw)
             for k in numeric:
                 row[k] = float(raw[k]) if raw[k] != "" else None
+                if row[k] is not None:
+                    check_real(row[k], f"CSV row {i}: {k}", "(-inf, inf)")
             for k in ("width", "seed", "epoch_budget", "epoch"):
                 if row[k] is not None:
                     if not row[k].is_integer():
@@ -319,23 +323,57 @@ def correlate(rows, regime: str) -> CorrelationReport:
                              n_excluded=excluded)
 
 
-def least_squares_slope(x, y) -> float:
-    """Slope of the least-squares line y = a*x + b."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) < 2 or np.ptp(x) == 0.0:
-        raise InsufficientDataError("need >= 2 points with varying x")
-    return float(np.polyfit(x, y, 1)[0])
+def _adversarial_by(rows, key: str) -> dict:
+    """The rows with lambda > 0 and a `key` value, grouped by it in ascending order."""
+    adv = [r for r in rows if r["lambda"] not in (None, 0.0) and r[key] is not None]
+    return {value: [r for r in adv if r[key] == value] for value in sorted({r[key] for r in adv})}
+
+
+def _radius_fit(group) -> tuple:
+    """(points, slope): the (gamma_hat_c, gamma_hat_m) of the group's rows that have both,
+    as a k x 2 array, and the LSQ slope of gamma_hat_m against gamma_hat_c, None for
+    fewer than 2 points or no spread in gamma_hat_c."""
+    points = np.reshape([(r["gamma_hat_c"], r["gamma_hat_m"]) for r in group
+                         if None not in (r["gamma_hat_c"], r["gamma_hat_m"])], (-1, 2))
+    c, m = points.T
+    return points, float(np.polyfit(c, m, 1)[0]) if len(c) > 1 and np.ptp(c) > 0 else None
 
 
 def slopes_by(rows, key: str) -> dict:
-    """Per value of column `key` (e.g. "width" or "lambda") among the
-    adversarial rows (lambda > 0): LSQ slope of gamma_hat_m against gamma_hat_c."""
-    adv = [r for r in rows if r["lambda"] not in (None, 0.0)]
-    slopes = {}
-    for value in sorted({r[key] for r in adv}):
-        pts = [r for r in adv if r[key] == value
-               and r["gamma_hat_c"] is not None and r["gamma_hat_m"] is not None]
-        slopes[value] = least_squares_slope([r["gamma_hat_c"] for r in pts],
-                                            [r["gamma_hat_m"] for r in pts])
-    return slopes
+    """Per value of column `key` (e.g. "width" or "lambda") among the adversarial rows
+    (lambda > 0): the LSQ slope of gamma_hat_m against gamma_hat_c, None if undefined."""
+    return {value: _radius_fit(group)[1] for value, group in _adversarial_by(rows, key).items()}
+
+
+def figure_data(rows, figure: str) -> dict:
+    """The plotted series of "fig2", "fig3" or "fig4", JSON-ready.
+
+    fig2, per width: the adversarial rows' (gamma_hat_c, gamma_hat_m) points, their
+    slopes_by slope, and the fitted line's endpoints at the least and greatest
+    gamma_hat_c (None where the slope is).  fig3 (x = lambda) and fig4 (x = width), per
+    epoch budget and x: the mean gamma_ce and gap_ce over the adversarial runs' final
+    rows (_final_rows) that have it, None if none has.  InsufficientDataError if
+    nothing would be plotted.
+    """
+    data, series = {"figure": figure}, []
+    if figure == "fig2":
+        for width, group in _adversarial_by(rows, "width").items():
+            points, slope = _radius_fit(group)
+            c, m = points.T
+            line = None if slope is None else [
+                [float(x), float(m.mean() + slope * (x - c.mean()))] for x in (c.min(), c.max())]
+            series.append({"width": width, "points": points.tolist(), "slope": slope, "line": line})
+        usable = any(s["points"] for s in series)
+    else:
+        data["x"] = x = {"fig3": "lambda", "fig4": "width"}[figure]
+        for budget, finals in _adversarial_by(_final_rows(rows), "epoch_budget").items():
+            groups = _adversarial_by(finals, x)
+            entry = {"epoch_budget": budget, x: list(groups)}
+            for f in ("gamma_ce", "gap_ce"):
+                present = ([r[f] for r in g if r[f] is not None] for g in groups.values())
+                entry[f] = [float(np.mean(v)) if v else None for v in present]
+            series.append(entry)
+        usable = any(v is not None for s in series for v in s["gamma_ce"] + s["gap_ce"])
+    if not usable:
+        raise InsufficientDataError(f"CSV has no usable rows for {figure}")
+    return {**data, "series": series}

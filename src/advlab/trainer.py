@@ -94,6 +94,8 @@ class MetricsRecord:
 
 def sgd_step(weights: list, grads: list, velocity: list, lr: float, momentum: float):
     """One momentum-SGD update of a network or a stack; mutates and returns (weights, velocity)."""
+    check_real(lr, "lr", "[0, inf)")
+    check_real(momentum, "momentum", "[0, 1)")
     if len(grads) != len(weights) or len(velocity) != len(weights):
         raise ParameterError("weights, grads, velocity must have equal layer counts")
     for w, g, v in zip(weights, grads, velocity):

@@ -167,6 +167,13 @@ class TestProject:
         with pytest.raises(ShapeError):
             project(np.zeros((1, 2)), np.zeros((2, 2)), "inf", 0.1)
 
+    @pytest.mark.parametrize("p", ["inf", "two"])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1, True])
+    def test_eps_outside_zero_to_inf_rejected(self, p, eps):
+        # eps=nan used to return all-nan inputs without an error
+        with pytest.raises(ParameterError, match=r"eps must be a finite real number in \[0, inf\)"):
+            project(np.full((1, 2), 0.5), np.full((1, 2), 0.5), p, eps)
+
 
 class TestFgsm:
     def test_eps_zero_is_identity(self):

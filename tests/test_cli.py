@@ -5,10 +5,12 @@ import io
 import json
 import os
 import re
+import runpy
 import struct
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +186,22 @@ class TestCorrelateCommand:
             # that must surface as a validation failure, not a crash
             assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_gap_exit_one(self, tmp_path, capsys, value):
+        from advlab.sweep import CSV_COLUMNS, write_csv
+        rows = [{c: None for c in CSV_COLUMNS} for _ in range(4)]
+        for i, row in enumerate(rows):
+            row.update(run_id=f"r{i}", width=4, seed=0, epoch_budget=1, epoch=1,
+                       gamma_ce=float(i), gap_ce=float(i % 3), **{"lambda": 0.5})
+        rows[2]["gap_ce"] = float(value)
+        path = tmp_path / "sweep.csv"
+        write_csv(rows, path)
+        assert main(["correlate", str(path), "--regime", "early"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: CSV row 3: gap_ce must be a finite real number in "
+                                f"(-inf, inf), got {float(value)!r}\n")
+
     def test_insufficient_points_exit_one(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
         from advlab.sweep import CSV_COLUMNS, write_csv
@@ -301,7 +319,60 @@ class TestPlotscriptCommand:
         assert script_path.exists()
         source = script_path.read_text()
         compile(source, str(script_path), "exec")  # must be valid python
-        assert "matplotlib" in source and str(csv_path.resolve()) in source
+        json_path = tmp_path / f"{figure}.json"
+        assert "matplotlib" in source and str(json_path.resolve()) in source
+        assert "pandas" not in source
+        assert capsys.readouterr().out == f"{json_path}\n{script_path}\n"
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
+    def test_json_is_figure_data(self, tmp_path, figure):
+        from test_sweep import figure_rows
+        from advlab.sweep import figure_data, write_csv
+        write_csv(figure_rows(), tmp_path / "sweep.csv")
+        assert main(["plotscript", str(tmp_path / "sweep.csv"), "--figure", figure,
+                     "--out", str(tmp_path / "plots")]) == 0
+        written = json.loads((tmp_path / "plots" / f"{figure}.json").read_text())
+        assert written == figure_data(read_csv(tmp_path / "sweep.csv"), figure)
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
+    def test_script_draws_the_json(self, tmp_path, monkeypatch, capsys, figure):
+        """Run the script against a stand-in for matplotlib that records each call."""
+        from test_sweep import figure_rows
+        from advlab.sweep import write_csv
+        write_csv(figure_rows(), tmp_path / "sweep.csv")
+        main(["plotscript", str(tmp_path / "sweep.csv"), "--figure", figure,
+              "--out", str(tmp_path)])
+        calls = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                def call(*args, **kwargs):
+                    calls.append((name, args, kwargs))
+                    return (self, self) if name == "subplots" else None
+                return call
+
+        pyplot = Recorder()
+        monkeypatch.setitem(sys.modules, "matplotlib", types.SimpleNamespace(pyplot=pyplot))
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        monkeypatch.chdir(tmp_path)
+        runpy.run_path(str(tmp_path / f"plot_{figure}.py"))
+        drawn = [(name, args) for name, args, _ in calls if name in ("scatter", "plot")]
+        data = json.loads((tmp_path / f"{figure}.json").read_text())
+        if figure == "fig2":
+            # one scatter per width, a dashed line for each width with a slope
+            assert drawn == [("scatter", ([1.0, 2.0, 1.5, 3.0, 0.5, 1.0, 1.5, 0.75],
+                                          [2.0, 3.5, 2.0, 1.0, 0.5, 0.75, 1.25, 1.0])),
+                             ("plot", (*zip(*data["series"][0]["line"]), "--")),
+                             ("scatter", ([2.0], [4.0]))]
+        else:
+            # gamma_ce then gap_ce per budget; an undefined mean is drawn as a gap (nan)
+            x = data["x"]
+            assert [args[0] for _, args in drawn] == [s[x] for s in data["series"] for _ in "ab"]
+            assert all(name == "plot" for name, _ in drawn)
+            assert [args[1] for _, args in drawn] == [s[k] for s in data["series"]
+                                                     for k in ("gamma_ce", "gap_ce")]
+        assert ("savefig", (f"{figure}.png",), {"dpi": 150}) in calls
+        assert capsys.readouterr().out.endswith(f"wrote {figure}.png\n")
 
     def test_unusable_csv_exit_one(self, tmp_path):
         from advlab.sweep import CSV_COLUMNS, write_csv

@@ -1,6 +1,7 @@
 import logging
 import os
 
+import numpy as np
 import pytest
 
 from advlab import sweep
@@ -11,7 +12,7 @@ from advlab.loat import LoatSchedule
 from advlab.mlp import MlpConfig
 from advlab.objectives import ObjectiveSpec
 from advlab.sweep import (CSV_COLUMNS, InsufficientDataError, SweepSpec,
-                          attach_gaps, correlate, least_squares_slope,
+                          attach_gaps, correlate, figure_data,
                           read_csv, record_row, run_sweep, slopes_by, write_csv)
 from advlab.trainer import TrainConfig, train
 
@@ -286,6 +287,22 @@ class TestCsvRoundTrip:
         write_csv(rows, path)
         assert read_csv(path)[1][column] == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["gap_ce", "gamma_hat_c", "lambda", "width"])
+    def test_non_finite_value_rejected(self, column, value, tmp_path):
+        rows = [{c: None for c in CSV_COLUMNS} for _ in range(2)]
+        for i, row in enumerate(rows):
+            row.update(run_id=f"r{i}", width=4, seed=0, epoch_budget=2, epoch=2, gap_ce=0.5)
+        path = tmp_path / "bad.csv"
+        write_csv(rows, path)
+        text = path.read_text().splitlines()
+        header = text[0].split(",")
+        cells = text[2].split(",")
+        cells[header.index(column)] = value
+        path.write_text("\n".join([*text[:2], ",".join(cells)]) + "\n")
+        with pytest.raises(ParameterError, match=f"^CSV row 2: {column} must be a finite real"):
+            read_csv(path)
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("run_id,width\nx,4\n")
@@ -345,28 +362,107 @@ class TestCorrelate:
 
 
 class TestSlopes:
-    def test_least_squares_exact_line(self):
-        x = [0.0, 1.0, 2.0, 3.0]
-        y = [1.0, 1.6, 2.2, 2.8]
-        assert least_squares_slope(x, y) == pytest.approx(0.6, abs=1e-12)
+    @staticmethod
+    def _row(width, lam, c, m):
+        r = {col: None for col in CSV_COLUMNS}
+        r.update(width=width, **{"lambda": lam}, gamma_hat_c=c, gamma_hat_m=m)
+        return r
 
-    def test_least_squares_needs_variation(self):
-        with pytest.raises(InsufficientDataError):
-            least_squares_slope([1.0, 1.0], [0.0, 1.0])
-        with pytest.raises(InsufficientDataError):
-            least_squares_slope([1.0], [2.0])
+    def test_slopes_by_exact_line(self):
+        rows = [self._row(4, 0.5, x, y) for x, y in zip([0.0, 1.0, 2.0, 3.0],
+                                                          [1.0, 1.6, 2.2, 2.8])]
+        assert slopes_by(rows, "width")[4] == pytest.approx(0.6, abs=1e-12)
 
     def test_slopes_by_group(self):
-        def row(width, lam, c, m):
-            r = {col: None for col in CSV_COLUMNS}
-            r.update(width=width, **{"lambda": lam}, gamma_hat_c=c, gamma_hat_m=m)
-            return r
-
-        rows = [row(4, 0.5, 0.0, 1.0), row(4, 0.5, 1.0, 3.0),
-                row(8, 0.5, 0.0, 0.0), row(8, 0.5, 2.0, 1.0),
-                row(4, 0.0, 0.0, 99.0)]  # standard family must be ignored
+        rows = [self._row(4, 0.5, 0.0, 1.0), self._row(4, 0.5, 1.0, 3.0),
+                self._row(8, 0.5, 0.0, 0.0), self._row(8, 0.5, 2.0, 1.0),
+                self._row(4, 0.0, 0.0, 99.0)]  # standard family must be ignored
         by_w = slopes_by(rows, "width")
         assert by_w[4] == pytest.approx(2.0, abs=1e-12)
         assert by_w[8] == pytest.approx(0.5, abs=1e-12)
         by_l = slopes_by(rows, "lambda")
         assert set(by_l) == {0.5}
+
+    def test_slopes_by_undefined_is_none(self):
+        # one point, or points without spread in gamma_hat_c, leave the slope undefined
+        rows = [self._row(4, 0.5, 1.0, 2.0), self._row(4, 0.5, None, 3.0),
+                self._row(8, 0.5, 1.0, 2.0), self._row(8, 0.5, 1.0, 5.0),
+                self._row(16, 0.5, 0.0, 0.0), self._row(16, 0.5, 1.0, 3.0)]
+        assert slopes_by(rows, "width") == {4: None, 8: None, 16: pytest.approx(3.0)}
+
+
+def figure_rows():
+    """Runs with two recorded epochs each, as a sweep writes them: gap_ce on final rows
+    only.  Run w4_l0.5_s1 lacks gamma_ce at its final epoch, width 16 has one radius
+    point (its first epoch has no misclassified rows), and the lambda=0 run and the
+    first epochs carry values that would move every mean they entered."""
+    def row(run_id, width, lam, budget, epoch, c, m, g, gap=None):
+        r = {col: None for col in CSV_COLUMNS}
+        r.update(run_id=run_id, width=width, seed=0, epoch_budget=budget, epoch=epoch,
+                 gamma_hat_c=c, gamma_hat_m=m, gamma_ce=g, gap_ce=gap, **{"lambda": lam})
+        return r
+
+    return [
+        row("w4_l0.5_s0_e2", 4, 0.5, 2, 1, 1.0, 2.0, 0.5),
+        row("w4_l0.5_s0_e2", 4, 0.5, 2, 2, 2.0, 3.5, 0.75, 0.5),
+        row("w4_l0.5_s1_e2", 4, 0.5, 2, 1, 1.5, 2.0, 0.25),
+        row("w4_l0.5_s1_e2", 4, 0.5, 2, 2, 3.0, 1.0, None, 0.25),
+        row("w4_l1_s0_e2", 4, 1.0, 2, 1, 0.5, 0.5, 0.125),
+        row("w4_l1_s0_e2", 4, 1.0, 2, 2, 1.0, 0.75, 0.25, 0.375),
+        row("w16_l0.5_s0_e2", 16, 0.5, 2, 1, 1.0, None, 1.0),
+        row("w16_l0.5_s0_e2", 16, 0.5, 2, 2, 2.0, 4.0, 2.0, 0.0),
+        # a longer budget's rows come after its first epochs in the file, as in a sweep
+        row("w4_l1_s0_e4", 4, 1.0, 4, 4, 1.5, 1.25, 1.5, 0.5),
+        row("w4_l1_s0_e4", 4, 1.0, 4, 3, 0.75, 1.0, 0.5),
+        row("w4_l0_s0_e2", 4, 0.0, 2, 1, 9.0, 9.0, 9.0),
+        row("w4_l0_s0_e2", 4, 0.0, 2, 2, 9.0, 9.0, 9.0),
+    ]
+
+
+class TestFigureData:
+    def test_fig2_slopes_are_slopes_by(self):
+        rows = figure_rows()
+        data = figure_data(rows, "fig2")
+        assert data["figure"] == "fig2"
+        assert {s["width"]: s["slope"] for s in data["series"]} == slopes_by(rows, "width")
+
+    def test_fig2_points_and_line(self):
+        rows = figure_rows()
+        wide, narrow = figure_data(rows, "fig2")["series"][::-1]
+        assert [p[0] for p in narrow["points"]] == [1.0, 2.0, 1.5, 3.0, 0.5, 1.0, 1.5, 0.75]
+        c, m = np.array(narrow["points"]).T
+        slope, intercept = np.polyfit(c, m, 1)
+        assert [x for x, _ in narrow["line"]] == [0.5, 3.0]
+        assert [y for _, y in narrow["line"]] == pytest.approx(
+            [slope * 0.5 + intercept, slope * 3.0 + intercept], abs=1e-12)
+        # width 16 has one point: it is kept, without a slope or a line
+        assert wide == {"width": 16, "points": [[2.0, 4.0]], "slope": None, "line": None}
+
+    @pytest.mark.parametrize("figure, x, expected", [
+        ("fig3", "lambda", [
+            {"epoch_budget": 2, "lambda": [0.5, 1.0],
+             "gamma_ce": [(0.75 + 2.0) / 2, 0.25], "gap_ce": [(0.5 + 0.25 + 0.0) / 3, 0.375]},
+            {"epoch_budget": 4, "lambda": [1.0], "gamma_ce": [1.5], "gap_ce": [0.5]}]),
+        ("fig4", "width", [
+            {"epoch_budget": 2, "width": [4, 16],
+             "gamma_ce": [(0.75 + 0.25) / 2, 2.0], "gap_ce": [(0.5 + 0.25 + 0.375) / 3, 0.0]},
+            {"epoch_budget": 4, "width": [4], "gamma_ce": [1.5], "gap_ce": [0.5]}]),
+    ])
+    def test_final_row_means(self, figure, x, expected):
+        # hand oracle: each run's epoch-2 (epoch-4) row, lambda > 0, each mean over the
+        # rows that have the field
+        assert figure_data(figure_rows(), figure) == {"figure": figure, "x": x,
+                                                      "series": expected}
+
+    def test_means_read_the_final_rows_chosen_by_final_rows(self):
+        rows = figure_rows()
+        for r in rows:
+            if r not in sweep._final_rows(rows):
+                r["gamma_ce"] = r["gap_ce"] = 1e9
+        assert figure_data(rows, "fig4") == figure_data(figure_rows(), "fig4")
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
+    def test_nothing_to_plot(self, figure):
+        rows = [r for r in figure_rows() if r["lambda"] == 0.0]
+        with pytest.raises(InsufficientDataError, match=f"no usable rows for {figure}"):
+            figure_data(rows, figure)

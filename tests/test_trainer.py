@@ -53,6 +53,17 @@ class TestSgdStep:
             sgd_step([np.zeros((2, 2))], [np.zeros((2, 3))], [np.zeros((2, 2))],
                      lr=0.1, momentum=0.0)
 
+    @pytest.mark.parametrize("lr, momentum, name", [
+        (float("nan"), 0.9, "lr"), (float("inf"), 0.9, "lr"), (-0.1, 0.9, "lr"),
+        (0.1, float("nan"), "momentum"), (0.1, 1.0, "momentum"), (0.1, -0.5, "momentum")])
+    def test_lr_and_momentum_checked(self, lr, momentum, name):
+        # lr=nan used to write nan weights without an error
+        w = [make_rng(0).standard_normal((2, 3))]
+        before = [w[0].copy()]
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite real"):
+            sgd_step(w, [np.ones((2, 3))], [np.zeros((2, 3))], lr=lr, momentum=momentum)
+        assert weights_equal(w, before)
+
     @pytest.mark.parametrize("grads, velocity", [(1, 2), (2, 1)], ids=["grads", "velocity"])
     def test_mismatched_layer_counts(self, grads, velocity):
         w = [np.zeros((2, 2)), np.zeros((2, 2))]

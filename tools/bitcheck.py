@@ -28,6 +28,8 @@ fields are left out, so equal lines mean equal outputs:
                   `advlab sweep` at --jobs J = 1 and 2 on perfbench's
                   sweep_grid config (data seed 11): sweep.csv without
                   epoch_wall_ms, manifest.json
+  figures         the fig2.json, fig3.json and fig4.json that `advlab plotscript`
+                  writes from the --jobs 1 sweep.csv
 
 Uses only the standard library, numpy and advlab; a full run takes about
 10 s on two cores.
@@ -187,6 +189,19 @@ def sweep_digests(lab, jobs: int, work: Path):
             f"manifest_jobs{jobs}": hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()}
 
 
+def figures_digest(lab, csv_path: Path, work: Path) -> str:
+    out = work / "figures"
+    parts = []
+    for figure in ("fig2", "fig3", "fig4"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = lab.cli.main(["plotscript", str(csv_path), "--figure", figure,
+                                 "--out", str(out)])
+        if code != 0:
+            raise SystemExit(f"advlab plotscript --figure {figure} exited {code}")
+        parts.append((out / f"{figure}.json").read_bytes())
+    return digest(parts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -201,6 +216,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for jobs in (1, 2):
             out.update(sweep_digests(lab, jobs, Path(tmp)))
+        out["figures"] = figures_digest(lab, Path(tmp) / "sweep-jobs1" / "sweep.csv", Path(tmp))
     print(json.dumps(out))
     return 0
 
