@@ -170,7 +170,6 @@ class TestProject:
     @pytest.mark.parametrize("p", ["inf", "two"])
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1, True])
     def test_eps_outside_zero_to_inf_rejected(self, p, eps):
-        # eps=nan used to return all-nan inputs without an error
         with pytest.raises(ParameterError, match=r"eps must be a finite real number in \[0, inf\)"):
             project(np.full((1, 2), 0.5), np.full((1, 2), 0.5), p, eps)
 

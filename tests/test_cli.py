@@ -339,7 +339,10 @@ class TestPlotscriptCommand:
         """Run the script against a stand-in for matplotlib that records each call."""
         from test_sweep import figure_rows
         from advlab.sweep import write_csv
-        write_csv(figure_rows(), tmp_path / "sweep.csv")
+        rows = figure_rows()
+        # no final row at lambda 1 (budget 2) and none at width 16 has gamma_ce
+        rows[5]["gamma_ce"] = rows[7]["gamma_ce"] = None
+        write_csv(rows, tmp_path / "sweep.csv")
         main(["plotscript", str(tmp_path / "sweep.csv"), "--figure", figure,
               "--out", str(tmp_path)])
         calls = []
@@ -367,10 +370,12 @@ class TestPlotscriptCommand:
         else:
             # gamma_ce then gap_ce per budget; an undefined mean is drawn as a gap (nan)
             x = data["x"]
+            assert None in data["series"][0]["gamma_ce"]
             assert [args[0] for _, args in drawn] == [s[x] for s in data["series"] for _ in "ab"]
             assert all(name == "plot" for name, _ in drawn)
-            assert [args[1] for _, args in drawn] == [s[k] for s in data["series"]
-                                                     for k in ("gamma_ce", "gap_ce")]
+            assert all(isinstance(y, float) for _, args in drawn for y in args[1])
+            assert [[None if y != y else y for y in args[1]] for _, args in drawn] == [
+                s[k] for s in data["series"] for k in ("gamma_ce", "gap_ce")]
         assert ("savefig", (f"{figure}.png",), {"dpi": 150}) in calls
         assert capsys.readouterr().out.endswith(f"wrote {figure}.png\n")
 

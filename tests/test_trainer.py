@@ -57,7 +57,6 @@ class TestSgdStep:
         (float("nan"), 0.9, "lr"), (float("inf"), 0.9, "lr"), (-0.1, 0.9, "lr"),
         (0.1, float("nan"), "momentum"), (0.1, 1.0, "momentum"), (0.1, -0.5, "momentum")])
     def test_lr_and_momentum_checked(self, lr, momentum, name):
-        # lr=nan used to write nan weights without an error
         w = [make_rng(0).standard_normal((2, 3))]
         before = [w[0].copy()]
         with pytest.raises(ParameterError, match=f"^{name} must be a finite real"):
