@@ -21,6 +21,7 @@ one rule for random draws: one generator, or a list with one per seed.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -91,12 +92,22 @@ def check_count(value, name: str, least: int = 1) -> None:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+@functools.cache
+def _interval(interval: str) -> tuple:
+    """(lo, hi, lo excluded, hi excluded) of an interval written like "[0, 1)"."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    return lo, hi, interval[0] == "(", interval[-1] == ")"
+
+
 def check_real(value, name: str, interval: str) -> None:
     """ParameterError unless value is a finite real, not a bool, in `interval`, e.g. "[0, 1)"."""
-    lo, hi = map(float, interval[1:-1].split(","))
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    lo, hi, lo_open, hi_open = _interval(interval)
+    # a float (np.float64 included) or a plain int skips the bool test and numbers.Real's
+    # ABC lookup
+    if ((type(value) is not int and not isinstance(value, float)
+         and (isinstance(value, bool) or not isinstance(value, numbers.Real)))
             or not (abs(value) < np.inf and lo <= value <= hi)
-            or (value == lo and interval[0] == "(") or (value == hi and interval[-1] == ")")):
+            or (lo_open and value == lo) or (hi_open and value == hi)):
         raise ParameterError(f"{name} must be a finite real number in {interval}, got {value!r}")
 
 

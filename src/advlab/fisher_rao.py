@@ -14,6 +14,7 @@ All radius estimators are meant to be fed training-split logits.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,38 @@ def _loss_table(loss_table) -> np.ndarray:
     return table
 
 
+_RAW_BLOCK = 2**17  # 64-bit outputs per random_raw call: 1 MiB, two words each
+
+
+def _uint32_words(rng: np.random.Generator, count: int):
+    """Yield uint32 arrays whose concatenation is, with the generator's state
+    afterwards, that of rng.integers(0, 2**32, size=count, dtype=np.uint32).
+
+    numpy's 32-bit draw from PCG64, PCG64DXSM, Philox or SFC64 is the low
+    half of one 64-bit output, then its high half, which waits in the state
+    as uinteger with has_uint32 set.  So on a little-endian host one
+    random_raw output viewed as two uint32 words is two such draws, at half
+    the cost.  random_raw leaves has_uint32 and uinteger alone, so a pending
+    half at the start and the last one or two words go through integers,
+    which sets both as the all-integers draw does.  Any other generator
+    draws through integers in blocks.
+    """
+    bitgen = rng.bit_generator
+    # named here, not at import: np.random is imported lazily, and only when used
+    split_64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+    if type(bitgen) not in split_64 or sys.byteorder != "little":
+        for start in range(0, count, 2 * _RAW_BLOCK):
+            yield rng.integers(0, 2**32, size=min(2 * _RAW_BLOCK, count - start),
+                               dtype=np.uint32)
+        return
+    head = min(count, bitgen.state["has_uint32"])
+    pairs = max(0, count - head - 1) // 2
+    yield rng.integers(0, 2**32, size=head, dtype=np.uint32)
+    for start in range(0, pairs, _RAW_BLOCK):
+        yield bitgen.random_raw(min(_RAW_BLOCK, pairs - start)).view(np.uint32)
+    yield rng.integers(0, 2**32, size=count - head - 2 * pairs, dtype=np.uint32)
+
+
 def empirical_rademacher(loss_table, rng: np.random.Generator, draws: int):
     """Monte-Carlo Rademacher complexity of a finite hypothesis set.
 
@@ -175,32 +208,36 @@ def empirical_rademacher(loss_table, rng: np.random.Generator, draws: int):
 
     The draws go through one reused float64 sign buffer in chunks of
     min(4096, 2^24 // n) rows, so it holds at most 128 MiB.  The signs
-    are read off uint32 words drawn in blocks of at most 4 MiB, one word
-    per sign: numpy's integers(0, 2) is the top bit of one 32-bit output,
-    so copysign(1, word as int32) writes -xi in one pass, and each chunk
-    is one gemm against -loss_table, whose products equal xi * loss bit
-    for bit.  The signs and the generator's state afterwards are those of
-    integers(0, 2) draws, and consecutive draws continue one generator
-    stream, so neither depends on the chunking.  The gemm's bits do
-    depend on its row count: for n <= 4096 the chunks are 4096 rows as
-    they always were, and for larger n the last bits of the estimate can
-    differ from the 4096-row chunks of earlier versions.
+    are read off uint32 words, one word per sign: numpy's integers(0, 2)
+    is the top bit of one 32-bit output, so copysign(1, word as int32)
+    writes -xi in one pass, and each chunk is one gemm against
+    -loss_table, whose products equal xi * loss bit for bit.  The words
+    are those of integers(0, 2**32, dtype=np.uint32), generator state
+    afterwards included (_uint32_words): PCG64, PCG64DXSM, Philox and
+    SFC64 give two words per bit_generator.random_raw output, MT19937 and
+    any other bit generator draw them through integers.  So the signs and
+    the state afterwards are those of integers(0, 2) draws, and
+    consecutive draws continue one generator stream, so neither depends
+    on the chunking.  The gemm's bits do depend on its row count: for
+    n <= 4096 the chunks are 4096 rows as they always were, and for larger
+    n the last bits of the estimate can differ from the 4096-row chunks of
+    earlier versions.
     """
     table = _loss_table(loss_table)
     check_count(draws, "draws")
     n = table.shape[1]
     rows = min(4096, max(1, 2**24 // n), draws)
-    block = max(1, min(256, 2**20 // n))
     buf = np.empty((rows, n))
     neg = -table
     values = np.empty(draws)
     for done in range(0, draws, rows):
         chunk = buf[: min(rows, draws - done)]
-        for r in range(0, len(chunk), block):
+        signs = chunk.reshape(-1)
+        at = 0
+        for words in _uint32_words(rng, signs.size):
             # a word with its top bit set is xi = +1 and a negative int32
-            part = chunk[r : r + block]
-            words = rng.integers(0, 2**32, size=part.shape, dtype=np.uint32)
-            np.copysign(1.0, words.view(np.int32), out=part)
+            np.copysign(1.0, words.view(np.int32), out=signs[at : at + words.size])
+            at += words.size
         values[done : done + len(chunk)] = (chunk @ neg.T).max(axis=1) / n
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")

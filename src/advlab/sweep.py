@@ -46,6 +46,8 @@ CSV_COLUMNS = [
     "fgsm_acc", "pgd_acc", "gamma_hat", "gamma_hat_c", "gamma_hat_m",
     "gamma_ce", "bound_lower", "bound_upper", "gap_ce", "epoch_wall_ms",
 ]
+# the columns record_row always fills, which identify a row
+KEY_COLUMNS = CSV_COLUMNS[:6]
 
 
 class InsufficientDataError(ValueError):
@@ -278,16 +280,18 @@ def read_csv(path) -> list:
         if missing:
             raise ParameterError(f"CSV missing columns: {missing}")
         for i, raw in enumerate(reader, start=1):
+            empty = [k for k in KEY_COLUMNS if raw[k] in ("", None)]
+            if empty:
+                raise ParameterError(f"CSV row {i}: {empty[0]} is empty")
             row = dict(raw)
             for k in numeric:
                 row[k] = float(raw[k]) if raw[k] != "" else None
                 if row[k] is not None:
                     check_real(row[k], f"CSV row {i}: {k}", "(-inf, inf)")
             for k in ("width", "seed", "epoch_budget", "epoch"):
-                if row[k] is not None:
-                    if not row[k].is_integer():
-                        raise ParameterError(f"CSV row {i}: {k} {raw[k]!r} is not an integer")
-                    row[k] = int(row[k])
+                if not row[k].is_integer():
+                    raise ParameterError(f"CSV row {i}: {k} {raw[k]!r} is not an integer")
+                row[k] = int(row[k])
             rows.append(row)
     return rows
 

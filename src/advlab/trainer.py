@@ -50,7 +50,8 @@ EVAL_ATTACK_SEED = 12345  # every evaluate draws its eval attacks from this seed
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite logits or loss in training, named by seed, epoch and batch."""
+    """Non-finite logits or loss in training, named by seed, epoch and batch, with
+    the seed's last finite loss."""
 
 
 @dataclass(frozen=True)
@@ -241,6 +242,7 @@ def _train(cfgs: list, data: DatasetHandle, record_epochs) -> list:
     if record_epochs is None:
         record_epochs = metric_epochs(cfg.epochs, cfg.metrics_every)
     histories = [[] for _ in cfgs]
+    losses = None  # each seed's loss at the last finished batch
     for epoch in range(1, cfg.epochs + 1):
         shuffle_rngs, attack_rngs = zip(*(_epoch_rngs(seed, epoch) for seed in seeds))
         t0 = time.perf_counter()
@@ -248,23 +250,29 @@ def _train(cfgs: list, data: DatasetHandle, record_epochs) -> list:
             for index, batch in enumerate(batches(data.train, cfg.batch_size,
                                                   stack_of(shuffle_rngs))):
                 try:
-                    _, grads = _batch_step(weights, batch, cfg, epoch, stack_of(attack_rngs))
+                    loss, grads = _batch_step(weights, batch, cfg, epoch, stack_of(attack_rngs))
                 except NonFiniteError as err:
-                    raise _diverged(err, seeds[err.part], f"epoch {epoch}, batch {index}") from err
+                    raise _diverged(err, err.part, seeds, losses,
+                                    f"epoch {epoch}, batch {index}") from err
+                losses = np.atleast_1d(loss)
                 sgd_step(weights, grads, velocity, cfg.lr, cfg.momentum)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             if epoch in record_epochs:
-                for seed, history, w in zip(seeds, histories, _networks(weights)):
+                for part, (history, w) in enumerate(zip(histories, _networks(weights))):
                     try:
                         history.append(evaluate(w, data, cfg.eval_attacks,
                                                 epoch=epoch, epoch_wall_ms=wall_ms))
                     except NonFiniteError as err:
-                        raise _diverged(err, seed, f"epoch {epoch}, evaluation") from err
+                        raise _diverged(err, part, seeds, losses,
+                                        f"epoch {epoch}, evaluation") from err
     return list(zip(_networks(weights), histories))
 
 
-def _diverged(err: NonFiniteError, seed: int, where: str) -> DivergenceError:
-    return DivergenceError(f"seed {seed} diverged at {where}: {err}")
+def _diverged(err: NonFiniteError, part: int, seeds: list, losses, where: str):
+    """The DivergenceError of seed number `part` of the stack, ending with its loss
+    at the last finished batch (losses holds one per seed, None before the first)."""
+    last = "no finite loss yet" if losses is None else f"last finite loss {float(losses[part])!r}"
+    return DivergenceError(f"seed {seeds[part]} diverged at {where}: {err}; {last}")
 
 
 def _networks(weights: list) -> list:

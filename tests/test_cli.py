@@ -157,6 +157,27 @@ class TestSweepCommand:
         assert "grid" in capsys.readouterr().err
 
 
+def csv_with_empty_key_cell(tmp_path, column):
+    """A sweep CSV of 4 runs with 2 epochs each whose row 4 (run r1, epoch 2) has an
+    empty `column` cell; with that cell filled, correlate and plotscript exit 0."""
+    from advlab.sweep import CSV_COLUMNS, write_csv
+    rows = []
+    for i in range(4):
+        for epoch in (1, 2):
+            row = {c: None for c in CSV_COLUMNS}
+            row.update(run_id=f"r{i}", width=4 + i, seed=0, epoch_budget=2, epoch=epoch,
+                       gamma_hat_c=1.0 + i, gamma_hat_m=2.0 + i, gamma_ce=0.1 * i + epoch,
+                       gap_ce=0.2 * i + (i % 2), **{"lambda": 0.5})
+            rows.append(row)
+    rows[3][column] = None
+    path = tmp_path / "sweep.csv"
+    write_csv(rows, path)
+    return path
+
+
+KEY_COLUMNS = ["run_id", "width", "lambda", "seed", "epoch_budget", "epoch"]
+
+
 class TestCorrelateCommand:
     def _sweep(self, tmp_path):
         cfg = {
@@ -207,9 +228,22 @@ class TestCorrelateCommand:
         from advlab.sweep import CSV_COLUMNS, write_csv
         row = {c: None for c in CSV_COLUMNS}
         row.update(run_id="r0", width=4, seed=0, epoch_budget=1, epoch=1,
-                   gamma_ce=1.0, gap_ce=1.0)
+                   gamma_ce=1.0, gap_ce=1.0, **{"lambda": 0.5})
         write_csv([row], path)
         assert main(["correlate", str(path), "--regime", "early"]) == 1
+        assert capsys.readouterr().err.startswith("error: need >= 3 points")
+
+    @pytest.mark.parametrize("column", KEY_COLUMNS + [None])
+    def test_empty_key_cell_exit_one(self, tmp_path, capsys, column):
+        # an empty epoch used to reach _final_rows and exit 2 comparing None with an int
+        path = csv_with_empty_key_cell(tmp_path, column or "gamma_hat")
+        code = main(["correlate", str(path), "--regime", "early"])
+        captured = capsys.readouterr()
+        if column is None:  # an empty metric cell is a gap, not an error
+            assert code == 0 and json.loads(captured.out)["n_points"] == 4
+        else:
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: CSV row 4: {column} is empty\n"
 
 
 class TestBoundsCommand:
@@ -309,6 +343,18 @@ class TestPlotscriptCommand:
         path = tmp_path / "sweep.csv"
         write_csv(rows, path)
         return path
+
+    @pytest.mark.parametrize("column", KEY_COLUMNS + [None])
+    def test_empty_key_cell_exit_one(self, tmp_path, capsys, column):
+        path = csv_with_empty_key_cell(tmp_path, column or "gamma_hat")
+        out = tmp_path / "plots"
+        code = main(["plotscript", str(path), "--figure", "fig3", "--out", str(out)])
+        captured = capsys.readouterr()
+        if column is None:
+            assert code == 0 and (out / "fig3.json").exists()
+        else:
+            assert code == 1 and captured.out == "" and not out.exists()
+            assert captured.err == f"error: CSV row 4: {column} is empty\n"
 
     @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
     def test_emits_python_script(self, tmp_path, capsys, figure):
@@ -682,7 +728,7 @@ class TestInputErrors:
         from advlab.sweep import CSV_COLUMNS, write_csv
         row = {c: None for c in CSV_COLUMNS}
         row.update(run_id="r0", width=2.7, seed=0, epoch_budget=1, epoch=1, gamma_ce=1.0,
-                   gap_ce=1.0)
+                   gap_ce=1.0, **{"lambda": 0.5})
         path = tmp_path / "sweep.csv"
         write_csv([row], path)
         out = tmp_path / "plots"

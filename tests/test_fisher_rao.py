@@ -11,7 +11,7 @@ from advlab.data import LabeledBatch, synth_blobs
 from advlab.fisher_rao import (BoundInputs, RadiusEstimates,
                                UndefinedMetricError, bound_slope_ratio,
                                bounds_of, complexity_bounds, empirical_rademacher,
-                               exhaustive_rademacher, fr_integrand, fr_norm_ce,
+                               _uint32_words, exhaustive_rademacher, fr_integrand, fr_norm_ce,
                                gamma_ce, max_logit_gap, radius_estimates,
                                radius_estimates_from_logits)
 from advlab.mlp import MlpConfig, forward, init_weights
@@ -53,14 +53,15 @@ def empirical_int64_oracle(table, rng, draws):
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(draws))
 
 
-def empirical_4096_row_oracle(table, rng, draws):
+def empirical_4096_row_oracle(table, rng, draws, rows=4096):
     """empirical_rademacher before the reused buffer: a fresh int32 draw
-    and its float64 copy for every chunk of 4096 rows."""
+    and its float64 copy for every chunk of 4096 rows (or `rows`: the
+    gemm's last bits can depend on its row count)."""
     n = table.shape[1]
     values = np.empty(draws)
     done = 0
     while done < draws:
-        chunk = min(4096, draws - done)
+        chunk = min(rows, draws - done)
         xi = rng.integers(0, 2, size=(chunk, n), dtype=np.int32).astype(np.float64)
         xi *= 2.0
         xi -= 1.0
@@ -68,6 +69,10 @@ def empirical_4096_row_oracle(table, rng, draws):
         done += chunk
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
     return float(values.mean()), stderr
+
+
+ALL_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                      np.random.SFC64, np.random.MT19937]
 
 
 def same_state(a, b) -> bool:
@@ -428,6 +433,46 @@ class TestRademacher:
             bits = bits_rng.integers(0, 2, size=size, dtype=np.int32)
             assert np.array_equal(words >> 31, bits)
         assert same_state(words_rng.bit_generator.state, bits_rng.bit_generator.state)
+
+    @settings(deadline=None, database=None, max_examples=100)
+    @given(st.sampled_from(ALL_BIT_GENERATORS), st.booleans(), st.integers(0, 40),
+           st.integers(0, 2**32 - 1))
+    @example(np.random.PCG64, True, 0, 1)  # a pending half and no words
+    @example(np.random.Philox, False, 2, 1)  # one whole pair, no raw output
+    def test_uint32_words_equal_integers(self, bit_generator, pending_half, count, seed):
+        # the words and the state afterwards, has_uint32 and uinteger included
+        rng, oracle_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        if pending_half:
+            rng.integers(0, 5, dtype=np.int32)
+            oracle_rng.integers(0, 5, dtype=np.int32)
+        words = np.concatenate([np.empty(0, np.uint32), *_uint32_words(rng, count)])
+        want = oracle_rng.integers(0, 2**32, size=count, dtype=np.uint32)
+        assert words.dtype == np.uint32 and np.array_equal(words, want)
+        assert same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", ALL_BIT_GENERATORS)
+    def test_uint32_words_span_raw_blocks(self, bit_generator):
+        # 2**18 + 5 words take two random_raw calls, the second of 2 outputs
+        rng, oracle_rng = (np.random.Generator(bit_generator(24)) for _ in range(2))
+        words = np.concatenate(list(_uint32_words(rng, 2**18 + 5)))
+        assert np.array_equal(words, oracle_rng.integers(0, 2**32, size=2**18 + 5,
+                                                         dtype=np.uint32))
+        assert same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize("pending_half", [False, True])
+    def test_empirical_equals_oracle_over_odd_chunks(self, bit_generator, pending_half):
+        # n = 4097 gives 4095-row chunks of 4095 * 4097 words, an odd count, so the
+        # chunks alternate between starting on a pending half and not; 3 * 4095 + 7
+        # draws give 4 chunks
+        table = make_rng(25).uniform(-1.0, 3.0, size=(3, 4097))
+        rng, oracle_rng = (np.random.Generator(bit_generator(26)) for _ in range(2))
+        if pending_half:
+            rng.integers(0, 5, dtype=np.int32)
+            oracle_rng.integers(0, 5, dtype=np.int32)
+        assert empirical_rademacher(table, rng, 3 * 4095 + 7) == \
+            empirical_4096_row_oracle(table, oracle_rng, 3 * 4095 + 7, rows=4095)
+        assert same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
 
     @pytest.mark.parametrize("n, draws, limit_mib", [(4000, 20000, 140), (60000, 600, 200)])
     def test_empirical_peak_memory(self, n, draws, limit_mib):

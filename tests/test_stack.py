@@ -15,7 +15,7 @@ from advlab.data import LabeledBatch, blob_dataset
 from advlab.loat import LoatSchedule
 from advlab.mlp import MlpConfig, backward, forward, forward_stack, init_weights
 from advlab.objectives import ObjectiveSpec
-from advlab.trainer import DivergenceError, TrainConfig, _batch_step, train, train_stack
+from advlab.trainer import DivergenceError, TrainConfig, _batch_step, sgd_step, train, train_stack
 
 DATA = blob_dataset(4, 24, 12, 5, 3, 0.3)
 OBJECTIVES = {"mixture-0": ObjectiveSpec(kind="mixture", lam=0.0),
@@ -141,8 +141,35 @@ class TestStackChecks:
         cfgs = [TrainConfig(model=MlpConfig([5, 6, 3], seed=s), objective=ObjectiveSpec(lam=0.0),
                             epochs=2, batch_size=8, seed=s) for s in (3, 7, 5)]
         with pytest.raises(DivergenceError, match="^seed 7 diverged at epoch 1, batch 0: "
-                                                  "logits contains non-finite values$"):
+                                                  "logits contains non-finite values; "
+                                                  "no finite loss yet$"):
             train_stack(cfgs, DATA)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blown_up_seed_reports_its_own_last_finite_loss(self, monkeypatch):
+        # after the first step seed 7, the middle of the stack, gets weights whose
+        # logits overflow; the message carries seed 7's loss at batch 0
+        losses = []
+
+        def batch_step(*args):
+            loss, grads = _batch_step(*args)
+            losses.append(loss.copy())
+            return loss, grads
+
+        def step(weights, grads, velocity, lr, momentum):
+            sgd_step(weights, grads, velocity, lr, momentum)
+            for w in weights:
+                w[1] *= 1e160
+
+        monkeypatch.setattr(trainer, "_batch_step", batch_step)
+        monkeypatch.setattr(trainer, "sgd_step", step)
+        cfgs = [TrainConfig(model=MlpConfig([5, 6, 3], seed=s), objective=ObjectiveSpec(lam=0.0),
+                            epochs=2, batch_size=8, seed=s) for s in (3, 7, 5)]
+        with pytest.raises(DivergenceError) as info:
+            train_stack(cfgs, DATA)
+        assert len(losses) == 1 and len(set(losses[0])) == 3
+        assert str(info.value) == ("seed 7 diverged at epoch 1, batch 1: logits contains "
+                                   f"non-finite values; last finite loss {float(losses[0][1])!r}")
 
     @pytest.mark.parametrize("change", [dict(lr=0.2), dict(epochs=3),
                                         dict(model=MlpConfig([5, 4, 3], seed=1))])

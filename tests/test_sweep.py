@@ -277,7 +277,8 @@ class TestCsvRoundTrip:
         # a non-integral value is an error, not truncated; an integral float still reads
         rows = [{c: None for c in CSV_COLUMNS} for _ in range(2)]
         for i, row in enumerate(rows):
-            row.update(run_id=f"r{i}", width=4, seed=0, epoch_budget=2, epoch=2)
+            row.update(run_id=f"r{i}", width=4, seed=0, epoch_budget=2, epoch=2,
+                       **{"lambda": 0.5})
         rows[1][column] = 2.7
         path = tmp_path / "bad.csv"
         write_csv(rows, path)
@@ -292,7 +293,8 @@ class TestCsvRoundTrip:
     def test_non_finite_value_rejected(self, column, value, tmp_path):
         rows = [{c: None for c in CSV_COLUMNS} for _ in range(2)]
         for i, row in enumerate(rows):
-            row.update(run_id=f"r{i}", width=4, seed=0, epoch_budget=2, epoch=2, gap_ce=0.5)
+            row.update(run_id=f"r{i}", width=4, seed=0, epoch_budget=2, epoch=2, gap_ce=0.5,
+                       **{"lambda": 0.5})
         path = tmp_path / "bad.csv"
         write_csv(rows, path)
         text = path.read_text().splitlines()

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from advlab import trainer
 from advlab.attacks import AttackSpec, pgd
 from advlab.core import ParameterError, make_rng
 from advlab.data import LabeledBatch, blob_dataset
@@ -165,15 +166,27 @@ class TestTrain:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("batch_size, where", [(8, "epoch 1, batch 1"),
                                                    (120, "epoch 1, evaluation")])
-    def test_blow_up_names_seed_epoch_and_batch(self, batch_size, where):
+    def test_blow_up_names_seed_epoch_and_batch(self, batch_size, where, monkeypatch):
         # lr 1e200 overflows the logits of the next forward: the second batch's,
-        # or with one batch per epoch the evaluation's; numpy warns of nothing
+        # or with one batch per epoch the evaluation's; numpy warns of nothing.
+        # The message ends with the loss of the one finished batch.
+        losses = []
+
+        def batch_step(*args):
+            loss, grads = _batch_step(*args)
+            losses.append(float(loss))
+            return loss, grads
+
+        monkeypatch.setattr(trainer, "_batch_step", batch_step)
         cfg = TrainConfig(model=MlpConfig([5, 8, 3], seed=0),
                           objective=ObjectiveSpec(kind="standard"),
                           epochs=2, batch_size=batch_size, lr=1e200, seed=4)
         with pytest.raises(DivergenceError, match=f"^seed 4 diverged at {where}: "
-                                                  "logits contains non-finite values$"):
+                                                  "logits contains non-finite values; "
+                                                  "last finite loss ") as info:
             train(cfg, blob_data(seed=5))
+        assert len(losses) == 1 and np.isfinite(losses[0])
+        assert str(info.value).endswith(f"; last finite loss {losses[0]!r}")
 
     def test_metrics_cadence(self):
         data = blob_data(seed=6)

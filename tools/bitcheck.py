@@ -24,6 +24,11 @@ fields are left out, so equal lines mean equal outputs:
   rademacher      empirical_rademacher's (estimate, stderr) and the generator
                   state after it, for five bit generators, with and without a
                   pending 32-bit half
+  rademacher_chunks
+                  the same over several sign chunks, under PCG64 and Philox, with
+                  and without a pending half: a 3 x 4097 table with 3 * 4095 + 7
+                  draws (4095-row chunks of an odd number of words) and a 3 x 5
+                  table with 20001 draws (4096-row chunks, the last one odd)
   sweep_csv_jobsJ, manifest_jobsJ
                   `advlab sweep` at --jobs J = 1 and 2 on perfbench's
                   sweep_grid config (data seed 11): sweep.csv without
@@ -158,12 +163,11 @@ def loat_digest(lab):
     return digest(np.asarray(a) for result in parts for a in result)
 
 
-def rademacher_digest(lab):
+def rademacher_digest(lab, bit_generators, shapes):
     parts = []
-    for bit_generator in (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
-                          np.random.SFC64, np.random.MT19937):
+    for bit_generator in bit_generators:
         for pending_half in (False, True):
-            for h, n, draws in ((3, 6, 5000), (4, 300, 9000), (2, 5000, 300), (1, 1, 7)):
+            for h, n, draws in shapes:
                 table = np.random.default_rng(n).uniform(-1.0, 3.0, size=(h, n))
                 rng = np.random.Generator(bit_generator(17))
                 if pending_half:
@@ -212,7 +216,12 @@ def main(argv=None) -> int:
     import advlab as lab
 
     out = {**train_digests(lab), "attacks": attack_digest(lab), "loat": loat_digest(lab),
-           "rademacher": rademacher_digest(lab)}
+           "rademacher": rademacher_digest(
+               lab, (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                     np.random.SFC64, np.random.MT19937),
+               ((3, 6, 5000), (4, 300, 9000), (2, 5000, 300), (1, 1, 7))),
+           "rademacher_chunks": rademacher_digest(
+               lab, (np.random.PCG64, np.random.Philox), ((3, 4097, 3 * 4095 + 7), (3, 5, 20001)))}
     with tempfile.TemporaryDirectory() as tmp:
         for jobs in (1, 2):
             out.update(sweep_digests(lab, jobs, Path(tmp)))
