@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, ParameterError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # ConfigError, ParameterError, FormatError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -2,6 +2,8 @@
 
 check_labels is the one label rule, check_count the one integer rule and check_real the
 one real-number rule; losses, masks, metrics, batches, specs and loaders apply them.
+unpack_at and body_at are the one layout rule of the binary files (IDX, logit dump,
+checkpoint): each part of a file is where its header says, and the body ends the file.
 exp_logsumexp_rows is the only row logsumexp: one exp pass gives both the
 softmax numerator and scipy's split-max logsumexp of a logit matrix.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import struct
 
 import numpy as np
 
@@ -122,6 +125,31 @@ def check_labels(labels, *shape) -> np.ndarray:
     if labels.size == 0 or labels.min() < 0 or labels.max() >= k:
         raise ParameterError(f"need at least one label, each in {{0..{k - 1}}}")
     return labels
+
+
+class FormatError(ValueError):
+    """A file does not conform to its declared binary format."""
+
+
+def _layout_error(raw: bytes, offset: int, size: int, part: str) -> FormatError:
+    return FormatError(f"{part}: expected {size} bytes at byte {offset}, found {len(raw) - offset}")
+
+
+def unpack_at(raw: bytes, offset: int, fmt: str, part: str) -> tuple:
+    """struct.unpack_from(fmt, raw, offset); FormatError naming `part` if raw ends first."""
+    size = struct.calcsize(fmt)
+    if len(raw) < offset + size:
+        raise _layout_error(raw, offset, size, part)
+    return struct.unpack_from(fmt, raw, offset)
+
+
+def body_at(raw: bytes, offset: int, dtype, count: int, part: str) -> np.ndarray:
+    """The `count` entries of `dtype` at `offset`, a read-only view of raw that callers copy
+    as they need; FormatError naming `part` unless they end raw exactly."""
+    dtype = np.dtype(dtype)
+    if len(raw) != offset + dtype.itemsize * count:
+        raise _layout_error(raw, offset, dtype.itemsize * count, part)
+    return np.frombuffer(raw, dtype, count, offset)
 
 
 def label_index(labels: np.ndarray) -> tuple:

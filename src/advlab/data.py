@@ -9,6 +9,9 @@ format (big-endian magic + dimension sizes + raw bytes).
 dump_array/load_array round-trip a matrix (batch inputs, or logits for
 `advlab bounds`) with its labels: little-endian ``magic "ALB1" | u32 d |
 u32 n | u32 K``, then n*d float64 entries (row-major) and n int32 labels.
+Both formats, like mlp's checkpoints, are read through core's one layout
+rule (unpack_at, body_at): a file that ends early or runs on past its body
+raises FormatError, naming the part and its expected and found byte counts.
 """
 
 from __future__ import annotations
@@ -20,16 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ParameterError, as_matrix, as_stack, check_count, check_labels, check_real,
-                   draw_per_seed, make_rng)
+from .core import (FormatError, ParameterError, as_matrix, as_stack, body_at, check_count,
+                   check_labels, check_real, draw_per_seed, make_rng, unpack_at)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 DUMP_MAGIC = b"ALB1"
-
-
-class FormatError(ValueError):
-    """A file does not conform to its declared binary format."""
 
 
 @dataclass(frozen=True)
@@ -69,22 +68,13 @@ class DatasetHandle:
 
 def _read_idx(path, expected_magic: int, what: str):
     raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise FormatError(f"{what}: truncated header in {path}")
-    magic = struct.unpack(">I", raw[:4])[0]
+    (magic,) = unpack_at(raw, 0, ">I", f"{what} magic in {path}")
     if magic != expected_magic:
-        raise FormatError(
-            f"{what}: bad magic 0x{magic:08x} in {path}, expected 0x{expected_magic:08x}"
-        )
+        raise FormatError(f"{what}: bad magic 0x{magic:08x} in {path}, "
+                          f"expected 0x{expected_magic:08x}")
     ndim = magic & 0xFF
-    header_len = 4 + 4 * ndim
-    if len(raw) < header_len:
-        raise FormatError(f"{what}: truncated dimension header in {path}")
-    dims = struct.unpack(f">{ndim}I", raw[4:header_len])
-    count = math.prod(dims)
-    body = np.frombuffer(raw, dtype=np.uint8, offset=header_len)
-    if body.size != count:
-        raise FormatError(f"{what}: expected {count} bytes of data, found {body.size} in {path}")
+    dims = unpack_at(raw, 4, f">{ndim}I", f"{what} dimensions in {path}")
+    body = body_at(raw, 4 + 4 * ndim, np.uint8, math.prod(dims), f"{what} body in {path}")
     return body.reshape(dims)
 
 
@@ -165,28 +155,21 @@ def batches(b: LabeledBatch, batch_size: int, rng):
 
 
 def dump_array(matrix: np.ndarray, labels: np.ndarray, num_classes: int, path) -> None:
-    """Write {d, n, K} header + float64 matrix + int32 labels (little-endian)."""
+    """Write {d, n, K} header + float64 matrix + int32 labels (little-endian); the labels
+    pass check_labels, each below 2^31 to fit int32, before anything is written."""
     matrix = as_matrix(matrix)
-    labels = np.asarray(labels, dtype=np.int64)
-    with open(path, "wb") as fh:
-        fh.write(DUMP_MAGIC)
-        fh.write(struct.pack("<III", matrix.shape[1], matrix.shape[0], num_classes))
-        fh.write(matrix.tobytes())
-        fh.write(labels.astype("<i4").tobytes())
+    labels = check_labels(labels, matrix.shape[0], min(num_classes, 2**31))
+    header = struct.pack("<4sIII", DUMP_MAGIC, matrix.shape[1], matrix.shape[0], num_classes)
+    Path(path).write_bytes(b"".join([header, matrix.astype("<f8", copy=False),
+                                     labels.astype("<i4")]))
 
 
 def load_array(path):
     """Inverse of dump_array -> (matrix, labels, num_classes)."""
     raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise FormatError(f"dump too short at byte {len(raw)}")
-    if raw[:4] != DUMP_MAGIC:
-        raise FormatError(f"bad dump magic at byte 0: {raw[:4]!r}")
-    d, n, k = struct.unpack("<III", raw[4:16])
-    need = 16 + 8 * n * d + 4 * n
-    if len(raw) != need:
-        raise FormatError(f"dump length {len(raw)} != expected {need} (error near byte 16)")
-    matrix = np.frombuffer(raw, dtype="<f8", count=n * d, offset=16).reshape(n, d)
-    labels = np.frombuffer(raw, dtype="<i4", offset=16 + 8 * n * d).astype(np.int64)
-    return matrix.copy(), labels, k
-
+    magic, d, n, k = unpack_at(raw, 0, "<4sIII", "dump header")
+    if magic != DUMP_MAGIC:
+        raise FormatError(f"bad dump magic at byte 0: {magic!r}")
+    body = body_at(raw, 16, np.uint8, 8 * n * d + 4 * n, "dump body")
+    labels = body[8 * n * d:].view("<i4").astype(np.int64)
+    return body[:8 * n * d].view("<f8").reshape(n, d).copy(), labels, k

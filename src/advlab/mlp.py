@@ -15,7 +15,9 @@ slice gets the bits of its own 2-D call (see core).
 
 Checkpoint format (little-endian): magic "AMLP" | u8 version=1 |
 u32 L+1 | (L+1) x u32 widths | per layer row-major float64 entries.
-A file that is shorter or longer than its widths imply is rejected.
+It is read through core's one layout rule, like data's IDX and dump
+files: a file that is shorter or longer than its widths imply, or whose
+header is bad, raises FormatError.
 
 Note on figure conventions elsewhere in this project: a "1-layer MLP"
 means one hidden layer, i.e. widths [d, H, K].
@@ -29,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ParameterError, ShapeError, as_matrix, as_stack, check_count, check_finite,
-                   check_real, make_rng)
+from .core import (FormatError, ParameterError, ShapeError, as_matrix, as_stack, body_at,
+                   check_count, check_finite, check_real, make_rng, unpack_at)
 
 CHECKPOINT_MAGIC = b"AMLP"
 CHECKPOINT_VERSION = 1
@@ -68,10 +70,6 @@ def init_weights(cfg: MlpConfig) -> list:
         scale = np.sqrt(2.0 / widths[l - 1]) if cfg.init_scale is None else cfg.init_scale
         layers.append(scale * rng.standard_normal((widths[l], widths[l - 1])))
     return layers
-
-
-def widths_of(weights: list) -> list:
-    return [weights[0].shape[1]] + [w.shape[0] for w in weights]
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -148,46 +146,26 @@ def input_grad(weights: list, trace: ForwardTrace, logit_grad) -> np.ndarray:
 
 
 def save_checkpoint(weights: list, path) -> None:
-    widths = widths_of(weights)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<B", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(widths)))
-        fh.write(struct.pack(f"<{len(widths)}I", *widths))
-        for w in weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    widths = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+    header = struct.pack(f"<4sBI{len(widths)}I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                         len(widths), *widths)
+    Path(path).write_bytes(b"".join([header, *(np.ascontiguousarray(w, "<f8") for w in weights)]))
 
 
 def load_checkpoint(path) -> list:
-    """Read a checkpoint; ValueError unless the file is exactly one whole checkpoint."""
+    """Read a checkpoint; FormatError unless the file is exactly one whole checkpoint."""
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {raw[:4]!r}")
-    _check_length(raw, 9, "header")
-    version = raw[4]
+    magic, version, nw = unpack_at(raw, 0, "<4sBI", "checkpoint header")
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (nw,) = struct.unpack("<I", raw[5:9])
+        raise FormatError(f"unsupported checkpoint version {version}")
     if nw < 2:
-        raise ValueError(f"checkpoint lists {nw} widths, need at least 2")
-    offset = 9 + 4 * nw
-    _check_length(raw, offset, "width table")
-    widths = struct.unpack(f"<{nw}I", raw[9:offset])
+        raise FormatError(f"checkpoint lists {nw} widths, need at least 2")
+    widths = unpack_at(raw, 9, f"<{nw}I", "checkpoint width table")
     if min(widths) < 1:
-        raise ValueError(f"checkpoint widths {list(widths)} must all be >= 1")
-    counts = [widths[l] * widths[l - 1] for l in range(1, nw)]
-    expected = offset + 8 * sum(counts)
-    if len(raw) != expected:
-        raise ValueError(f"checkpoint for widths {list(widths)} is {expected} bytes, "
-                         f"file has {len(raw)}")
-    weights = []
-    for l, count in enumerate(counts, start=1):
-        w = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        weights.append(w.reshape(widths[l], widths[l - 1]).copy())
-        offset += 8 * count
-    return weights
-
-
-def _check_length(raw: bytes, needed: int, part: str) -> None:
-    if len(raw) < needed:
-        raise ValueError(f"checkpoint {part} needs {needed} bytes, file has {len(raw)}")
+        raise FormatError(f"checkpoint widths {list(widths)} must all be >= 1")
+    counts = [h * w for h, w in zip(widths[1:], widths)]
+    body = body_at(raw, 9 + 4 * nw, "<f8", sum(counts), "checkpoint body")
+    return [part.reshape(h, w).copy()
+            for part, h, w in zip(np.split(body, np.cumsum(counts)[:-1]), widths[1:], widths)]

@@ -280,7 +280,10 @@ def read_csv(path) -> list:
         if missing:
             raise ParameterError(f"CSV missing columns: {missing}")
         for i, raw in enumerate(reader, start=1):
-            empty = [k for k in KEY_COLUMNS if raw[k] in ("", None)]
+            if None in raw or None in raw.values():  # DictReader's fill of a long or short row
+                raise ParameterError(f"CSV row {i}: cell count differs from the header's "
+                                     f"{len(reader.fieldnames)}")
+            empty = [k for k in KEY_COLUMNS if raw[k] == ""]
             if empty:
                 raise ParameterError(f"CSV row {i}: {empty[0]} is empty")
             row = dict(raw)

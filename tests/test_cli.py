@@ -233,6 +233,20 @@ class TestCorrelateCommand:
         assert main(["correlate", str(path), "--regime", "early"]) == 1
         assert capsys.readouterr().err.startswith("error: need >= 3 points")
 
+    @pytest.mark.parametrize("edit", [lambda line: ",".join(line.split(",")[:8]),
+                                      lambda line: line + ",7,8"], ids=["short", "long"])
+    def test_row_cell_count_exit_one(self, tmp_path, capsys, edit):
+        # a short row exited 2 on float(None), and a long one was read with its extras
+        path = csv_with_empty_key_cell(tmp_path, "gamma_hat")
+        lines = path.read_text().splitlines()
+        lines[4] = edit(lines[4])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["correlate", str(path), "--regime", "early"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: CSV row 4: cell count differs from the header's "
+                                f"{len(lines[0].split(','))}\n")
+
     @pytest.mark.parametrize("column", KEY_COLUMNS + [None])
     def test_empty_key_cell_exit_one(self, tmp_path, capsys, column):
         # an empty epoch used to reach _final_rows and exit 2 comparing None with an int
@@ -268,7 +282,8 @@ class TestBoundsCommand:
         dump_array(np.eye(3), np.arange(3), 3, path)
         path.write_bytes(path.read_bytes()[:-1])
         assert main(["bounds", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: dump length")
+        assert capsys.readouterr().err == \
+               "error: dump body: expected 84 bytes at byte 16, found 83\n"
 
     def test_undefined_metrics_stay_null(self, tmp_path, capsys):
         logits = np.zeros((4, 3))
@@ -322,9 +337,11 @@ class TestBoundsCommand:
 
     def test_label_at_or_above_header_k_exit_one(self, tmp_path, capsys):
         # header K=2 on 3 logit columns: labels reach 2 >= K
+        # dump_array refuses these labels, so the file is written byte by byte
         logits = make_rng(0).standard_normal((40, 3))
         path = tmp_path / "logits.bin"
-        dump_array(logits, np.arange(40) % 3, 2, path)
+        path.write_bytes(struct.pack("<4sIII", b"ALB1", 3, 40, 2) + logits.astype("<f8").tobytes()
+                         + (np.arange(40) % 3).astype("<i4").tobytes())
         assert main(["bounds", str(path)]) == 1
         assert "K=2" in capsys.readouterr().err
 
@@ -754,7 +771,8 @@ class TestInputErrors:
             "test_images": str(img), "test_labels": str(img)})
         assert main(["train", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path / "o")]) == 1
-        assert "expected 8 bytes of data, found 5" in capsys.readouterr().err
+        assert re.fullmatch(r"error: images body in .*img\.idx: "
+                            r"expected 8 bytes at byte 16, found 5\n", capsys.readouterr().err)
 
 
 def test_import_cli_does_not_load_scipy():

@@ -69,15 +69,19 @@ class TestLoadIdx:
         img_path, lab_path, *_ = idx_pair
         broken = tmp_path / "broken.idx"
         broken.write_bytes(img_path.read_bytes()[:-7])
-        with pytest.raises(FormatError, match="expected 192 bytes of data, found 185"):
+        with pytest.raises(FormatError,
+                           match="images body in .*: expected 192 bytes at byte 16, found 185$"):
             load_idx(broken, lab_path)
 
-    @pytest.mark.parametrize("keep", [2, 6])  # inside the magic, inside the dims
-    def test_truncated_header(self, tmp_path, idx_pair, keep):
+    @pytest.mark.parametrize("keep, message", [
+        (2, "images magic in .*: expected 4 bytes at byte 0, found 2$"),
+        (6, "images dimensions in .*: expected 12 bytes at byte 4, found 2$"),
+    ], ids=["2", "6"])  # inside the magic, inside the dims
+    def test_truncated_header(self, tmp_path, idx_pair, keep, message):
         img_path, lab_path, *_ = idx_pair
         broken = tmp_path / "broken.idx"
         broken.write_bytes(img_path.read_bytes()[:keep])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match=message):
             load_idx(broken, lab_path)
 
     def test_dims_whose_product_wraps_int64(self, tmp_path, idx_pair):
@@ -85,14 +89,16 @@ class TestLoadIdx:
         _, lab_path, *_ = idx_pair
         huge = tmp_path / "huge.idx"
         huge.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 2**31, 4))
-        with pytest.raises(FormatError, match=f"expected {2**64} bytes of data, found 0"):
+        with pytest.raises(FormatError,
+                           match=f"images body in .*: expected {2**64} bytes at byte 16, found 0$"):
             load_idx(huge, lab_path)
 
     def test_padded_body(self, tmp_path, idx_pair):
         img_path, lab_path, *_ = idx_pair
         padded = tmp_path / "padded.idx"
         padded.write_bytes(lab_path.read_bytes() + b"\0")
-        with pytest.raises(FormatError, match="expected 12 bytes of data, found 13"):
+        with pytest.raises(FormatError,
+                           match="labels body in .*: expected 12 bytes at byte 8, found 13$"):
             load_idx(img_path, padded)
 
     def test_count_mismatch(self, tmp_path, idx_pair):
@@ -169,12 +175,31 @@ class TestDumpFormat:
         assert np.array_equal(inputs, batch.inputs)
         assert np.array_equal(labels, batch.labels)
         assert num_classes == batch.num_classes
+        assert all(a.flags.c_contiguous and a.flags.writeable for a in (inputs, labels))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + b"\0" * 20)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="bad dump magic at byte 0: b'XXXX'"):
             load_array(path)
+
+    def test_little_endian_bytes(self, tmp_path):
+        # a big-endian matrix is written as the format's little-endian float64
+        matrix = np.array([[0.25, -0.0], [np.inf, 3.5]], dtype=">f8")
+        path = tmp_path / "batch.bin"
+        dump_array(matrix, [1, 0], 2, path)
+        assert path.read_bytes() == (struct.pack("<4sIII", b"ALB1", 2, 2, 2)
+                                     + matrix.astype("<f8").tobytes()
+                                     + np.array([1, 0], "<i4").tobytes())
+
+    @pytest.mark.parametrize("labels, k", [([0, 3], 3), ([0, -1], 3), ([0, 2**31], 2**32 - 1)],
+                             ids=["K", "negative", "int32"])
+    def test_bad_labels_write_nothing(self, tmp_path, labels, k):
+        # 2**31 was cast to int32 unchecked and written as -2147483648
+        path = tmp_path / "batch.bin"
+        with pytest.raises(ParameterError, match=r"each in \{0\.\.(2|2147483647)\}"):
+            dump_array(np.zeros((2, 3)), labels, k, path)
+        assert not path.exists()
 
 
 def _write_dump(path, rng, n, d, k):
@@ -185,16 +210,35 @@ def _write_checkpoint(path, rng, n, d, k):
     save_checkpoint(init_weights(MlpConfig([d, n, k], seed=int(rng.integers(100)))), path)
 
 
+def _beside(path):
+    return path.with_name("other.idx")
+
+
+def _write_idx_pair(images_path, labels_path, rng, n, d, k):
+    write_idx_images(images_path, rng.integers(0, 256, size=(n, d, k)))
+    write_idx_labels(labels_path, rng.integers(0, 10, size=n))
+
+
+def _write_idx_images(path, *args):
+    _write_idx_pair(path, _beside(path), *args)
+
+
+def _write_idx_labels(path, *args):
+    _write_idx_pair(_beside(path), path, *args)
+
+
 class TestPartialFilesRejected:
     """A binary reader accepts one whole file, and no prefix or zero-padded extension of it."""
 
-    @pytest.mark.parametrize("write, load, error", [
-        (_write_dump, load_array, FormatError), (_write_checkpoint, load_checkpoint, ValueError),
-    ], ids=["dump", "checkpoint"])
+    @pytest.mark.parametrize("write, load", [
+        (_write_dump, load_array), (_write_checkpoint, load_checkpoint),
+        (_write_idx_images, lambda path: load_idx(path, _beside(path))),
+        (_write_idx_labels, lambda path: load_idx(_beside(path), path)),
+    ], ids=["dump", "checkpoint", "idx-images", "idx-labels"])
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 4), d=st.integers(1, 3),
            k=st.integers(2, 4), pads=st.lists(st.integers(1, 64), min_size=1, max_size=4))
-    def test_every_strict_prefix_and_padding(self, write, load, error, seed, n, d, k, pads):
+    def test_every_strict_prefix_and_padding(self, write, load, seed, n, d, k, pads):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "file.bin"
             write(path, make_rng(seed), n, d, k)
@@ -202,7 +246,7 @@ class TestPartialFilesRejected:
             load(path)  # the whole file loads
             for variant in [raw[:cut] for cut in range(len(raw))] + [raw + b"\0" * p for p in pads]:
                 path.write_bytes(variant)
-                with pytest.raises(error):
+                with pytest.raises(FormatError):
                     load(path)
 
 

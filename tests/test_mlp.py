@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab.core import ParameterError, ShapeError, make_rng
+from advlab.core import FormatError, ParameterError, ShapeError, make_rng
 from advlab.data import synth_blobs
 from advlab.mlp import (MlpConfig, backward, backward_stack, forward, forward_stack,
                         init_weights, input_grad, load_checkpoint, save_checkpoint)
@@ -249,11 +249,21 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert len(loaded) == len(w)
         assert all(np.array_equal(a, b) for a, b in zip(w, loaded))
+        assert all(a.flags.c_contiguous and a.flags.writeable for a in loaded)
+
+    def test_layout(self, tmp_path):
+        # a Fortran-order float32 layer is written as row-major little-endian float64
+        w = [np.asfortranarray(np.arange(6.0).reshape(2, 3), dtype=np.float32), np.ones((1, 2))]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(w, path)
+        assert path.read_bytes() == (b"AMLP\x01" + struct.pack("<4I", 3, 3, 2, 1)
+                                     + np.arange(6.0).astype("<f8").tobytes()
+                                     + np.ones(2).astype("<f8").tobytes())
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\0" * 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="bad checkpoint magic b'NOPE'"):
             load_checkpoint(path)
 
     def _saved(self, tmp_path):
@@ -264,13 +274,15 @@ class TestCheckpoint:
     def test_trailing_bytes_rejected(self, tmp_path):
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw + b"\0")
-        with pytest.raises(ValueError, match=f"is {len(raw)} bytes, file has {len(raw) + 1}"):
+        with pytest.raises(FormatError, match=f"checkpoint body: expected {len(raw) - 21} bytes "
+                                              f"at byte 21, found {len(raw) - 20}$"):
             load_checkpoint(path)
 
     def test_truncated_body_rejected(self, tmp_path):
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match=f"is {len(raw)} bytes, file has {len(raw) - 8}"):
+        with pytest.raises(FormatError, match=f"checkpoint body: expected {len(raw) - 21} bytes "
+                                              f"at byte 21, found {len(raw) - 29}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [4, 5, 8, 12, 20])
@@ -278,24 +290,26 @@ class TestCheckpoint:
         # 9 fixed header bytes, then a 3 x u32 width table ending at byte 21
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:cut])
-        with pytest.raises(ValueError, match=f"file has {cut}"):
+        message = (f"checkpoint header: expected 9 bytes at byte 0, found {cut}$" if cut < 9 else
+                   f"checkpoint width table: expected 12 bytes at byte 9, found {cut - 9}$")
+        with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
 
     def test_zero_width_rejected(self, tmp_path):
         # widths [4, 0, 2] have an empty body and loaded as (0, 4) and (2, 0) weights
         path = tmp_path / "zero.ckpt"
         path.write_bytes(b"AMLP\x01" + struct.pack("<4I", 3, 4, 0, 2))
-        with pytest.raises(ValueError, match=r"\[4, 0, 2\] must all be >= 1"):
+        with pytest.raises(FormatError, match=r"\[4, 0, 2\] must all be >= 1"):
             load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:4] + b"\x02" + raw[5:])
-        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        with pytest.raises(FormatError, match="unsupported checkpoint version 2"):
             load_checkpoint(path)
 
     def test_too_few_widths_rejected(self, tmp_path):
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:5] + (1).to_bytes(4, "little") + raw[9:13])
-        with pytest.raises(ValueError, match="need at least 2"):
+        with pytest.raises(FormatError, match="need at least 2"):
             load_checkpoint(path)

@@ -35,6 +35,11 @@ fields are left out, so equal lines mean equal outputs:
                   epoch_wall_ms, manifest.json
   figures         the fig2.json, fig3.json and fig4.json that `advlab plotscript`
                   writes from the --jobs 1 sweep.csv
+  files           the bytes save_checkpoint and dump_array write for fixed inputs
+                  (a Fortran-order float32 layer, a transposed matrix holding -0.0,
+                  inf and nan), and the arrays, with their C-contiguous and
+                  writeable flags, that load_checkpoint, load_array and load_idx
+                  (on a fixed IDX image/label pair) read back
 
 Uses only the standard library, numpy and advlab; a full run takes about
 10 s on two cores.
@@ -50,6 +55,7 @@ import hashlib
 import io
 import itertools
 import json
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -206,6 +212,24 @@ def figures_digest(lab, csv_path: Path, work: Path) -> str:
     return digest(parts)
 
 
+def files_digest(lab, work: Path) -> str:
+    weights = lab.mlp.init_weights(lab.mlp.MlpConfig([6, 5, 4, 3], seed=2))
+    weights[1] = np.asfortranarray(weights[1], dtype=np.float32)
+    matrix = np.random.default_rng(8).uniform(-1.0, 1.0, size=(4, 7))
+    matrix[0, :3] = -0.0, np.inf, np.nan
+    checkpoint, dump = work / "model.ckpt", work / "logits.bin"
+    lab.mlp.save_checkpoint(weights, checkpoint)
+    lab.data.dump_array(matrix.T, np.arange(7) % 3, 3, dump)
+    images, labels = work / "images.idx", work / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 5, 3, 2) + bytes(range(0, 240, 8)))
+    labels.write_bytes(struct.pack(">II", 0x801, 5) + bytes([3, 1, 4, 1, 5]))
+    batch = lab.data.load_idx(images, labels)
+    read = [*lab.mlp.load_checkpoint(checkpoint), *lab.data.load_array(dump)[:2],
+            batch.inputs, batch.labels]
+    return digest([checkpoint.read_bytes(), dump.read_bytes(), lab.data.load_array(dump)[2],
+                   *read, *((a.flags.c_contiguous, a.flags.writeable) for a in read)])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -226,6 +250,7 @@ def main(argv=None) -> int:
         for jobs in (1, 2):
             out.update(sweep_digests(lab, jobs, Path(tmp)))
         out["figures"] = figures_digest(lab, Path(tmp) / "sweep-jobs1" / "sweep.csv", Path(tmp))
+        out["files"] = files_digest(lab, Path(tmp))
     print(json.dumps(out))
     return 0
 
