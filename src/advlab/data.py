@@ -83,13 +83,13 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> LabeledBatch
 
     Pixels are divided by 255 exactly; no mean-centering.  When `limit`
     is given the first `limit` samples are kept (no class rebalancing).
+    Files holding different sample counts raise FormatError naming both.
     """
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, "images")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels")
     if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"image count {images.shape[0]} != label count {labels.shape[0]}"
-        )
+        raise FormatError(f"{images_path} holds {images.shape[0]} images but "
+                          f"{labels_path} holds {labels.shape[0]} labels")
     if limit is not None:
         check_count(limit, "limit")
         images = images[:limit]
@@ -155,8 +155,12 @@ def batches(b: LabeledBatch, batch_size: int, rng):
 
 
 def dump_array(matrix: np.ndarray, labels: np.ndarray, num_classes: int, path) -> None:
-    """Write {d, n, K} header + float64 matrix + int32 labels (little-endian); the labels
-    pass check_labels, each below 2^31 to fit int32, before anything is written."""
+    """Write {d, n, K} header + float64 matrix + int32 labels (little-endian); K must fit
+    the u32 header field and the labels pass check_labels, each below 2^31 to fit int32,
+    before anything is written."""
+    check_count(num_classes, "num_classes")
+    if num_classes >= 2**32:
+        raise ParameterError(f"num_classes must be below 2^32, got {num_classes}")
     matrix = as_matrix(matrix)
     labels = check_labels(labels, matrix.shape[0], min(num_classes, 2**31))
     header = struct.pack("<4sIII", DUMP_MAGIC, matrix.shape[1], matrix.shape[0], num_classes)

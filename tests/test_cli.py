@@ -774,11 +774,28 @@ class TestInputErrors:
         assert re.fullmatch(r"error: images body in .*img\.idx: "
                             r"expected 8 bytes at byte 16, found 5\n", capsys.readouterr().err)
 
+    def test_idx_count_mismatch(self, tmp_path, capsys, idx_section):
+        # was a bare ValueError naming neither file
+        lab = Path(idx_section["test_labels"])
+        lab.write_bytes(struct.pack(">II", 0x801, 19) + lab.read_bytes()[8:27])
+        cfg = base_config(dataset=idx_section)
+        cfg["model"]["widths"] = [9, 6, 10]
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert re.fullmatch(r"error: .*test_img\.idx holds 20 images but "
+                            r".*test_lab\.idx holds 19 labels\n", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
-def test_import_cli_does_not_load_scipy():
+
+def test_import_cli_does_not_load_scipy(tmp_path):
+    """Neither importing advlab.cli nor running correlate and plotscript loads scipy."""
     src = str(Path(advlab.__file__).resolve().parents[1])
+    csv_path = str(csv_with_empty_key_cell(tmp_path, None))
     code = ("import sys, advlab.cli; "
+            f"assert advlab.cli.main(['correlate', {csv_path!r}, '--regime', 'late']) == 0; "
+            f"assert advlab.cli.main(['plotscript', {csv_path!r}, '--figure', 'fig3', "
+            f"'--out', {str(tmp_path / 'plots')!r}]) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -105,7 +105,8 @@ class TestLoadIdx:
         img_path, _, _, labels = idx_pair
         short = tmp_path / "short.idx"
         write_idx_labels(short, labels[:7])
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match=r"images\.idx holds 12 images but "
+                                              r".*short\.idx holds 7 labels$"):
             load_idx(img_path, short)
 
 
@@ -199,6 +200,14 @@ class TestDumpFormat:
         path = tmp_path / "batch.bin"
         with pytest.raises(ParameterError, match=r"each in \{0\.\.(2|2147483647)\}"):
             dump_array(np.zeros((2, 3)), labels, k, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("k", [2**32, 0, 3.0])
+    def test_bad_num_classes_write_nothing(self, tmp_path, k):
+        # 2**32 raised struct.error from the u32 header's pack
+        path = tmp_path / "batch.bin"
+        with pytest.raises(ParameterError, match="^num_classes must be"):
+            dump_array(np.zeros((1, 1)), [0], k, path)
         assert not path.exists()
 
 

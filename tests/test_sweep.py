@@ -3,6 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from advlab import sweep
 from advlab.attacks import AttackSpec
@@ -312,6 +315,23 @@ class TestCsvRoundTrip:
             read_csv(path)
 
 
+@st.composite
+def paired_samples(draw):
+    """(x, y) of n in [3, 200] entries each, neither constant: each column rounded to
+    0..17 decimals (so low ones tie) and scaled by a power of ten in [1e-200, 1e200]."""
+    n = draw(st.integers(3, 200))
+
+    def column():
+        digits = draw(st.integers(0, 17))
+        scale = 10.0 ** draw(st.integers(-200, 200))
+        unit = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        return np.array([round(v, digits) * scale for v in unit])
+
+    x, y = column(), column()
+    assume(np.ptp(x) > 0.0 and np.ptp(y) > 0.0)
+    return x, y
+
+
 class TestCorrelate:
     def _row(self, run_id, budget, epoch, g, gap):
         r = {c: None for c in CSV_COLUMNS}
@@ -361,6 +381,15 @@ class TestCorrelate:
     def test_bad_regime(self):
         with pytest.raises(ParameterError):
             correlate([], "middle")
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(paired_samples())
+    def test_bit_identical_to_scipy(self, xy):
+        x, y = xy
+        rep = correlate([self._row(f"r{i}", 5, 5, float(g), float(gap))
+                         for i, (g, gap) in enumerate(zip(x, y))], "early")
+        assert rep.pearson_r == stats.pearsonr(x, y).statistic
+        assert rep.spearman_rho == stats.spearmanr(x, y).statistic
 
 
 class TestSlopes:

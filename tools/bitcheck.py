@@ -33,6 +33,8 @@ fields are left out, so equal lines mean equal outputs:
                   `advlab sweep` at --jobs J = 1 and 2 on perfbench's
                   sweep_grid config (data seed 11): sweep.csv without
                   epoch_wall_ms, manifest.json
+  correlate       the early and late reports that `advlab correlate` prints for
+                  the --jobs 1 sweep.csv
   figures         the fig2.json, fig3.json and fig4.json that `advlab plotscript`
                   writes from the --jobs 1 sweep.csv
   files           the bytes save_checkpoint and dump_array write for fixed inputs
@@ -199,6 +201,17 @@ def sweep_digests(lab, jobs: int, work: Path):
             f"manifest_jobs{jobs}": hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()}
 
 
+def correlate_digest(lab, csv_path: Path) -> str:
+    parts = []
+    for regime in ("early", "late"):
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            code = lab.cli.main(["correlate", str(csv_path), "--regime", regime])
+        if code != 0:
+            raise SystemExit(f"advlab correlate --regime {regime} exited {code}")
+        parts.append(report.getvalue())
+    return digest(parts)
+
+
 def figures_digest(lab, csv_path: Path, work: Path) -> str:
     out = work / "figures"
     parts = []
@@ -249,7 +262,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for jobs in (1, 2):
             out.update(sweep_digests(lab, jobs, Path(tmp)))
-        out["figures"] = figures_digest(lab, Path(tmp) / "sweep-jobs1" / "sweep.csv", Path(tmp))
+        csv_path = Path(tmp) / "sweep-jobs1" / "sweep.csv"
+        out["correlate"] = correlate_digest(lab, csv_path)
+        out["figures"] = figures_digest(lab, csv_path, Path(tmp))
         out["files"] = files_digest(lab, Path(tmp))
     print(json.dumps(out))
     return 0
