@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ParameterError, ShapeError, as_stack, check_count, check_labels, check_real,
+from .core import (ParameterError, as_stack, check_count, check_labels, check_real, check_shape,
                    draw_per_seed)
 from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, forward_stack, input_grad
@@ -72,9 +72,7 @@ def project(x0, x, p: str, eps: float) -> np.ndarray:
     """Project x onto the eps-ball around x0, then clamp into [0,1]."""
     check_real(eps, "eps", "[0, inf)")
     x0 = as_stack(x0)
-    x = as_stack(x)
-    if x0.shape != x.shape:
-        raise ShapeError(f"shape mismatch {x0.shape} vs {x.shape}")
+    x = as_stack(check_shape(x, x0.shape, "x"))
     if p == "inf":
         x = np.clip(x, x0 - eps, x0 + eps)
     elif p == "two":

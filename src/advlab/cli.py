@@ -166,7 +166,7 @@ def cmd_train(config_path, out_dir) -> int:
         weights, history = train(cfg, data)
         widths = cfg.model.layer_widths
         width = widths[1] if len(widths) > 2 else widths[0]
-        lam = cfg.objective.lam if cfg.objective.kind == "mixture" else None
+        lam = None if cfg.objective.kind == "trades" else cfg.objective.lam
         rows = [sweep_mod.record_row(rec, f"train_s{cfg.seed}", width, lam, cfg.seed,
                                      cfg.epochs) for rec in history]
         sweep_mod.write_csv(rows, out / "history.csv")

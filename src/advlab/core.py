@@ -1,7 +1,9 @@
 """Array checks, stable row softmax/logsumexp, and seeded randomness.
 
-check_labels is the one label rule, check_count the one integer rule and check_real the
-one real-number rule; losses, masks, metrics, batches, specs and loaders apply them.
+check_labels is the one label rule, check_count the one integer rule, check_real the
+one real-number rule and check_shape the one shape-agreement rule (labels, masks, adversarial
+logits, attack iterates, logit gradients, SGD grads and velocities); losses, masks, metrics,
+batches, specs and loaders apply them.
 unpack_at and body_at are the one layout rule of the binary files (IDX, logit dump,
 checkpoint): each part of a file is where its header says, and the body ends the file.
 exp_logsumexp_rows is the only row logsumexp: one exp pass gives both the
@@ -114,14 +116,19 @@ def check_real(value, name: str, interval: str) -> None:
         raise ParameterError(f"{name} must be a finite real number in {interval}, got {value!r}")
 
 
+def check_shape(a, shape: tuple, what: str):
+    """a, unless np.shape(a) is not the tuple `shape` (ShapeError naming `what`)."""
+    if np.shape(a) != shape:
+        raise ShapeError(f"{what} must have shape {shape}, got {np.shape(a)}")
+    return a
+
+
 def check_labels(labels, *shape) -> np.ndarray:
     """labels as int64 ids in {0..k-1} for the rows of a (..., n, k) array: a vector of
     n >= 1 entries for a matrix (shape n, k), one such row per seed for a stack (S, n, k).
     Else ShapeError or ParameterError."""
     *rows, k = shape
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != tuple(rows):
-        raise ShapeError(f"labels must have shape {tuple(rows)}, got {labels.shape}")
+    labels = check_shape(np.asarray(labels, dtype=np.int64), tuple(rows), "labels")
     if labels.size == 0 or labels.min() < 0 or labels.max() >= k:
         raise ParameterError(f"need at least one label, each in {{0..{k - 1}}}")
     return labels

@@ -81,8 +81,14 @@ def fr_norm_ce(weights: list, batch: LabeledBatch):
 
 
 def max_logit_gap(logits, labels) -> np.ndarray:
-    """Per-sample max_{k != y} |f_k - f_y|."""
+    """Per-sample max_{k != y} |f_k - f_y|; ParameterError for K < 2, where it is empty,
+    or for a non-finite logit, naming its row."""
     logits = as_matrix(logits)
+    if logits.shape[1] < 2:
+        raise ParameterError(f"the logit gap needs K >= 2 classes, got K={logits.shape[1]}")
+    finite = np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        raise ParameterError(f"logits row {finite.argmin()} (counting from 0) is not finite")
     labels = check_labels(labels, *logits.shape)
     gaps = np.abs(logits - logits[label_index(labels)][:, None])
     gaps[label_index(labels)] = -np.inf

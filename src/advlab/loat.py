@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ParameterError, ShapeError, as_matrix, as_stack, check_count, check_labels,
-                   check_real, label_entries, label_index, per_seed, softmax_rows)
+from .core import (ParameterError, as_matrix, as_stack, check_count, check_labels, check_real,
+                   check_shape, label_entries, label_index, per_seed, softmax_rows)
 
 
 class EmptySubsetError(ValueError):
@@ -80,16 +80,10 @@ def _sq_dev(probs, labels, center):
     return dev, (dev ** 2).sum(axis=-1) / (k - 1)
 
 
-def _check_mask(mask, rows: tuple) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != rows:
-        raise ShapeError(f"mask must have shape {rows}, got {mask.shape}")
-    return mask
-
-
 def _validate(probs, labels, mask):
     probs = as_stack(probs)
-    return probs, check_labels(labels, *probs.shape), _check_mask(mask, probs.shape[:-1])
+    return (probs, check_labels(labels, *probs.shape),
+            check_shape(np.asarray(mask, dtype=bool), probs.shape[:-1], "mask"))
 
 
 def _subset_terms(probs, labels, mask, wrong: bool, what: str):
@@ -122,10 +116,8 @@ def jensen_middle_wrong(probs, labels, mask) -> float:
 def adversarial_pairing(clean_probs, adv_probs, mask) -> float:
     """Mean squared l2 distance between clean and adversarial softmax rows."""
     clean_probs = as_matrix(clean_probs)
-    adv_probs = as_matrix(adv_probs)
-    if clean_probs.shape != adv_probs.shape:
-        raise ShapeError("clean/adv probability shapes differ")
-    mask = _check_mask(mask, clean_probs.shape[:1])
+    adv_probs = as_matrix(check_shape(adv_probs, clean_probs.shape, "adv_probs"))
+    mask = check_shape(np.asarray(mask, dtype=bool), clean_probs.shape[:1], "mask")
     if not mask.any():
         raise EmptySubsetError("empty pairing subset")
     return float(_subset_means(((clean_probs - adv_probs) ** 2).sum(axis=1), mask)[0])
@@ -156,9 +148,8 @@ def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits
     indicators.  adv_logits, if given, must have the shape of clean_logits.
     """
     clean_logits, labels, mask = _validate(clean_logits, labels, mask)
-    if adv_logits is not None and np.shape(adv_logits) != clean_logits.shape:
-        raise ShapeError(f"adv_logits shape {np.shape(adv_logits)} != "
-                         f"clean_logits shape {clean_logits.shape}")
+    if adv_logits is not None:
+        check_shape(adv_logits, clean_logits.shape, "adv_logits")
     adv_grad = np.zeros_like(clean_logits)
     phase = sched.phase(epoch)
     if phase == "off":

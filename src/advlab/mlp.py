@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (FormatError, ParameterError, ShapeError, as_matrix, as_stack, body_at,
-                   check_count, check_finite, check_real, make_rng, unpack_at)
+                   check_count, check_finite, check_real, check_shape, make_rng, unpack_at)
 
 CHECKPOINT_MAGIC = b"AMLP"
 CHECKPOINT_VERSION = 1
@@ -111,9 +111,7 @@ def _forward(weights: list, inputs: np.ndarray) -> ForwardTrace:
 
 def _deltas(weights: list, trace: ForwardTrace, logit_grad):
     """The reverse chain: the gradient at the output of W_L, ..., W_1."""
-    delta = as_stack(logit_grad)
-    if delta.shape != trace.logits.shape:
-        raise ShapeError(f"logit_grad shape {delta.shape} != logits shape {trace.logits.shape}")
+    delta = as_stack(check_shape(logit_grad, trace.logits.shape, "logit_grad"))
     yield delta
     for w, h in zip(reversed(weights[1:]), reversed(trace.hidden)):
         delta = (delta @ w) * (h > 0.0)

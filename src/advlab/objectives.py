@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # softmax_rows is unused but stays bound: perfbench counts softmax passes by it.
-from .core import (ParameterError, ShapeError, as_matrix, as_stack,  # noqa: F401
-                   check_labels, check_real, exp_logsumexp_rows, label_entries, label_index,
+from .core import (ParameterError, as_matrix, as_stack, check_labels,  # noqa: F401
+                   check_real, check_shape, exp_logsumexp_rows, label_entries, label_index,
                    per_seed, softmax_rows)
 from .data import LabeledBatch
 from .mlp import forward
@@ -112,7 +112,8 @@ def mixture_from_logits(clean_logits, adv_logits, labels, lam: float):
     if adv_logits is None:
         adv_ce, adv_g = clean_ce, clean_g
     else:
-        adv_ce, adv_g = ce_loss_and_grad(adv_logits, labels)
+        adv_ce, adv_g = ce_loss_and_grad(check_shape(adv_logits, clean_g.shape, "adv_logits"),
+                                         labels)
     loss = per_seed(lambda c, a: (1.0 - lam) * float(c.mean()) + lam * float(a.mean()),
                     clean_ce, adv_ce)
     n = clean_g.shape[-2]
@@ -127,10 +128,7 @@ def trades_from_logits(clean_logits, adv_logits, labels, beta: float):
     """
     check_real(beta, "beta", "(0, inf)")
     clean_logits = as_stack(clean_logits)
-    adv_logits = as_stack(adv_logits)
-    if adv_logits.shape != clean_logits.shape:
-        raise ShapeError(f"adv_logits shape {adv_logits.shape} != "
-                         f"clean_logits shape {clean_logits.shape}")
+    adv_logits = as_stack(check_shape(adv_logits, clean_logits.shape, "adv_logits"))
     labels = check_labels(labels, *clean_logits.shape)
     e_q, lse_q = exp_logsumexp_rows(clean_logits)
     e_p, lse_p = exp_logsumexp_rows(adv_logits)

@@ -9,9 +9,10 @@ cell.  One CSV row per run per recorded epoch, whose columns are the
 MetricsRecord fields by name.  Each (width, lambda, seed) trains once, to
 the largest budget; the shorter budgets' runs are read off that
 trajectory.  The seeds of one (width, lambda) train in lockstep, as one
-trainer.train_stack call (a task); a grid with fewer (width, lambda)
-stacks than pool workers splits each stack's seeds so that every worker
-gets a task.  Pool workers cap their own OpenBLAS threads at
+trainer.train_stack(cfg, data, seeds) call (a task) on that cell's one
+config; a grid with fewer (width, lambda) stacks than pool workers splits
+each stack's seeds so that every worker gets a task.  A repeated grid
+value is a ParameterError.  Pool workers cap their own OpenBLAS threads at
 max(1, nproc // jobs), so `jobs` workers do not oversubscribe the cores.
 correlate(rows, regime) gives Pearson's r and Spearman's rho of gamma_ce
 against the gap, in numpy alone and with scipy.stats' bits.
@@ -26,7 +27,6 @@ import csv
 import ctypes
 import logging
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,11 +75,10 @@ class SweepSpec:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ParameterError(f"{name} must be nonempty")
-            for value in values:
+            for i, value in enumerate(values):
                 rule(value, f"{name} entry")
-            if len(set(values)) != len(values):
-                warnings.warn(f"duplicate values in {name}; deduplicating")
-                object.__setattr__(self, name, tuple(dict.fromkeys(values)))
+                if value in values[:i]:
+                    raise ParameterError(f"{name} entry {value!r} is repeated")
         check_count(self.batch_size, "batch_size")
         check_real(self.lr, "lr", "[0, inf)")
         check_real(self.momentum, "momentum", "[0, 1)")
@@ -102,9 +101,9 @@ def _metrics_every(budget: int) -> int:
 
 
 def _cell_config(spec: SweepSpec, data: DatasetHandle, width: int, lam: float,
-                 seed: int, epochs: int) -> TrainConfig:
+                 epochs: int) -> TrainConfig:
     return TrainConfig(
-        model=MlpConfig([data.train.dim, width, data.train.num_classes], seed=seed),
+        model=MlpConfig([data.train.dim, width, data.train.num_classes]),
         objective=ObjectiveSpec(kind="mixture", lam=lam),
         attack=spec.attack,
         schedule=spec.schedule,
@@ -112,7 +111,6 @@ def _cell_config(spec: SweepSpec, data: DatasetHandle, width: int, lam: float,
         batch_size=spec.batch_size,
         lr=spec.lr,
         momentum=spec.momentum,
-        seed=seed,
         eval_attacks=eval_attack_pair(spec.attack),
     )
 
@@ -182,9 +180,8 @@ def _run_cell(args):
     """
     spec, width, lam, seeds = args
     wanted = {b: metric_epochs(b, _metrics_every(b)) for b in spec.epochs_list}
-    cfgs = [_cell_config(spec, _data, width, lam, seed, max(spec.epochs_list))
-            for seed in seeds]
-    runs = train_stack(cfgs, _data, record_epochs=set().union(*wanted.values()))
+    runs = train_stack(_cell_config(spec, _data, width, lam, max(spec.epochs_list)), _data,
+                       seeds, record_epochs=set().union(*wanted.values()))
     return [record_row(rec, f"w{width}_l{lam:g}_s{seed}_e{budget}", width, lam, seed, budget)
             for seed, (_, history) in zip(seeds, runs)
             for budget in spec.epochs_list

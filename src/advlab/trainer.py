@@ -12,17 +12,20 @@ reproducible in isolation and a whole run replays bit-identically
 epoch_wall_ms measures the batch loop only, excluding the per-epoch
 metric evaluation, matching a training-time-per-epoch reading.
 
-train_stack trains configs that differ only in their seeds (model.seed
-and seed) in lockstep, on arrays with a leading stack axis (see core): a
-sweep trains the seeds of one (width, lambda) this way, and each numpy
-call of the batch step serves every seed.  Each seed keeps its own init,
-its own per-epoch generators, shuffle order and attack draws, so its
-weights and records equal those of its own train() run bit for bit.  The
-per-epoch metrics are evaluated one seed at a time, so the whole-split
-working set of evaluate is held for one network, not for the stack.
-epoch_wall_ms is the stacked epoch's time, shared by the stack's seeds.
-train runs the same loop on a stack of one, which has no stack axis.
-A blow-up raises DivergenceError, with numpy's overflow warnings silenced.
+train_stack(cfg, data, seeds) trains one config under several seeds in
+lockstep, each seed setting both seed and model.seed, on arrays with a
+leading stack axis (see core): a sweep trains the seeds of one (width,
+lambda) this way, and each numpy call of the batch step serves every
+seed.  Each seed keeps its own init, its own per-epoch generators,
+shuffle order and attack draws, so its weights and records equal those
+of its own train() run bit for bit.  The per-epoch metrics are evaluated
+one seed at a time, so the whole-split working set of evaluate is held
+for one network, not for the stack.  epoch_wall_ms is the stacked
+epoch's time, shared by the stack's seeds.  train runs the same loop on
+a stack of one, which has no stack axis.  A blow-up raises
+DivergenceError, with numpy's overflow warnings silenced.  sgd_step
+checks every layer's grad and velocity against its weight
+(core.check_shape) before it updates any layer.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .attacks import AttackSpec, pgd, pgd_stack
 # softmax_rows is unused here but stays bound: perfbench's tracer counts the
 # softmax passes of this module through this name.
 from .core import (NonFiniteError, ParameterError, check_count, check_finite,  # noqa: F401
-                   check_real, make_rng, seeds_of, softmax_rows, stack_of)
+                   check_real, check_shape, make_rng, seeds_of, softmax_rows, stack_of)
 from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule, loat
@@ -94,14 +97,16 @@ class MetricsRecord:
 
 
 def sgd_step(weights: list, grads: list, velocity: list, lr: float, momentum: float):
-    """One momentum-SGD update of a network or a stack; mutates and returns (weights, velocity)."""
+    """One momentum-SGD update of a network or a stack; mutates and returns (weights, velocity).
+    Every argument is checked before any layer changes."""
     check_real(lr, "lr", "[0, inf)")
     check_real(momentum, "momentum", "[0, 1)")
     if len(grads) != len(weights) or len(velocity) != len(weights):
         raise ParameterError("weights, grads, velocity must have equal layer counts")
+    for i, w in enumerate(weights):
+        check_shape(grads[i], w.shape, f"grads[{i}]")
+        check_shape(velocity[i], w.shape, f"velocity[{i}]")
     for w, g, v in zip(weights, grads, velocity):
-        if g.shape != w.shape:
-            raise ParameterError(f"grad shape {g.shape} != weight shape {w.shape}")
         v *= momentum
         v += g
         w -= lr * v
@@ -115,7 +120,7 @@ def _epoch_rngs(seed: int, epoch: int):
 
 def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
                 attack_rng) -> tuple:
-    """One gradient computation; returns (loss, weight_grads).  adv is None if no attack ran.
+    """One gradient computation; returns (loss, weight_grads).
 
     For a stack, attack_rng holds one generator per seed and the loss has
     one value per seed.  Non-finite logits or loss raise NonFiniteError.
@@ -210,10 +215,6 @@ def check_fit(cfg: TrainConfig, data: DatasetHandle) -> TrainConfig:
     return cfg
 
 
-def _unseeded(cfg: TrainConfig) -> TrainConfig:
-    return dataclasses.replace(cfg, seed=0, model=dataclasses.replace(cfg.model, seed=0))
-
-
 def train(cfg: TrainConfig, data: DatasetHandle, record_epochs=None):
     """Run the full training loop; returns (final_weights, history).
 
@@ -224,16 +225,18 @@ def train(cfg: TrainConfig, data: DatasetHandle, record_epochs=None):
     return _train([cfg], data, record_epochs)[0]
 
 
-def train_stack(cfgs: list, data: DatasetHandle, record_epochs=None) -> list:
-    """Train configs equal apart from model.seed and seed in lockstep; returns
-    (final_weights, history) per config, each equal to its own train() run.
+def train_stack(cfg: TrainConfig, data: DatasetHandle, seeds, record_epochs=None) -> list:
+    """Train cfg under each seed (setting seed and model.seed) in lockstep; returns
+    (final_weights, history) per seed, each equal to its own train() run.
     A blow-up in any seed raises DivergenceError naming that seed."""
-    return _train(cfgs, data, record_epochs)
+    if len(seeds) == 0:
+        raise ParameterError("a stack needs at least one seed")
+    return _train([dataclasses.replace(cfg, seed=s, model=dataclasses.replace(cfg.model, seed=s))
+                   for s in seeds], data, record_epochs)
 
 
 def _train(cfgs: list, data: DatasetHandle, record_epochs) -> list:
-    if not cfgs or any(_unseeded(c) != _unseeded(cfgs[0]) for c in cfgs):
-        raise ParameterError("a stack needs configs that differ only in model.seed and seed")
+    """The loop of train and train_stack: cfgs differ only in seed and model.seed."""
     cfg = cfgs[0]
     check_fit(cfg, data)
     seeds = [c.seed for c in cfgs]

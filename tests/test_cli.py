@@ -72,6 +72,16 @@ class TestTrainCommand:
                  r["epoch"], r["gap_ce"]) for r in rows] == \
                [("train_s0", 6, 0.5, 0, 2, 1, None), ("train_s0", 6, 0.5, 0, 2, 2, None)]
 
+    @pytest.mark.parametrize("objective, lam", [({"kind": "standard"}, 0.0),
+                                                ({"kind": "mixture", "lambda": 0.5}, 0.5)])
+    def test_history_reads_back_with_its_lambda(self, tmp_path, objective, lam):
+        # a standard run wrote an empty lambda cell, which read_csv, correlate and
+        # plotscript reject
+        cfg_path = write_config(tmp_path, base_config(objective=objective))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert [r["lambda"] for r in read_csv(out / "history.csv")] == [lam, lam]
+
     def test_rerun_reproduces_csv_except_timing(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -618,6 +628,8 @@ class TestConfigErrors:
         ("train", ["dataset", "seed"], -1, "seed"),
         ("train", ["attack", "random_start"], "false", "attack.random_start"),
         ("sweep", ["attack"], {"track_best": None}, "attack.track_best"),
+        ("sweep", ["grid", "widths"], [4, 4], "widths entry 4 is repeated"),
+        ("sweep", ["grid", "seeds"], [0, 1, 0], "seeds entry 0 is repeated"),
     ], ids=["train-list", "attack-list", "schedule-list", "dataset-n_train-str",
             "dataset-spread-str", "train-lr-str", "sweep-momentum-str", "attack-k-float",
             "model-widths-float", "grid-widths-float", "grid-seeds-str", "model-seed-negative",
@@ -629,7 +641,7 @@ class TestConfigErrors:
             "attack-epsilon-nan", "schedule-tau-nan", "schedule-gamma-inf", "trades-beta-nan",
             "dataset-spread-nan", "model-init_scale-nan", "train-lr-inf", "sweep-epsilon-inf",
             "attack-alpha-inf", "dataset-seed-negative", "attack-random_start-str",
-            "attack-track_best-null"])
+            "attack-track_best-null", "grid-widths-repeated", "grid-seeds-repeated"])
     def test_shape_exit_one_naming_the_field(self, tmp_path, capsys, command, path, value,
                                              field):
         # each of these exited 2 (runtime error), exited 1 without the field's name, some
@@ -752,6 +764,26 @@ class TestInputErrors:
         assert main([a.format(csv=path, out=out) for a in argv]) == 1
         assert capsys.readouterr().err == "error: CSV row 1: width '2.7' is not an integer\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dump_logit(self, tmp_path, capsys, bad):
+        # printed "gamma_hat": NaN or Infinity (with a RuntimeWarning) and exited 0
+        logits = make_rng(0).standard_normal((5, 3))
+        logits[3, 1] = bad
+        logits[4, 0] = bad
+        path = tmp_path / "logits.bin"
+        dump_array(logits, np.arange(5) % 3, 3, path)
+        assert main(["bounds", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: logits row 3 (counting from 0) is not finite\n")
+
+    def test_one_class_dump(self, tmp_path, capsys):
+        # the max over k != y is empty: printed "gamma_hat": -Infinity and exited 0
+        path = tmp_path / "logits.bin"
+        dump_array(np.ones((4, 1)), np.zeros(4, dtype=np.int64), 1, path)
+        assert main(["bounds", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: the logit gap needs K >= 2 classes, "
+                                           "got K=1\n")
 
     def test_missing_idx_file(self, tmp_path, capsys):
         cfg = base_config(dataset={

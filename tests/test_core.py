@@ -11,15 +11,15 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 import advlab
-from advlab.attacks import AttackSpec
-from advlab.core import (ParameterError, ShapeError, check_labels, check_real,
+from advlab.attacks import AttackSpec, project
+from advlab.core import (ParameterError, ShapeError, check_labels, check_real, check_shape,
                          exp_logsumexp_rows, make_rng, softmax_rows)
 from advlab.data import blob_dataset
-from advlab.loat import LoatSchedule
-from advlab.mlp import MlpConfig
+from advlab.loat import LoatSchedule, adversarial_pairing, loat
+from advlab.mlp import MlpConfig, backward, forward, forward_stack, init_weights, input_grad
 from advlab.objectives import ObjectiveSpec, mixture_from_logits, trades_from_logits
 from advlab.sweep import SweepSpec
-from advlab.trainer import TrainConfig
+from advlab.trainer import TrainConfig, sgd_step
 
 from oracles import logsumexp_split_max
 
@@ -39,6 +39,57 @@ class TestCheckLabels:
     def test_not_a_vector_of_n(self, labels):
         with pytest.raises(ShapeError):
             check_labels(labels, 2, 3)
+
+
+_NET = init_weights(MlpConfig([3, 4, 2], seed=1))
+_STACK = [np.stack([w, w]) for w in _NET]
+_X = make_rng(2).uniform(size=(5, 3))
+_P = softmax_rows(make_rng(3).standard_normal((4, 3)))
+_LORE = LoatSchedule(e1=1, e2=9, variant="LORE")
+
+# Each site of the shape rule: a call whose operands disagree, and the error it must give.
+SHAPE_SITES = {
+    "check_labels": (lambda: check_labels([0, 1], 3, 2), "labels", (3,), (2,)),
+    "loat-mask": (lambda: loat(_P, [0, 1, 2, 0], [True, False], 1, _LORE), "mask", (4,), (2,)),
+    "loat-adv_logits": (lambda: loat(_P, [0, 1, 2, 0], [True] * 4, 1, _LORE, _P[:1]),
+                        "adv_logits", (4, 3), (1, 3)),
+    "loat-stacked-adv_logits": (lambda: loat(np.stack([_P, _P]), [[0, 1, 2, 0]] * 2,
+                                             [[True] * 4] * 2, 1, _LORE, _P),
+                                "adv_logits", (2, 4, 3), (4, 3)),
+    "adversarial_pairing-adv_probs": (lambda: adversarial_pairing(_P, _P[:3], [True] * 4),
+                                      "adv_probs", (4, 3), (3, 3)),
+    "adversarial_pairing-mask": (lambda: adversarial_pairing(_P, _P, [True] * 5),
+                                 "mask", (4,), (5,)),
+    "mixture_from_logits": (lambda: mixture_from_logits(_P, _P[:, :2], [0, 1, 1, 0], 0.5),
+                            "adv_logits", (4, 3), (4, 2)),
+    "trades_from_logits": (lambda: trades_from_logits(_P, _P.T, [0, 1, 2, 0], 1.0),
+                           "adv_logits", (4, 3), (3, 4)),
+    "project": (lambda: project(_X, _X[None], "inf", 0.1), "x", (5, 3), (1, 5, 3)),
+    "backward": (lambda: backward(_NET, forward(_NET, _X), np.zeros((5, 3))),
+                 "logit_grad", (5, 2), (5, 3)),
+    "input_grad-stack": (lambda: input_grad(_STACK, forward_stack(_STACK, _X), np.zeros((5, 2))),
+                         "logit_grad", (2, 5, 2), (5, 2)),
+    "sgd_step-grad": (lambda: sgd_step([np.zeros((2, 2))], [np.zeros((2,))],
+                                       [np.zeros((2, 2))], 0.1, 0.9), "grads[0]", (2, 2), (2,)),
+    "sgd_step-velocity": (lambda: sgd_step([np.zeros((2, 2))], [np.zeros((2, 2))],
+                                           [np.zeros((2, 1))], 0.1, 0.9),
+                          "velocity[0]", (2, 2), (2, 1)),
+}
+
+
+class TestCheckShape:
+    def test_returns_its_argument(self):
+        a = [[1.0, 2.0]]
+        assert check_shape(a, (1, 2), "a") is a
+        with pytest.raises(ShapeError, match=r"^a must have shape \(2,\), got \(1, 2\)$"):
+            check_shape(a, (2,), "a")
+
+    @pytest.mark.parametrize("site", sorted(SHAPE_SITES))
+    def test_every_site_gives_one_message(self, site):
+        call, what, want, got = SHAPE_SITES[site]
+        with pytest.raises(ShapeError) as info:
+            call()
+        assert str(info.value) == f"{what} must have shape {want}, got {got}"
 
 
 _LOGITS = np.array([[1.0, -0.5], [0.25, 2.0]])

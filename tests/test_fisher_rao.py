@@ -161,6 +161,17 @@ class TestMaxLogitGap:
         gaps = max_logit_gap(rng.standard_normal((100, 4)), rng.integers(0, 4, 100))
         assert np.all(gaps >= 0.0)
 
+    def test_one_class_rejected(self):
+        # the max over k != y is empty; it used to read -inf
+        with pytest.raises(ParameterError, match="K >= 2 classes, got K=1"):
+            max_logit_gap([[1.0], [2.0]], [0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_rejected(self, bad):
+        with pytest.raises(ParameterError,
+                           match=r"^logits row 1 \(counting from 0\) is not finite$"):
+            max_logit_gap([[1.0, 2.0], [bad, 0.0], [0.0, bad]], [0, 1, 1])
+
 
 class TestRadiusEstimates:
     def test_worked_split(self):

@@ -321,7 +321,7 @@ class TestLoat:
     def test_adv_logits_of_another_shape_rejected(self, adv_shape):
         # a 1-row matrix against 4 clean rows used to broadcast into a penalty
         clean = make_rng(8).standard_normal((4, 3))
-        with pytest.raises(ShapeError, match="adv_logits shape"):
+        with pytest.raises(ShapeError, match="^adv_logits must have shape"):
             loat(clean, [0, 1, 2, 0], [True, False, True, False], 1,
                  LoatSchedule(variant="LORE"), np.zeros(adv_shape))
 
@@ -330,7 +330,7 @@ class TestLoat:
         clean = make_rng(9).standard_normal((2, 4, 3))
         labels = [[0, 1, 2, 0], [2, 2, 1, 0]]
         mask = [[True, False, True, False], [False, True, True, False]]
-        with pytest.raises(ShapeError, match="adv_logits shape"):
+        with pytest.raises(ShapeError, match="^adv_logits must have shape"):
             loat(clean, labels, mask, 1, LoatSchedule(variant="LORE"), np.zeros(adv_shape))
 
 

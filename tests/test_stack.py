@@ -28,9 +28,14 @@ def strip(history):
     return [dataclasses.replace(rec, epoch_wall_ms=0.0) for rec in history]
 
 
+def seeded(cfg, seed):
+    """cfg under one seed of a stack: train_stack sets both seed and model.seed."""
+    return dataclasses.replace(cfg, seed=seed, model=dataclasses.replace(cfg.model, seed=seed))
+
+
 @st.composite
 def stack_configs(draw):
-    """S in 1..4 configs that differ only in their seeds: 1 or 2 hidden layers, every
+    """(cfg, seeds): S in 1..4 seeds of one config with 1 or 2 hidden layers, every
     objective, LOAT variant, attack norm and random start, over 5 epochs that cross
     the early (1, 2), middle (3) and late (4, 5) phases."""
     size = draw(st.integers(1, 4))
@@ -48,29 +53,29 @@ def stack_configs(draw):
                        epochs=5, batch_size=8,
                        eval_attacks=(("fgsm", AttackSpec(eps=0.1, alpha=0.1, k=1)),
                                      ("pgd", attack)))
-    return [dataclasses.replace(base, seed=s, model=MlpConfig(widths, seed=s + 1))
-            for s in seeds]
+    return base, seeds
 
 
 class TestStackedEqualsSeparate:
     @settings(deadline=None, database=None, max_examples=30)
     @given(stack_configs())
-    def test_train_stack_bit_identical_to_train(self, cfgs):
-        runs = train_stack(cfgs, DATA)
-        assert len(runs) == len(cfgs)
-        for cfg, (weights, history) in zip(cfgs, runs):
-            want_weights, want_history = train(cfg, DATA)
+    def test_train_stack_bit_identical_to_train(self, stack):
+        cfg, seeds = stack
+        runs = train_stack(cfg, DATA, seeds)
+        assert len(runs) == len(seeds)
+        for seed, (weights, history) in zip(seeds, runs):
+            want_weights, want_history = train(seeded(cfg, seed), DATA)
             assert all(w.shape == v.shape and np.array_equal(w, v)
                        for w, v in zip(weights, want_weights))
             assert strip(history) == strip(want_history)
 
     @settings(deadline=None, database=None, max_examples=60)
     @given(stack_configs(), st.integers(1, 5), st.integers(0, 2**16))
-    def test_batch_step_bit_identical_per_seed(self, cfgs, epoch, draw_seed):
+    def test_batch_step_bit_identical_per_seed(self, stack, epoch, draw_seed):
         # every seed its own weights, batch (rows and labels) and attack generator
-        cfg, seeds = cfgs[0], [c.seed for c in cfgs]
-        weights = [init_weights(c.model) for c in cfgs]
-        order = make_rng(draw_seed).permuted(np.tile(np.arange(DATA.train.n), (len(cfgs), 1)),
+        cfg, seeds = stack
+        weights = [init_weights(seeded(cfg, s).model) for s in seeds]
+        order = make_rng(draw_seed).permuted(np.tile(np.arange(DATA.train.n), (len(seeds), 1)),
                                              axis=1)[:, :8]
         parts = [LabeledBatch(DATA.train.inputs[i], DATA.train.labels[i], 3) for i in order]
         rngs = [make_rng(s) for s in seeds]
@@ -79,7 +84,7 @@ class TestStackedEqualsSeparate:
         batch = LabeledBatch(np.stack([b.inputs for b in parts]),
                              np.stack([b.labels for b in parts]), 3)
         loss, grads = _batch_step(stacked, batch, cfg, epoch, rngs)
-        for s in range(len(cfgs)):
+        for s in range(len(seeds)):
             want_loss, want_grads = _batch_step(weights[s], parts[s], cfg, epoch, want_rngs[s])
             assert loss[s] == want_loss
             assert all(np.array_equal(g[s], w) for g, w in zip(grads, want_grads))
@@ -121,13 +126,13 @@ class TestStackChecks:
             return weights
 
         monkeypatch.setattr(trainer, "init_weights", init)
-        cfgs = [TrainConfig(model=MlpConfig([5, 3], seed=s), objective=ObjectiveSpec(lam=0.0),
-                            epochs=2, batch_size=8, seed=s) for s in (3, 7)]
-        train(cfgs[0], DATA)
+        cfg = TrainConfig(model=MlpConfig([5, 3]), objective=ObjectiveSpec(lam=0.0), epochs=2,
+                          batch_size=8)
+        train(seeded(cfg, 3), DATA)
         with pytest.raises(DivergenceError, match="seed 7"):
-            train(cfgs[1], DATA)
+            train(seeded(cfg, 7), DATA)
         with pytest.raises(DivergenceError, match="seed 7"):
-            train_stack(cfgs, DATA)
+            train_stack(cfg, DATA, [3, 7])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blown_up_seed_is_named_with_epoch_and_batch(self, monkeypatch):
@@ -138,12 +143,12 @@ class TestStackChecks:
             return [w * 1e160 for w in weights] if model.seed == 7 else weights
 
         monkeypatch.setattr(trainer, "init_weights", init)
-        cfgs = [TrainConfig(model=MlpConfig([5, 6, 3], seed=s), objective=ObjectiveSpec(lam=0.0),
-                            epochs=2, batch_size=8, seed=s) for s in (3, 7, 5)]
+        cfg = TrainConfig(model=MlpConfig([5, 6, 3]), objective=ObjectiveSpec(lam=0.0), epochs=2,
+                          batch_size=8)
         with pytest.raises(DivergenceError, match="^seed 7 diverged at epoch 1, batch 0: "
                                                   "logits contains non-finite values; "
                                                   "no finite loss yet$"):
-            train_stack(cfgs, DATA)
+            train_stack(cfg, DATA, [3, 7, 5])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blown_up_seed_reports_its_own_last_finite_loss(self, monkeypatch):
@@ -163,22 +168,18 @@ class TestStackChecks:
 
         monkeypatch.setattr(trainer, "_batch_step", batch_step)
         monkeypatch.setattr(trainer, "sgd_step", step)
-        cfgs = [TrainConfig(model=MlpConfig([5, 6, 3], seed=s), objective=ObjectiveSpec(lam=0.0),
-                            epochs=2, batch_size=8, seed=s) for s in (3, 7, 5)]
+        cfg = TrainConfig(model=MlpConfig([5, 6, 3]), objective=ObjectiveSpec(lam=0.0), epochs=2,
+                          batch_size=8)
         with pytest.raises(DivergenceError) as info:
-            train_stack(cfgs, DATA)
+            train_stack(cfg, DATA, [3, 7, 5])
         assert len(losses) == 1 and len(set(losses[0])) == 3
         assert str(info.value) == ("seed 7 diverged at epoch 1, batch 1: logits contains "
                                    f"non-finite values; last finite loss {float(losses[0][1])!r}")
 
-    @pytest.mark.parametrize("change", [dict(lr=0.2), dict(epochs=3),
-                                        dict(model=MlpConfig([5, 4, 3], seed=1))])
-    def test_configs_may_differ_only_in_seeds(self, change):
-        base = TrainConfig(model=MlpConfig([5, 6, 3], seed=1), epochs=2, batch_size=8, seed=1)
-        with pytest.raises(ParameterError, match="seed"):
-            train_stack([base, dataclasses.replace(base, **change)], DATA)
-        with pytest.raises(ParameterError):
-            train_stack([], DATA)
+    def test_stack_needs_a_seed(self):
+        cfg = TrainConfig(model=MlpConfig([5, 6, 3]), epochs=2, batch_size=8)
+        with pytest.raises(ParameterError, match="at least one seed"):
+            train_stack(cfg, DATA, [])
 
     def test_one_network_functions_refuse_a_stack(self):
         # a stack runs through forward_stack, backward_stack and pgd_stack

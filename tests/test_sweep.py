@@ -43,11 +43,14 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(widths=(), lambdas=(0.5,), seeds=(0,), epochs_list=(1,))
 
-    def test_duplicates_warn_and_dedupe(self):
-        with pytest.warns(UserWarning):
-            spec = SweepSpec(widths=(4, 4, 8), lambdas=(0.5,), seeds=(0,),
-                             epochs_list=(1,))
-        assert spec.widths == (4, 8)
+    @pytest.mark.parametrize("axis, values, repeated", [
+        ("widths", (4, 8, 4), "4"), ("lambdas", (0.5, 1.0, 1), "1"),
+        ("lambdas", (0.0, -0.0), "-0.0"), ("seeds", (0, 0), "0"), ("epochs_list", (3, 2, 3), "3")])
+    def test_repeated_value_rejected(self, axis, values, repeated):
+        # a repeated value used to be dropped with a UserWarning
+        grid = dict(widths=(4,), lambdas=(0.5,), seeds=(0,), epochs_list=(1,))
+        with pytest.raises(ParameterError, match=f"^{axis} entry {repeated} is repeated$"):
+            SweepSpec(**{**grid, axis: values})
 
     def test_lambda_range(self):
         with pytest.raises(ParameterError):

@@ -5,7 +5,7 @@ import pytest
 
 from advlab import trainer
 from advlab.attacks import AttackSpec, pgd
-from advlab.core import ParameterError, make_rng
+from advlab.core import ParameterError, ShapeError, make_rng
 from advlab.data import LabeledBatch, blob_dataset
 from advlab.fisher_rao import (BoundInputs, UndefinedMetricError,
                                complexity_bounds, gamma_ce, radius_estimates)
@@ -50,7 +50,8 @@ class TestSgdStep:
         assert weights_equal(w, before)
 
     def test_mismatched_shapes(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ShapeError,
+                           match=r"^grads\[0\] must have shape \(2, 2\), got \(2, 3\)$"):
             sgd_step([np.zeros((2, 2))], [np.zeros((2, 3))], [np.zeros((2, 2))],
                      lr=0.1, momentum=0.0)
 
@@ -63,6 +64,22 @@ class TestSgdStep:
         with pytest.raises(ParameterError, match=f"^{name} must be a finite real"):
             sgd_step(w, [np.ones((2, 3))], [np.zeros((2, 3))], lr=lr, momentum=momentum)
         assert weights_equal(w, before)
+
+    @pytest.mark.parametrize("bad", ["grads", "velocity"])
+    def test_bad_last_layer_changes_no_layer(self, bad):
+        # a grad or velocity of the wrong shape in the last layer used to raise (or
+        # broadcast) only after the earlier layers had moved
+        rng = make_rng(4)
+        w = [rng.standard_normal((3, 4)), rng.standard_normal((2, 3))]
+        args = {"grads": [np.ones_like(x) for x in w],
+                "velocity": [rng.standard_normal(x.shape) for x in w]}
+        args[bad][-1] = np.ones((2, 1))
+        before = [[x.copy() for x in arrays] for arrays in (w, args["velocity"])]
+        with pytest.raises(ShapeError,
+                           match=rf"^{bad}\[1\] must have shape \(2, 3\), got \(2, 1\)$"):
+            sgd_step(w, args["grads"], args["velocity"], lr=0.1, momentum=0.9)
+        for arrays, want in zip((w, args["velocity"]), before):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(arrays, want))
 
     @pytest.mark.parametrize("grads, velocity", [(1, 2), (2, 1)], ids=["grads", "velocity"])
     def test_mismatched_layer_counts(self, grads, velocity):

@@ -124,9 +124,8 @@ def train_digests(lab):
                 for widths in ([10, 12, 3], [10, 12, 8, 3]):
                     parts += run_parts(*lab.trainer.train(
                         config(objective, variant, attack, widths), data))
-    stack = lab.trainer.train_stack(
-        [config(objectives[3], "LORE", attacks[0], [10, 12, 3], seed) for seed in range(4)],
-        data)
+    stack = lab.trainer.train_stack(config(objectives[3], "LORE", attacks[0], [10, 12, 3]), data,
+                                    range(4))
     return {"train_60": digest(parts),
             "train_stack_4": digest(p for run in stack for p in run_parts(*run))}
 
