@@ -126,9 +126,16 @@ def check_shape(a, shape: tuple, what: str):
 def check_labels(labels, *shape) -> np.ndarray:
     """labels as int64 ids in {0..k-1} for the rows of a (..., n, k) array: a vector of
     n >= 1 entries for a matrix (shape n, k), one such row per seed for a stack (S, n, k).
-    Else ShapeError or ParameterError."""
+    Integer arrays pass as they are, float arrays if every entry is a whole number.  Else
+    ShapeError, or ParameterError (booleans and non-integral values included)."""
     *rows, k = shape
-    labels = check_shape(np.asarray(labels, dtype=np.int64), tuple(rows), "labels")
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":  # the entries that are not class ids
+        bad = (labels[~np.isfinite(labels) | (labels != np.trunc(labels))]
+               if labels.dtype.kind == "f" else labels.ravel())
+        if bad.size:
+            raise ParameterError(f"labels must be integer class ids, got {bad[0].item()!r}")
+    labels = check_shape(labels.astype(np.int64, copy=False), tuple(rows), "labels")
     if labels.size == 0 or labels.min() < 0 or labels.max() >= k:
         raise ParameterError(f"need at least one label, each in {{0..{k - 1}}}")
     return labels

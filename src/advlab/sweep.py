@@ -12,8 +12,9 @@ trajectory.  The seeds of one (width, lambda) train in lockstep, as one
 trainer.train_stack(cfg, data, seeds) call (a task) on that cell's one
 config; a grid with fewer (width, lambda) stacks than pool workers splits
 each stack's seeds so that every worker gets a task.  A repeated grid
-value is a ParameterError.  Pool workers cap their own OpenBLAS threads at
-max(1, nproc // jobs), so `jobs` workers do not oversubscribe the cores.
+value is a ParameterError.  Every task runs in a pool worker at one OpenBLAS
+thread, `jobs=1` included, so a sweep's bits depend on its spec and data
+alone, not on `jobs` or the core count; `jobs` = nproc is the fast setting.
 correlate(rows, regime) gives Pearson's r and Spearman's rho of gamma_ce
 against the gap, in numpy alone and with scipy.stats' bits.
 slopes_by(rows, key) fits the radius scatter per width or lambda, and
@@ -26,7 +27,6 @@ from __future__ import annotations
 import csv
 import ctypes
 import logging
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,8 +48,9 @@ CSV_COLUMNS = [
     "fgsm_acc", "pgd_acc", "gamma_hat", "gamma_hat_c", "gamma_hat_m",
     "gamma_ce", "bound_lower", "bound_upper", "gap_ce", "epoch_wall_ms",
 ]
-# the columns record_row always fills, which identify a row
-KEY_COLUMNS = CSV_COLUMNS[:6]
+# the columns that identify a row, never empty; an empty lambda marks a run whose objective
+# has no lambda (TRADES) and reads as None
+KEY_COLUMNS = ["run_id", "width", "seed", "epoch_budget", "epoch"]
 
 
 class InsufficientDataError(ValueError):
@@ -145,29 +146,27 @@ def openblas_threads():
     return None
 
 
-# The dataset of the running sweep.  Pool workers receive it once through
-# the pool initializer rather than inside every task.
+# The running sweep's dataset, which each worker gets once from the pool initializer.
 _data = None
 
 
-def _share_data(data, blas_threads: int | None = None) -> None:
-    """Pool initializer: hold the dataset and, if given, set the worker's OpenBLAS threads."""
+def _share_data(data) -> None:
+    """Pool initializer: hold the dataset and set the worker's OpenBLAS to one thread."""
     global _data
     _data = data
-    if blas_threads is not None:
-        openblas_threads()[1](blas_threads)
+    blas = openblas_threads()
+    if blas is not None:
+        blas[1](1)
 
 
-def _pool(data, jobs: int) -> ProcessPoolExecutor:
-    """`jobs` workers holding `data`, each capped at max(1, nproc // jobs) OpenBLAS
-    threads; without a known OpenBLAS symbol, one warning and no cap."""
-    threads = max(1, len(os.sched_getaffinity(0)) // jobs)
+def _pool(data, workers: int) -> ProcessPoolExecutor:
+    """`workers` processes holding `data`, each at one OpenBLAS thread whatever
+    `workers` and nproc are; without a known OpenBLAS symbol, one warning and
+    the library's default threads."""
     if openblas_threads() is None:
         logging.getLogger(__name__).warning(
             "no OpenBLAS thread-count symbol found; pool workers keep their default threads")
-        threads = None
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_share_data,
-                               initargs=(data, threads))
+    return ProcessPoolExecutor(max_workers=workers, initializer=_share_data, initargs=(data,))
 
 
 def _run_cell(args):
@@ -206,7 +205,8 @@ def _tasks(spec: SweepSpec, jobs: int) -> list:
 
 
 def run_sweep(spec: SweepSpec, data: DatasetHandle, jobs: int = 1) -> list:
-    """Train the full grid plus the lambda=0 family; returns CSV rows."""
+    """Train the full grid plus the lambda=0 family in a pool of min(jobs, tasks)
+    workers (see _pool); returns CSV rows."""
     check_count(jobs, "jobs")
     tasks = _tasks(spec, jobs)
     # Heaviest first, so no worker is left with a long task at the end:
@@ -214,17 +214,9 @@ def run_sweep(spec: SweepSpec, data: DatasetHandle, jobs: int = 1) -> list:
     # seeds.  The sort is stable and rows are emitted in grid order all the same.
     order = sorted(range(len(tasks)),
                    key=lambda i: (tasks[i][2] == 0.0, -tasks[i][1], -len(tasks[i][3])))
-    queue = [tasks[i] for i in order]
-    if jobs > 1:
-        with _pool(data, jobs) as pool:
-            done = list(pool.map(_run_cell, queue))
-    else:
-        _share_data(data)
-        try:
-            done = [_run_cell(t) for t in queue]
-        finally:
-            _share_data(None)
-    by_task = dict(zip(order, done))
+    # under fork, the pool starts every worker at its first task, so none beyond the task count
+    with _pool(data, min(jobs, len(tasks))) as pool:
+        by_task = dict(zip(order, pool.map(_run_cell, [tasks[i] for i in order])))
     rows = [r for i in range(len(tasks)) for r in by_task[i]]
     attach_gaps(rows)
     return rows

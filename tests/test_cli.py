@@ -27,7 +27,7 @@ from advlab.data import DatasetHandle, LabeledBatch, blob_dataset, dump_array, i
 from advlab.loat import LoatSchedule
 from advlab.mlp import MlpConfig, forward, init_weights, load_checkpoint
 from advlab.objectives import ObjectiveSpec
-from advlab.sweep import SweepSpec, read_csv
+from advlab.sweep import SweepSpec, read_csv, write_csv
 from advlab.trainer import TrainConfig, check_fit, evaluate
 
 
@@ -73,14 +73,18 @@ class TestTrainCommand:
                [("train_s0", 6, 0.5, 0, 2, 1, None), ("train_s0", 6, 0.5, 0, 2, 2, None)]
 
     @pytest.mark.parametrize("objective, lam", [({"kind": "standard"}, 0.0),
-                                                ({"kind": "mixture", "lambda": 0.5}, 0.5)])
+                                                ({"kind": "mixture", "lambda": 0.5}, 0.5),
+                                                ({"kind": "trades"}, None)])
     def test_history_reads_back_with_its_lambda(self, tmp_path, objective, lam):
         # a standard run wrote an empty lambda cell, which read_csv, correlate and
-        # plotscript reject
+        # plotscript rejected; a TRADES run still writes one, and it reads as None
         cfg_path = write_config(tmp_path, base_config(objective=objective))
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert [r["lambda"] for r in read_csv(out / "history.csv")] == [lam, lam]
+        rows = read_csv(out / "history.csv")
+        assert [r["lambda"] for r in rows] == [lam, lam]
+        write_csv(rows, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (out / "history.csv").read_bytes()
 
     def test_rerun_reproduces_csv_except_timing(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -185,7 +189,7 @@ def csv_with_empty_key_cell(tmp_path, column):
     return path
 
 
-KEY_COLUMNS = ["run_id", "width", "lambda", "seed", "epoch_budget", "epoch"]
+KEY_COLUMNS = ["run_id", "width", "seed", "epoch_budget", "epoch"]
 
 
 class TestCorrelateCommand:
@@ -257,13 +261,13 @@ class TestCorrelateCommand:
         assert captured.err == (f"error: CSV row 4: cell count differs from the header's "
                                 f"{len(lines[0].split(','))}\n")
 
-    @pytest.mark.parametrize("column", KEY_COLUMNS + [None])
+    @pytest.mark.parametrize("column", KEY_COLUMNS + ["lambda", None])
     def test_empty_key_cell_exit_one(self, tmp_path, capsys, column):
         # an empty epoch used to reach _final_rows and exit 2 comparing None with an int
         path = csv_with_empty_key_cell(tmp_path, column or "gamma_hat")
         code = main(["correlate", str(path), "--regime", "early"])
         captured = capsys.readouterr()
-        if column is None:  # an empty metric cell is a gap, not an error
+        if column in ("lambda", None):  # an empty metric or lambda cell is not an error
             assert code == 0 and json.loads(captured.out)["n_points"] == 4
         else:
             assert code == 1 and captured.out == ""
@@ -371,13 +375,13 @@ class TestPlotscriptCommand:
         write_csv(rows, path)
         return path
 
-    @pytest.mark.parametrize("column", KEY_COLUMNS + [None])
+    @pytest.mark.parametrize("column", KEY_COLUMNS + ["lambda", None])
     def test_empty_key_cell_exit_one(self, tmp_path, capsys, column):
         path = csv_with_empty_key_cell(tmp_path, column or "gamma_hat")
         out = tmp_path / "plots"
         code = main(["plotscript", str(path), "--figure", "fig3", "--out", str(out)])
         captured = capsys.readouterr()
-        if column is None:
+        if column in ("lambda", None):  # an empty lambda marks a run that fig3 leaves out
             assert code == 0 and (out / "fig3.json").exists()
         else:
             assert code == 1 and captured.out == "" and not out.exists()

@@ -40,6 +40,22 @@ class TestCheckLabels:
         with pytest.raises(ShapeError):
             check_labels(labels, 2, 3)
 
+    @pytest.mark.parametrize("labels, first_bad", [
+        ([0.5, 1.9], "0.5"), (np.array([1.0, np.nan]), "nan"), (np.array([-np.inf, 1.0]), "-inf"),
+        (np.array([True, False]), "True"), (["1", "0"], "'1'")],
+        ids=["fraction", "nan", "inf", "bool", "str"])
+    def test_non_integral_or_boolean_rejected(self, labels, first_bad):
+        # the int64 cast truncated [0.5, 1.9] to [0, 1] and passed booleans as 1 and 0
+        with pytest.raises(ParameterError) as err:
+            check_labels(labels, 2, 3)
+        assert str(err.value) == f"labels must be integer class ids, got {first_bad}"
+
+    def test_whole_floats_cast_and_int64_passes_as_is(self):
+        assert check_labels(np.array([2.0, -0.0]), 2, 3).tolist() == [2, 0]
+        labels = np.array([[0, 2], [1, 1]])
+        assert check_labels(labels, 2, 2, 3) is labels
+        assert check_labels(labels.astype(np.uint8), 2, 2, 3).dtype == np.int64
+
 
 _NET = init_weights(MlpConfig([3, 4, 2], seed=1))
 _STACK = [np.stack([w, w]) for w in _NET]

@@ -75,6 +75,11 @@ class TestCeLoss:
         with pytest.raises(ParameterError):
             ce_loss(np.zeros((2, 3)), [0, 3])
 
+    def test_fractional_label_rejected(self):
+        # it was truncated to [0, 2] and gave ln 3
+        with pytest.raises(ParameterError, match="^labels must be integer class ids, got 0.5$"):
+            ce_loss(np.zeros((2, 3)), [0.5, 2.7])
+
 
 class TestCeLogitGrad:
     """The gradient half of ce_loss_and_grad."""

@@ -1,5 +1,6 @@
+import json
 import logging
-import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from advlab import sweep
+from advlab import cli, sweep
 from advlab.attacks import AttackSpec
 from advlab.core import ParameterError
 from advlab.data import blob_dataset
@@ -102,24 +103,21 @@ class TestRunSweep:
         parallel = run_sweep(spec, data, jobs=2)
         assert strip_timing(serial) == strip_timing(parallel)
 
-    def test_heaviest_cells_first_rows_in_grid_order(self, monkeypatch):
+    def test_heaviest_cells_first_rows_in_grid_order(self, monkeypatch, tmp_path):
         # a task trains the seeds of one (width, lambda) in lockstep; tasks with
         # an attack run first, widest first, so the pool's tail holds the light
-        # tasks; rows still come out in grid order
-        started = []
-        run_cell = sweep._run_cell
-
-        def recording(args):
-            started.append((args[1], args[2], args[3]))
-            return run_cell(args)
-
-        monkeypatch.setattr(sweep, "_run_cell", recording)
+        # tasks; rows still come out in grid order.  The one worker of --jobs 1
+        # starts the tasks in queue order and logs each to a file.
+        monkeypatch.setattr(sweep, "_run_cell", _logging_run_cell)
+        monkeypatch.setattr(_logging_run_cell, "log", tmp_path / "started.jsonl", raising=False)
         data = blob_dataset(2, 40, 20, 4, 2, 0.15)
         spec = SweepSpec(widths=(3, 6), lambdas=(0.5, 1.0), seeds=(0, 1),
                          epochs_list=(1,),
                          attack=AttackSpec(eps=0.05, alpha=0.02, k=1),
                          batch_size=20)
         rows = run_sweep(spec, data, jobs=1)
+        started = [(w, lam, tuple(seeds)) for w, lam, seeds in
+                   map(json.loads, (tmp_path / "started.jsonl").read_text().splitlines())]
         stacks = [(w, lam, (0, 1)) for w in (3, 6) for lam in (0.0, 0.5, 1.0)]
         assert started == sorted(stacks, key=lambda c: (c[1] == 0.0, -c[0]))
         assert started[:2] == [(6, 0.5, (0, 1)), (6, 1.0, (0, 1))]
@@ -149,21 +147,77 @@ class TestRunSweep:
                strip_timing(run_sweep(spec, data, jobs=1))
 
 
+_RUN_CELL = sweep._run_cell
+
+
+def _logging_run_cell(args):
+    """sweep._run_cell, after appending the task's (width, lambda, seeds) as a JSON line
+    to the file _logging_run_cell.log; module-level, so a pool can pickle it."""
+    with open(_logging_run_cell.log, "a") as fh:
+        fh.write(json.dumps([args[1], args[2], list(args[3])]) + "\n")
+    return _RUN_CELL(args)
+
+
 def _blas_threads(_):
     """A pool task: the OpenBLAS thread count of the worker that runs it."""
     return sweep.openblas_threads()[0]()
 
 
+# A sweep at the paper's layer shapes, [784, 256, 10], where the BLAS thread count
+# changes the last bits of the logits and the weight gradients.
+PAPER_SHAPE_SWEEP = {
+    "dataset": {"kind": "synthetic", "seed": 5, "n_train": 512, "n_test": 256, "d": 784,
+                "K": 10, "spread": 1.0},
+    "grid": {"widths": [256], "lambdas": [1.0], "seeds": [0, 1], "epochs_list": [1]},
+    "attack": {"epsilon": 0.1, "alpha": 0.04, "k": 3},
+    "train": {"batch_size": 128},
+}
+
+
 class TestPoolBlasThreads:
     def test_workers_report_the_capped_count(self):
+        # every worker runs at one thread, whatever the worker count and nproc
         blas = sweep.openblas_threads()
         if blas is None:
             pytest.skip("numpy's bundled libraries export no known OpenBLAS thread-count symbol")
         before = blas[0]()
-        with sweep._pool(None, 2) as pool:
-            counts = set(pool.map(_blas_threads, range(8), timeout=120))
-        assert counts == {max(1, len(os.sched_getaffinity(0)) // 2)}
+        for workers in (1, 2):
+            with sweep._pool(None, workers) as pool:
+                assert set(pool.map(_blas_threads, range(8), timeout=120)) == {1}
         assert blas[0]() == before  # the parent keeps its thread count
+
+    def test_paper_shape_csv_does_not_depend_on_jobs(self, tmp_path):
+        # --jobs 1 trained in the parent at its own thread count and --jobs 2 in
+        # workers at nproc // 2 threads, so on 2 or more cores the CSVs differed
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(PAPER_SHAPE_SWEEP))
+        tables = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["sweep", "--config", str(config), "--out", str(out),
+                             "--jobs", str(jobs)]) == 0
+            # epoch_wall_ms is the last column
+            tables.append([line.rsplit(",", 1)[0]
+                           for line in (out / "sweep.csv").read_text().splitlines()])
+        assert tables[0][0].split(",") == CSV_COLUMNS[:-1] and len(tables[0]) == 5
+        assert tables[0] == tables[1]
+
+    def test_pool_capped_at_the_task_count(self, monkeypatch):
+        # under fork the executor starts every worker at the first task, so
+        # --jobs 40 on a 2-task grid forked 38 idle copies of the parent; the spy
+        # records the count asked for and starts at most 2
+        asked = []
+
+        class Spy(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                asked.append(max_workers)
+                super().__init__(min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", Spy)
+        spec = SweepSpec(widths=(4,), lambdas=(0.5,), seeds=(0,), epochs_list=(1,),
+                         attack=AttackSpec(eps=0.05, alpha=0.02, k=1), batch_size=20)
+        rows = run_sweep(spec, blob_dataset(1, 40, 20, 4, 2, 0.15), jobs=40)
+        assert asked == [2] and len(rows) == 2
 
     def test_no_symbol_one_warning_and_no_cap(self, monkeypatch, caplog):
         monkeypatch.setattr(sweep, "openblas_threads", lambda: None)

@@ -33,6 +33,11 @@ fields are left out, so equal lines mean equal outputs:
                   `advlab sweep` at --jobs J = 1 and 2 on perfbench's
                   sweep_grid config (data seed 11): sweep.csv without
                   epoch_wall_ms, manifest.json
+  sweep784_csv_jobsJ
+                  sweep.csv without epoch_wall_ms of `advlab sweep` at --jobs
+                  J = 1 and 2 at the paper's layer shapes: d=784, K=10, 512/256
+                  rows, width 256, lambda 0 and 1, seeds 0-1, one epoch, PGD-3;
+                  the two must be equal, as every task runs at one BLAS thread
   correlate       the early and late reports that `advlab correlate` prints for
                   the --jobs 1 sweep.csv
   figures         the fig2.json, fig3.json and fig4.json that `advlab plotscript`
@@ -44,7 +49,7 @@ fields are left out, so equal lines mean equal outputs:
                   (on a fixed IDX image/label pair) read back
 
 Uses only the standard library, numpy and advlab; a full run takes about
-10 s on two cores.
+12 s on two cores.
 """
 
 from __future__ import annotations
@@ -72,6 +77,13 @@ SWEEP_CONFIG = {
     "attack": {"epsilon": 0.0314, "alpha": 0.0078, "k": 10},
     "schedule": {"variant": "LORE", "E1": 2, "E2": 8},
     "train": {"batch_size": 64},
+}
+SWEEP784_CONFIG = {
+    "dataset": {"kind": "synthetic", "seed": 5, "n_train": 512, "n_test": 256, "d": 784,
+                "K": 10, "spread": 1.0},
+    "grid": {"widths": [256], "lambdas": [1.0], "seeds": [0, 1], "epochs_list": [1]},
+    "attack": {"epsilon": 0.1, "alpha": 0.04, "k": 3},
+    "train": {"batch_size": 128},
 }
 
 
@@ -184,20 +196,21 @@ def rademacher_digest(lab, bit_generators, shapes):
     return digest(parts)
 
 
-def sweep_digests(lab, jobs: int, work: Path):
-    config = work / "sweep.json"
-    config.write_text(json.dumps(SWEEP_CONFIG))
-    out = work / f"sweep-jobs{jobs}"
+def sweep_digests(lab, name: str, config: dict, jobs: int, work: Path):
+    """(sweep.csv without epoch_wall_ms, manifest.json) digests of `advlab sweep` on
+    `config` at --jobs `jobs`, written to work/{name}-jobs{jobs}."""
+    path = work / f"{name}.json"
+    path.write_text(json.dumps(config))
+    out = work / f"{name}-jobs{jobs}"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = lab.cli.main(["sweep", "--config", str(config), "--out", str(out),
+        code = lab.cli.main(["sweep", "--config", str(path), "--out", str(out),
                              "--jobs", str(jobs)])
     if code != 0:
         raise SystemExit(f"advlab sweep --jobs {jobs} exited {code}")
     with open(out / "sweep.csv", newline="") as f:
         rows = [{k: v for k, v in row.items() if k != "epoch_wall_ms"}
                 for row in csv.DictReader(f)]
-    return {f"sweep_csv_jobs{jobs}": digest(rows),
-            f"manifest_jobs{jobs}": hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()}
+    return digest(rows), hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
 
 
 def correlate_digest(lab, csv_path: Path) -> str:
@@ -260,11 +273,15 @@ def main(argv=None) -> int:
                lab, (np.random.PCG64, np.random.Philox), ((3, 4097, 3 * 4095 + 7), (3, 5, 20001)))}
     with tempfile.TemporaryDirectory() as tmp:
         for jobs in (1, 2):
-            out.update(sweep_digests(lab, jobs, Path(tmp)))
+            out[f"sweep_csv_jobs{jobs}"], out[f"manifest_jobs{jobs}"] = \
+                sweep_digests(lab, "sweep", SWEEP_CONFIG, jobs, Path(tmp))
         csv_path = Path(tmp) / "sweep-jobs1" / "sweep.csv"
         out["correlate"] = correlate_digest(lab, csv_path)
         out["figures"] = figures_digest(lab, csv_path, Path(tmp))
         out["files"] = files_digest(lab, Path(tmp))
+        for jobs in (1, 2):
+            out[f"sweep784_csv_jobs{jobs}"] = \
+                sweep_digests(lab, "sweep784", SWEEP784_CONFIG, jobs, Path(tmp))[0]
     print(json.dumps(out))
     return 0
 
