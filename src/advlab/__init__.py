@@ -13,9 +13,8 @@ from .core import ParameterError, ShapeError, make_rng, softmax_rows
 from .data import (DatasetHandle, FormatError, LabeledBatch, batches,
                    blob_dataset, load_idx, synth_blobs)
 from .fisher_rao import (BoundInputs, RadiusEstimates, UndefinedMetricError,
-                         bound_slope_ratio, complexity_bounds,
-                         empirical_rademacher, fr_norm_ce, gamma_ce,
-                         radius_estimates)
+                         complexity_bounds, empirical_rademacher, fr_norm_ce,
+                         gamma_ce, radius_estimates)
 from .loat import (EmptySubsetError, LoatSchedule, adversarial_pairing,
                    penalty_correct, penalty_wrong)
 from .mlp import (ForwardTrace, MlpConfig, backward, forward, init_weights, input_grad,

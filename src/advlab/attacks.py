@@ -14,9 +14,15 @@ Gradients use mlp.input_grad, the input-only backward, which skips the
 weight gradients an attack would throw away.  A caller that has already
 forwarded the clean batch (the trainer does) passes that trace as
 `clean_trace`; it supplies the clean CE and the first gradient.  The
-outputs are bit-identical to forwarding every iterate twice.  An l-inf
-step allocates one array, the step, and applies it and the ball-and-box
-clip to the iterate in place; the iterate starts as a copy of the input.
+outputs are bit-identical to forwarding every iterate twice.
+
+Batch-sized arrays held throughout: the iterate (a copy of the input,
+updated in place), best_x under track_best, and the l-inf clip bounds lo
+and hi, made before the iterate.  An l-inf step adds the input gradient,
+dropped once its sign is taken, and the step, dropped once added; the
+previous trace is dropped before the next forward.  So an l-inf
+track-best attack through widths [784, 256, 10] peaks at about 6.4
+batch-sized arrays.
 
 pgd attacks one network; pgd_stack attacks a stacked batch (see core)
 through a stack of networks, every seed's attack in the same numpy calls.
@@ -82,7 +88,7 @@ def project(x0, x, p: str, eps: float) -> np.ndarray:
         x = x0 + delta * scale
     else:
         raise ParameterError("p must be 'inf' or 'two'")
-    return np.clip(x, 0.0, 1.0)
+    return np.clip(x, 0.0, 1.0, out=x)  # x is this call's own array in both branches
 
 
 def pgd(weights: list, batch: LabeledBatch, spec: AttackSpec,
@@ -108,9 +114,8 @@ def pgd_stack(weights: list, batch: LabeledBatch, spec: AttackSpec,
 def _pgd(weights, batch, spec, rng, clean_trace, forward):
     """The attack of pgd and pgd_stack; `forward` is the forward pass of the caller."""
     x0 = batch.inputs
-    x = x0.copy()  # the iterate, which random starts and l-inf steps update in place
     if spec.eps == 0.0:
-        return x
+        return x0.copy()
     if spec.p == "inf":
         # The l-inf projection acts per coordinate and is monotone, so it
         # equals one clip between the projections of the box corners 0 and 1.
@@ -119,6 +124,7 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
         # the ties np.clip breaks the other way hold equal bits.
         lo = project(x0, np.zeros_like(x0), "inf", spec.eps)
         hi = project(x0, np.ones_like(x0), "inf", spec.eps)
+    x = x0.copy()  # the iterate, which random starts and l-inf steps update in place
     if spec.random_start:
         if rng is None:
             raise ParameterError("random_start requires an rng")
@@ -144,21 +150,26 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
     if spec.track_best:
         best_x = x0.copy()
         best_loss = ce_loss(clean_trace.logits, labels)[0] if spec.random_start else -np.inf
+    del clean_trace  # so that the loop's `del trace` frees iterate 0's trace
 
     for step in range(spec.k + 1):
         if step:
             grad = input_grad(weights, trace, logit_grad)
             if spec.p == "inf":
                 moved = np.sign(grad)  # numpy's in-place sign is several times slower
+                del grad
                 moved *= spec.alpha
                 x += moved
+                del moved
                 np.maximum(x, lo, out=x)
                 np.minimum(x, hi, out=x)
             else:
                 norms = np.linalg.norm(grad, axis=-1, keepdims=True)
                 x = project(x0, x + spec.alpha * grad / np.maximum(norms, 1e-300), "two", spec.eps)
+                del grad
             if step == spec.k and not spec.track_best:
                 break
+            del trace
             trace = forward(weights, x)
         loss, logit_grad = checked_ce_loss_and_grad(trace.logits, labels)
         if spec.track_best:

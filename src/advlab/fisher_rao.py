@@ -14,6 +14,7 @@ All radius estimators are meant to be fed training-split logits.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -158,11 +159,6 @@ def bounds_of(est: RadiusEstimates, num_classes: int):
         return None, None, None
 
 
-def bound_slope_ratio(b: BoundInputs) -> float:
-    """(d upper / d Gamma) / (-d lower / d Gamma) = sqrt(n_wrong / n_correct)."""
-    return float(np.sqrt(b.n_wrong / b.n_correct))
-
-
 def _loss_table(loss_table) -> np.ndarray:
     table = as_matrix(loss_table)
     if table.shape[0] < 1 or table.shape[1] < 1:
@@ -212,39 +208,53 @@ def empirical_rademacher(loss_table, rng: np.random.Generator, draws: int):
     Evaluating the sup over a finite snapshot set only gives a lower
     estimate of the sup over the full hypothesis ball.
 
-    The draws go through one reused float64 sign buffer in chunks of
-    min(4096, 2^24 // n) rows, so it holds at most 128 MiB.  The signs
-    are read off uint32 words, one word per sign: numpy's integers(0, 2)
-    is the top bit of one 32-bit output, so copysign(1, word as int32)
-    writes -xi in one pass, and each chunk is one gemm against
-    -loss_table, whose products equal xi * loss bit for bit.  The words
+    The draws go in chunks of min(4096, 2^24 // n) rows.  The signs are
+    read off uint32 words, one word per sign: numpy's integers(0, 2) is the
+    top bit of one 32-bit output, so copysign(1, word as int32) writes -xi
+    in one pass into one reused float64 sign buffer, and a gemm against
+    -loss_table gives products equal to xi * loss bit for bit.  The words
     are those of integers(0, 2**32, dtype=np.uint32), generator state
     afterwards included (_uint32_words): PCG64, PCG64DXSM, Philox and
     SFC64 give two words per bit_generator.random_raw output, MT19937 and
     any other bit generator draw them through integers.  So the signs and
     the state afterwards are those of integers(0, 2) draws, and
     consecutive draws continue one generator stream, so neither depends
-    on the chunking.  The gemm's bits do depend on its row count: for
-    n <= 4096 the chunks are 4096 rows as they always were, and for larger
-    n the last bits of the estimate can differ from the 4096-row chunks of
-    earlier versions.
+    on how the rows are cut.  For 2 <= h < 32 each chunk of c rows is cut
+    into max(1, c // b) near-equal row blocks, b = max(17, ceil(2^20 /
+    (h * n))), and the buffer holds one block, so it stays in cache.  A
+    block's gemm rows keep the bits of the whole chunk's: with OpenBLAS
+    0.3.31 (SkylakeX kernels, 1 to 8 threads) a row's bits were measured to
+    change only at up to 10^6 products, where a small-matrix kernel runs,
+    at up to 16 rows on more than one thread, where the gemm runs on one
+    thread, whose bits can differ from the threaded driver's, and for
+    h >= 32, where blocks of 17 to 74 rows changed at 2 to 8 threads.  So
+    h >= 32 keeps whole chunks, and so does h = 1: there the product is a
+    matrix-vector product, whose bits depend on its row count.
+    Up to n = 4096 the chunks are 4096 rows as they always were; for
+    larger n the last bits of the estimate can differ from the 4096-row
+    chunks of earlier versions.
     """
     table = _loss_table(loss_table)
     check_count(draws, "draws")
-    n = table.shape[1]
+    h, n = table.shape
     rows = min(4096, max(1, 2**24 // n), draws)
-    buf = np.empty((rows, n))
+    least = max(17, -(-2**20 // (h * n))) if 2 <= h < 32 else rows  # the fewest rows of a block
+    tail = (draws - 1) % rows + 1  # the rows of the last chunk
+    buf = np.empty((max(-(-c // max(1, c // least)) for c in (rows, tail)), n))
     neg = -table
     values = np.empty(draws)
     for done in range(0, draws, rows):
-        chunk = buf[: min(rows, draws - done)]
-        signs = chunk.reshape(-1)
-        at = 0
-        for words in _uint32_words(rng, signs.size):
-            # a word with its top bit set is xi = +1 and a negative int32
-            np.copysign(1.0, words.view(np.int32), out=signs[at : at + words.size])
-            at += words.size
-        values[done : done + len(chunk)] = (chunk @ neg.T).max(axis=1) / n
+        c = min(rows, draws - done)
+        m = max(1, c // least)  # near-equal blocks of this chunk
+        for start, stop in itertools.pairwise(done + c * i // m for i in range(m + 1)):
+            block = buf[: stop - start]
+            signs = block.reshape(-1)
+            at = 0
+            for words in _uint32_words(rng, signs.size):
+                # a word with its top bit set is xi = +1 and a negative int32
+                np.copysign(1.0, words.view(np.int32), out=signs[at : at + words.size])
+                at += words.size
+            values[start:stop] = (block @ neg.T).max(axis=1) / n
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
     return estimate, stderr

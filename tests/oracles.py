@@ -14,6 +14,10 @@ weight gradients from full_backward.
 full_backward is the reverse chain as it read when backward returned the
 input gradient too, kept verbatim with the library helpers written out in
 numpy: (weight_grads, input_grad) of one network or a stack.
+
+bound_slope_ratio is the closed-form ratio of the complexity bounds'
+slopes in Gamma, which the tests check against finite differences of
+fisher_rao.complexity_bounds; the library itself never needs it.
 """
 
 import numpy as np
@@ -76,6 +80,12 @@ def trades_four_lse(clean_logits, adv_logits, labels, beta):
     r = log_p - log_q
     adv_grad = beta / n * p * (r - (r * p).sum(axis=1, keepdims=True))
     return loss, clean_grad, adv_grad
+
+
+def bound_slope_ratio(b) -> float:
+    """(d upper / d Gamma) / (-d lower / d Gamma) = sqrt(n_wrong / n_correct)
+    of a fisher_rao.BoundInputs."""
+    return float(np.sqrt(b.n_wrong / b.n_correct))
 
 
 def _deltas(weights: list, trace, logit_grad):

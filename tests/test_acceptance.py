@@ -18,10 +18,9 @@ from advlab.attacks import AttackSpec, pgd
 from advlab.core import make_rng, softmax_rows
 from advlab.data import (DatasetHandle, LabeledBatch, blob_dataset, load_idx,
                          synth_blobs)
-from advlab.fisher_rao import (BoundInputs, bound_slope_ratio,
-                               complexity_bounds, empirical_rademacher,
-                               exhaustive_rademacher, fr_norm_ce,
-                               radius_estimates)
+from advlab.fisher_rao import (BoundInputs, complexity_bounds,
+                               empirical_rademacher, exhaustive_rademacher,
+                               fr_norm_ce, radius_estimates)
 from advlab.loat import (LoatSchedule, jensen_middle_wrong, loat,
                          penalty_correct, penalty_wrong)
 from advlab.mlp import MlpConfig, backward, forward, init_weights
@@ -32,6 +31,7 @@ from advlab.data import batches
 from advlab.objectives import ObjectiveSpec
 
 from fd_utils import fd_weight_grads, max_rel_err
+from oracles import bound_slope_ratio
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",

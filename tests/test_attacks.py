@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,22 @@ class TestPgd:
             exact = corner_search_linf(weights, batch, eps)
             loss_exact = ce_loss(forward(weights, exact).logits, labels)[1]
             assert loss_pgd >= 0.99 * loss_exact, f"trial {trial}"
+
+    def test_peak_memory_in_iterates(self):
+        # the loop holds x, best_x, lo and hi, and during a step the gradient
+        # and the step; the clean trace and the hidden activations add 0.3.
+        # That reads 6.4 batch-sized arrays; 7 leaves room for numpy's own
+        # temporaries and still fails a loop that keeps one dead array (8.0).
+        rng = make_rng(20)
+        batch = LabeledBatch(rng.uniform(size=(2000, 784)), rng.integers(0, 10, size=2000), 10)
+        weights = init_weights(MlpConfig([784, 256, 10], seed=21))
+        tracemalloc.start()
+        try:
+            pgd(weights, batch, AttackSpec(k=10, track_best=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.0 * batch.inputs.nbytes
 
 
 class TestOneForwardPerIterate:

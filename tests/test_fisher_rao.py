@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from advlab.core import ParameterError, make_rng
 from advlab.data import LabeledBatch, synth_blobs
 from advlab.fisher_rao import (BoundInputs, RadiusEstimates,
-                               UndefinedMetricError, bound_slope_ratio,
-                               bounds_of, complexity_bounds, empirical_rademacher,
+                               UndefinedMetricError, bounds_of,
+                               complexity_bounds, empirical_rademacher,
                                _uint32_words, exhaustive_rademacher, fr_integrand, fr_norm_ce,
                                gamma_ce, max_logit_gap, radius_estimates,
                                radius_estimates_from_logits)
 from advlab.mlp import MlpConfig, forward, init_weights
+from advlab.sweep import openblas_threads
+
+from oracles import bound_slope_ratio
 
 
 def rademacher_oracle(table, n_draws, seed):
@@ -56,7 +59,7 @@ def empirical_int64_oracle(table, rng, draws):
 def empirical_4096_row_oracle(table, rng, draws, rows=4096):
     """empirical_rademacher before the reused buffer: a fresh int32 draw
     and its float64 copy for every chunk of 4096 rows (or `rows`: the
-    gemm's last bits can depend on its row count)."""
+    gemm's last bits can depend on its row count), one gemm per chunk."""
     n = table.shape[1]
     values = np.empty(draws)
     done = 0
@@ -69,6 +72,20 @@ def empirical_4096_row_oracle(table, rng, draws, rows=4096):
         done += chunk
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
     return float(values.mean()), stderr
+
+
+@st.composite
+def rademacher_shapes(draw, most_signs=2**22):
+    """(h, n, draws) of a loss table and a draw count: h up to 40 (from 32 on
+    the chunks stay whole), n up to 70000 (past 4096 the chunks are shorter
+    than 4096 rows) and at most most_signs signs."""
+    h = draw(st.integers(1, 7) | st.integers(8, 40))
+    n = draw(st.integers(1, 4096) | st.integers(4097, 70000)
+             | st.sampled_from([1, 33, 4095, 4096, 4097]))
+    most = max(1, most_signs // n)
+    draws = draw(st.integers(1, most) | st.sampled_from(
+        [d for d in (1, 2, 4095, 4096, 4097, 8193) if d <= most]))
+    return h, n, draws
 
 
 ALL_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
@@ -401,22 +418,51 @@ class TestRademacher:
             empirical_int64_oracle(table, make_rng(18), draws)
 
     @settings(deadline=None, database=None, max_examples=40)
-    @given(st.integers(1, 7), st.integers(1, 4096) | st.sampled_from([1, 33, 4095, 4096]),
-           st.integers(1, 9000) | st.sampled_from([1, 2, 4095, 4096, 4097, 8193]),
-           st.integers(0, 2**31), st.booleans())
-    @example(4, 300, 9000, 1, False)  # here 256-row gemm blocks would change the result
-    @example(3, 5, 7, 2, True)
-    def test_empirical_equals_4096_row_oracle(self, h, n, draws, seed, pending_half):
+    @given(rademacher_shapes(), st.integers(0, 2**31), st.booleans())
+    @example((4, 300, 9000), 1, False)  # here 256-row gemm blocks would change the result
+    @example((3, 5, 7), 2, True)
+    @example((4, 4000, 20000), 3, False)  # eval_analysis: 62 blocks per 4096-row chunk
+    @example((3, 33537, 34), 4, False)  # 11-row blocks would run on one BLAS thread
+    @example((1, 9000, 1864), 5, False)  # h = 1: row blocks would change the bits
+    @example((63, 51179, 43), 7, False)  # h >= 32: 21-row blocks would change them
+    def test_empirical_equals_4096_row_oracle(self, shape, seed, pending_half):
+        # the oracle takes one gemm per chunk of the earlier versions' rows, and
+        # empirical_rademacher cuts each chunk into row blocks for 2 <= h < 32;
         # pending_half: one int32 draw first leaves the generator holding the
         # other half of a 64-bit output, which the first sign must use
+        h, n, draws = shape
         table = make_rng(seed).uniform(-1.0, 3.0, size=(h, n))
         rng, oracle_rng = make_rng(seed + 1), make_rng(seed + 1)
         if pending_half:
             rng.integers(0, 5, dtype=np.int32)
             oracle_rng.integers(0, 5, dtype=np.int32)
         assert empirical_rademacher(table, rng, draws) == \
-            empirical_4096_row_oracle(table, oracle_rng, draws)
+            empirical_4096_row_oracle(table, oracle_rng, draws, rows=min(4096, 2**24 // n))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [(4, 4000, 4500), (3, 33537, 34), (31, 2406, 600),
+                                       (63, 51179, 43), (35, 62006, 67), (39, 29470, 142)])
+    def test_empirical_equals_4096_row_oracle_at_each_blas_thread_count(self, shape):
+        # OpenBLAS picks its gemm driver by the thread count, the rows and h.
+        # Without the 17-row floor (3, 33537) differs from 2 threads on.  With
+        # row blocks for h >= 32, (63, 51179) differs at 2 threads, (35, 62006)
+        # at 4 and (39, 29470) at 8.  A thread count above the host's cores
+        # splits the work as on a host with that many cores.
+        blas = openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread-count symbol in numpy's libraries")
+        get_threads, set_threads = blas
+        h, n, draws = shape
+        table = make_rng(7).uniform(-1.0, 3.0, size=(h, n))
+        default = get_threads()
+        try:
+            for threads in (1, 2, 3, 4, 8):
+                set_threads(threads)
+                assert empirical_rademacher(table, make_rng(8), draws) == \
+                    empirical_4096_row_oracle(table, make_rng(8), draws,
+                                              rows=min(4096, 2**24 // n)), f"{threads} threads"
+        finally:
+            set_threads(default)
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
                                                np.random.SFC64, np.random.PCG64DXSM])
@@ -485,10 +531,10 @@ class TestRademacher:
             empirical_4096_row_oracle(table, oracle_rng, 3 * 4095 + 7, rows=4095)
         assert same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
 
-    @pytest.mark.parametrize("n, draws, limit_mib", [(4000, 20000, 140), (60000, 600, 200)])
+    @pytest.mark.parametrize("n, draws, limit_mib", [(4000, 20000, 8), (60000, 600, 16)])
     def test_empirical_peak_memory(self, n, draws, limit_mib):
-        # one reused sign buffer: 4096 x 4000 floats (125 MiB) at n = 4000,
-        # and at n = 60000 the 128 MiB byte rule gives 279-row chunks
+        # one reused sign buffer of one row block: 67 x 4000 floats (2 MiB) at
+        # n = 4000, and at n = 60000 blocks of 17 to 21 rows of 279-row chunks
         table = make_rng(19).uniform(size=(4, n))
         peak = traced_peak_bytes(empirical_rademacher, table, make_rng(20), draws)
         assert peak <= limit_mib * 2**20

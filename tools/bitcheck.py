@@ -29,6 +29,11 @@ fields are left out, so equal lines mean equal outputs:
                   and without a pending half: a 3 x 4097 table with 3 * 4095 + 7
                   draws (4095-row chunks of an odd number of words) and a 3 x 5
                   table with 20001 draws (4096-row chunks, the last one odd)
+  rademacher_eval the same under PCG64 at the shapes whose chunks are cut
+                  into row blocks or kept whole: 4 x 4000 with 20000 draws
+                  (perfbench's eval_analysis), 1 x 4000 with 5000 draws
+                  (h = 1, whole chunks) and 4 x 60000 with 600 draws
+                  (279-row chunks)
   sweep_csv_jobsJ, manifest_jobsJ
                   `advlab sweep` at --jobs J = 1 and 2 on perfbench's
                   sweep_grid config (data seed 11): sweep.csv without
@@ -270,7 +275,9 @@ def main(argv=None) -> int:
                      np.random.SFC64, np.random.MT19937),
                ((3, 6, 5000), (4, 300, 9000), (2, 5000, 300), (1, 1, 7))),
            "rademacher_chunks": rademacher_digest(
-               lab, (np.random.PCG64, np.random.Philox), ((3, 4097, 3 * 4095 + 7), (3, 5, 20001)))}
+               lab, (np.random.PCG64, np.random.Philox), ((3, 4097, 3 * 4095 + 7), (3, 5, 20001))),
+           "rademacher_eval": rademacher_digest(
+               lab, (np.random.PCG64,), ((4, 4000, 20000), (1, 4000, 5000), (4, 60000, 600)))}
     with tempfile.TemporaryDirectory() as tmp:
         for jobs in (1, 2):
             out[f"sweep_csv_jobs{jobs}"], out[f"manifest_jobs{jobs}"] = \
