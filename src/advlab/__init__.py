@@ -10,13 +10,11 @@ end (cli).
 
 from .attacks import AttackSpec, pgd, project
 from .core import ParameterError, ShapeError, make_rng, softmax_rows
-from .data import (DatasetHandle, FormatError, LabeledBatch, batches,
-                   blob_dataset, load_idx, synth_blobs)
+from .data import DatasetHandle, FormatError, LabeledBatch, batches, blob_dataset, load_idx
 from .fisher_rao import (BoundInputs, RadiusEstimates, UndefinedMetricError,
                          complexity_bounds, empirical_rademacher, fr_norm_ce,
                          gamma_ce, radius_estimates)
-from .loat import (EmptySubsetError, LoatSchedule, adversarial_pairing,
-                   penalty_correct, penalty_wrong)
+from .loat import LoatSchedule
 from .mlp import (ForwardTrace, MlpConfig, backward, forward, init_weights, input_grad,
                   load_checkpoint, save_checkpoint)
 from .objectives import (ObjectiveSpec, RiskReport, ce_loss, ce_loss_and_grad,

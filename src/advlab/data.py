@@ -115,14 +115,6 @@ def _blobs(rng: np.random.Generator, sizes, d: int, K: int, spread: float) -> li
     return out
 
 
-def synth_blobs(rng: np.random.Generator, n: int, d: int, K: int, spread: float) -> LabeledBatch:
-    """Seeded Gaussian clusters with centers in [0,1]^d, clipped to [0,1]^d.
-
-    Labels are near-balanced: class counts differ by at most one.
-    """
-    return _blobs(rng, [n], d, K, spread)[0]
-
-
 def blob_dataset(seed: int = 0, n_train: int = 1000, n_test: int = 500, d: int = 16, K: int = 4,
                  spread: float = 0.08) -> DatasetHandle:
     """Train/test splits sampled around one shared set of cluster centers."""

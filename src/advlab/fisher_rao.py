@@ -58,9 +58,18 @@ class BoundInputs:
             raise ParameterError("num_classes must be >= 2")
 
 
+def _finite_rows(m: np.ndarray, what: str) -> np.ndarray:
+    """m, or ParameterError naming the first row of m that holds a non-finite entry."""
+    finite = np.isfinite(m)
+    if not finite.all():
+        raise ParameterError(f"{what} row {finite.all(axis=1).argmin()} (counting from 0) "
+                             "is not finite")
+    return m
+
+
 def fr_integrand(logits, labels) -> np.ndarray:
-    """Per-sample <softmax(f), f> - f_y."""
-    logits = as_matrix(logits)
+    """Per-sample <softmax(f), f> - f_y; ParameterError for a non-finite logit, naming its row."""
+    logits = _finite_rows(as_matrix(logits), "logits")
     labels = check_labels(labels, *logits.shape)
     probs = softmax_rows(logits)
     return (probs * logits).sum(axis=1) - logits[label_index(labels)]
@@ -87,9 +96,7 @@ def max_logit_gap(logits, labels) -> np.ndarray:
     logits = as_matrix(logits)
     if logits.shape[1] < 2:
         raise ParameterError(f"the logit gap needs K >= 2 classes, got K={logits.shape[1]}")
-    finite = np.isfinite(logits).all(axis=1)
-    if not finite.all():
-        raise ParameterError(f"logits row {finite.argmin()} (counting from 0) is not finite")
+    _finite_rows(logits, "logits")
     labels = check_labels(labels, *logits.shape)
     gaps = np.abs(logits - logits[label_index(labels)][:, None])
     gaps[label_index(labels)] = -np.inf
@@ -160,10 +167,11 @@ def bounds_of(est: RadiusEstimates, num_classes: int):
 
 
 def _loss_table(loss_table) -> np.ndarray:
+    """loss_table as a matrix; ParameterError if it is empty or has a non-finite row."""
     table = as_matrix(loss_table)
     if table.shape[0] < 1 or table.shape[1] < 1:
         raise ParameterError("loss_table must be nonempty")
-    return table
+    return _finite_rows(table, "loss_table")
 
 
 _RAW_BLOCK = 2**17  # 64-bit outputs per random_raw call: 1 MiB, two words each

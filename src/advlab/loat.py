@@ -15,11 +15,10 @@ The scheduled loss adds tau*(P_C_low - P_M_low) in early epochs
 (epoch <= E1), the negated difference in late epochs (epoch >= E2), and
 nothing in between (LoatSchedule.phase); the LORE variant additionally
 adds gamma*AP_M early and gamma*AP_C late.  A penalty whose sample subset
-is empty contributes zero for that batch.  `loat` computes these applied
-terms and their logit gradients in one pass; P_C, P_M and the Jensen term
-are diagnostics with standalone functions, used by the inequality tests.
-Both take each (1/(K-1)) sum_{k != y} (s_k - c_i)^2 from one helper (c_i =
-s_y or m_i), and every subset mean from one rule, _subset_means.
+is empty contributes zero for that batch.  `loat` is the penalty: it
+computes only these applied terms and their logit gradients, in one pass.
+P_C, P_M and the Jensen term are never applied; the tests hold standalone
+forms of all six definitions and check `loat` against them.
 
 Correct/wrong masks come from clean logits (objectives.correct_mask), one
 entry per row, and are treated as stop-gradient constants (argmax has no
@@ -35,12 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ParameterError, as_matrix, as_stack, check_count, check_labels, check_real,
+from .core import (ParameterError, as_stack, check_count, check_labels, check_real,
                    check_shape, label_entries, label_index, per_seed, softmax_rows)
-
-
-class EmptySubsetError(ValueError):
-    """The masked sample subset for a penalty is empty."""
 
 
 @dataclass(frozen=True)
@@ -84,43 +79,6 @@ def _validate(probs, labels, mask):
     probs = as_stack(probs)
     return (probs, check_labels(labels, *probs.shape),
             check_shape(np.asarray(mask, dtype=bool), probs.shape[:-1], "mask"))
-
-
-def _subset_terms(probs, labels, mask, wrong: bool, what: str):
-    """(P, P_lower, mean of (m_i - s_y)^2) over the correct (or wrong) subset;
-    raises if it is empty."""
-    probs, labels, mask = _validate(as_matrix(probs), labels, mask)
-    subset = ~mask if wrong else mask
-    if not subset.any():
-        raise EmptySubsetError(f"no {what} samples in batch")
-    label_p, m = label_entries(probs, labels), _nonlabel_mean(probs, labels)
-    p, p_low = (_sq_dev(probs, labels, c)[1] for c in (label_p, m))
-    return tuple(map(float, _subset_means(p, subset, p_low, subset, (m - label_p) ** 2, subset)))
-
-
-def penalty_correct(probs, labels, mask):
-    """(P_C, P_C_lower) over the correct subset; raises if it is empty."""
-    return _subset_terms(probs, labels, mask, False, "correctly classified")[:2]
-
-
-def penalty_wrong(probs, labels, mask):
-    """(P_M, P_M_lower) over the misclassified subset; raises if it is empty."""
-    return _subset_terms(probs, labels, mask, True, "misclassified")[:2]
-
-
-def jensen_middle_wrong(probs, labels, mask) -> float:
-    """Jensen intermediate term: mean over wrong i of (m_i - s_y)^2."""
-    return _subset_terms(probs, labels, mask, True, "misclassified")[2]
-
-
-def adversarial_pairing(clean_probs, adv_probs, mask) -> float:
-    """Mean squared l2 distance between clean and adversarial softmax rows."""
-    clean_probs = as_matrix(clean_probs)
-    adv_probs = as_matrix(check_shape(adv_probs, clean_probs.shape, "adv_probs"))
-    mask = check_shape(np.asarray(mask, dtype=bool), clean_probs.shape[:1], "mask")
-    if not mask.any():
-        raise EmptySubsetError("empty pairing subset")
-    return float(_subset_means(((clean_probs - adv_probs) ** 2).sum(axis=1), mask)[0])
 
 
 def _softmax_chain(probs: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:

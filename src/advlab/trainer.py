@@ -215,20 +215,21 @@ def check_fit(cfg: TrainConfig, data: DatasetHandle) -> TrainConfig:
     return cfg
 
 
-def train(cfg: TrainConfig, data: DatasetHandle, record_epochs=None):
-    """Run the full training loop; returns (final_weights, history).
-
-    `record_epochs` is the set of epochs to evaluate after; it defaults to
-    metric_epochs(cfg.epochs, cfg.metrics_every).  A sweep passes the
-    union of several budgets' epochs to read them off one run.
-    """
-    return _train([cfg], data, record_epochs)[0]
+def train(cfg: TrainConfig, data: DatasetHandle):
+    """Run the full training loop; returns (final_weights, history), evaluated
+    after the epochs of metric_epochs(cfg.epochs, cfg.metrics_every)."""
+    return _train([cfg], data, None)[0]
 
 
 def train_stack(cfg: TrainConfig, data: DatasetHandle, seeds, record_epochs=None) -> list:
     """Train cfg under each seed (setting seed and model.seed) in lockstep; returns
     (final_weights, history) per seed, each equal to its own train() run.
-    A blow-up in any seed raises DivergenceError naming that seed."""
+    A blow-up in any seed raises DivergenceError naming that seed.
+
+    `record_epochs` is the set of epochs to evaluate after; it defaults to
+    metric_epochs(cfg.epochs, cfg.metrics_every).  A sweep passes the
+    union of several budgets' epochs to read them off one run.
+    """
     if len(seeds) == 0:
         raise ParameterError("a stack needs at least one seed")
     return _train([dataclasses.replace(cfg, seed=s, model=dataclasses.replace(cfg.model, seed=s))

@@ -18,13 +18,22 @@ numpy: (weight_grads, input_grad) of one network or a stack.
 bound_slope_ratio is the closed-form ratio of the complexity bounds'
 slopes in Gamma, which the tests check against finite differences of
 fisher_rao.complexity_bounds; the library itself never needs it.
+
+penalty_correct, penalty_wrong, jensen_middle_wrong and
+adversarial_pairing are the LOAT definitions of P_C, P_M, the Jensen
+term and the pairing term (see the loat module docstring), one matrix at
+a time.  loat.loat applies only some of them and is checked against
+these; each raises EmptySubsetError when its subset is empty.
+
+synth_blobs is one seeded split of data._blobs, the test suite's
+small labelled batch.
 """
 
 import numpy as np
 
 from advlab.attacks import pgd
 from advlab.core import ShapeError, softmax_rows
-from advlab.data import LabeledBatch
+from advlab.data import LabeledBatch, _blobs
 from advlab.loat import loat
 from advlab.mlp import forward
 from advlab.objectives import mixture_from_logits, trades_from_logits
@@ -146,3 +155,57 @@ def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
         adv_wgrads, _ = full_backward(weights, adv_trace, adv_grad)
         weight_grads = [a + b for a, b in zip(weight_grads, adv_wgrads)]
     return loss, weight_grads
+
+
+class EmptySubsetError(ValueError):
+    """The masked sample subset for a penalty is empty."""
+
+
+def _subset_terms(probs, labels, mask, wrong: bool, what: str):
+    """(P, P_lower, mean of (m_i - s_y)^2) over the correct (or wrong) subset;
+    raises if it is empty."""
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    labels, mask = np.asarray(labels), np.asarray(mask, dtype=bool)
+    subset = ~mask if wrong else mask
+    if not subset.any():
+        raise EmptySubsetError(f"no {what} samples in batch")
+    n, k = probs.shape
+    rows = np.arange(n)
+    label_p = probs[rows, labels]
+    m = (probs.sum(axis=-1) - label_p) / (k - 1)
+
+    def sq_dev(center):
+        dev = probs - center[:, None]
+        dev[rows, labels] = 0.0
+        return (dev ** 2).sum(axis=-1) / (k - 1)
+
+    return tuple(float(v[subset].mean()) for v in (sq_dev(label_p), sq_dev(m), (m - label_p) ** 2))
+
+
+def penalty_correct(probs, labels, mask):
+    """(P_C, P_C_lower) over the correct subset; raises if it is empty."""
+    return _subset_terms(probs, labels, mask, False, "correctly classified")[:2]
+
+
+def penalty_wrong(probs, labels, mask):
+    """(P_M, P_M_lower) over the misclassified subset; raises if it is empty."""
+    return _subset_terms(probs, labels, mask, True, "misclassified")[:2]
+
+
+def jensen_middle_wrong(probs, labels, mask) -> float:
+    """Jensen intermediate term: mean over wrong i of (m_i - s_y)^2."""
+    return _subset_terms(probs, labels, mask, True, "misclassified")[2]
+
+
+def adversarial_pairing(clean_probs, adv_probs, mask) -> float:
+    """Mean squared l2 distance between clean and adversarial softmax rows."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        raise EmptySubsetError("empty pairing subset")
+    diff = np.asarray(clean_probs, dtype=np.float64) - np.asarray(adv_probs, dtype=np.float64)
+    return float((diff ** 2).sum(axis=1)[mask].mean())
+
+
+def synth_blobs(rng: np.random.Generator, n: int, d: int, K: int, spread: float) -> LabeledBatch:
+    """n seeded Gaussian-cluster samples in [0,1]^d; class counts differ by at most one."""
+    return _blobs(rng, [n], d, K, spread)[0]

@@ -16,13 +16,11 @@ import pytest
 
 from advlab.attacks import AttackSpec, pgd
 from advlab.core import make_rng, softmax_rows
-from advlab.data import (DatasetHandle, LabeledBatch, blob_dataset, load_idx,
-                         synth_blobs)
+from advlab.data import DatasetHandle, LabeledBatch, blob_dataset, load_idx
 from advlab.fisher_rao import (BoundInputs, complexity_bounds,
                                empirical_rademacher, exhaustive_rademacher,
                                fr_norm_ce, radius_estimates)
-from advlab.loat import (LoatSchedule, jensen_middle_wrong, loat,
-                         penalty_correct, penalty_wrong)
+from advlab.loat import LoatSchedule, loat
 from advlab.mlp import MlpConfig, backward, forward, init_weights
 from advlab.objectives import ce_loss, mixture_from_logits
 from advlab.sweep import SweepSpec, correlate, run_sweep, slopes_by
@@ -31,7 +29,8 @@ from advlab.data import batches
 from advlab.objectives import ObjectiveSpec
 
 from fd_utils import fd_weight_grads, max_rel_err
-from oracles import bound_slope_ratio
+from oracles import (bound_slope_ratio, jensen_middle_wrong, penalty_correct, penalty_wrong,
+                     synth_blobs)
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",

@@ -10,11 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 from advlab.attacks import AttackSpec, eval_attack_pair, pgd, project
 from advlab.core import ParameterError, ShapeError, make_rng
-from advlab.data import LabeledBatch, synth_blobs
+from advlab.data import LabeledBatch
 from advlab.mlp import MlpConfig, forward, init_weights
 from advlab.objectives import ce_loss
 
-from oracles import ce_logit_grad, full_backward
+from oracles import ce_logit_grad, full_backward, synth_blobs
 
 
 def corner_search_linf(weights, batch, eps):

@@ -15,7 +15,7 @@ from advlab.attacks import AttackSpec, project
 from advlab.core import (ParameterError, ShapeError, check_labels, check_real, check_shape,
                          exp_logsumexp_rows, make_rng, softmax_rows)
 from advlab.data import blob_dataset
-from advlab.loat import LoatSchedule, adversarial_pairing, loat
+from advlab.loat import LoatSchedule, loat
 from advlab.mlp import MlpConfig, backward, forward, forward_stack, init_weights, input_grad
 from advlab.objectives import ObjectiveSpec, mixture_from_logits, trades_from_logits
 from advlab.sweep import SweepSpec
@@ -72,10 +72,6 @@ SHAPE_SITES = {
     "loat-stacked-adv_logits": (lambda: loat(np.stack([_P, _P]), [[0, 1, 2, 0]] * 2,
                                              [[True] * 4] * 2, 1, _LORE, _P),
                                 "adv_logits", (2, 4, 3), (4, 3)),
-    "adversarial_pairing-adv_probs": (lambda: adversarial_pairing(_P, _P[:3], [True] * 4),
-                                      "adv_probs", (4, 3), (3, 3)),
-    "adversarial_pairing-mask": (lambda: adversarial_pairing(_P, _P, [True] * 5),
-                                 "mask", (4,), (5,)),
     "mixture_from_logits": (lambda: mixture_from_logits(_P, _P[:, :2], [0, 1, 1, 0], 0.5),
                             "adv_logits", (4, 3), (4, 2)),
     "trades_from_logits": (lambda: trades_from_logits(_P, _P.T, [0, 1, 2, 0], 1.0),

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from advlab.core import ParameterError, make_rng
 from advlab.data import (DatasetHandle, FormatError, LabeledBatch, batches, dump_array,
-                         load_array, load_idx, synth_blobs)
+                         load_array, load_idx)
 from advlab.mlp import MlpConfig, init_weights, load_checkpoint, save_checkpoint
+
+from oracles import synth_blobs
 
 
 def write_idx_images(path, images):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from advlab.core import ParameterError, make_rng
-from advlab.data import LabeledBatch, synth_blobs
+from advlab.data import LabeledBatch
 from advlab.fisher_rao import (BoundInputs, RadiusEstimates,
                                UndefinedMetricError, bounds_of,
                                complexity_bounds, empirical_rademacher,
@@ -17,7 +17,7 @@ from advlab.fisher_rao import (BoundInputs, RadiusEstimates,
 from advlab.mlp import MlpConfig, forward, init_weights
 from advlab.sweep import openblas_threads
 
-from oracles import bound_slope_ratio
+from oracles import bound_slope_ratio, synth_blobs
 
 
 def rademacher_oracle(table, n_draws, seed):
@@ -133,6 +133,13 @@ class TestFrIntegrand:
         u = np.abs(fr_integrand(logits, labels))
         gaps = max_logit_gap(logits, labels)
         assert np.all(u <= gaps + 1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_rejected(self, bad):
+        # the row's integrand used to read nan
+        with pytest.raises(ParameterError,
+                           match=r"^logits row 1 \(counting from 0\) is not finite$"):
+            fr_integrand([[1.0, 2.0], [bad, 0.0], [0.0, bad]], [0, 1, 1])
 
 
 class TestFrNorm:
@@ -543,6 +550,16 @@ class TestRademacher:
     def test_exhaustive_rejects_empty_table(self, shape):
         with pytest.raises(ParameterError):
             exhaustive_rademacher(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("estimate", [
+        lambda table: empirical_rademacher(table, make_rng(0), 10), exhaustive_rademacher,
+    ], ids=["empirical", "exhaustive"])
+    def test_non_finite_loss_rejected(self, estimate, bad):
+        # the estimates used to read nan, the exhaustive one with a RuntimeWarning
+        with pytest.raises(ParameterError,
+                           match=r"^loss_table row 1 \(counting from 0\) is not finite$"):
+            estimate([[0.2, 0.3], [bad, 1.0], [0.5, bad]])
 
     def test_validation(self):
         with pytest.raises(ParameterError):

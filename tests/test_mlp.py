@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advlab.core import FormatError, ParameterError, ShapeError, make_rng
-from advlab.data import synth_blobs
 from advlab.mlp import (MlpConfig, backward, backward_stack, forward, forward_stack,
                         init_weights, input_grad, load_checkpoint, save_checkpoint)
 from advlab.objectives import ce_loss
 
 from fd_utils import fd_weight_grads, fd_matrix_grad, max_rel_err
-from oracles import ce_logit_grad, full_backward
+from oracles import ce_logit_grad, full_backward, synth_blobs
 
 
 @st.composite

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from advlab.core import ParameterError, ShapeError, make_rng, softmax_rows
-from advlab.data import synth_blobs
 from advlab.mlp import MlpConfig, backward, forward, init_weights
 from advlab.objectives import (ObjectiveSpec, ce_loss, ce_loss_and_grad, correct_mask,
                                generalization_gap, mixture_from_logits, risk,
                                trades_from_logits)
 
 from fd_utils import fd_matrix_grad, max_rel_err
-from oracles import ce_logit_grad, trades_four_lse
+from oracles import ce_logit_grad, synth_blobs, trades_four_lse
 
 
 def mixture_through_model(weights, batch, lam, adv_inputs):

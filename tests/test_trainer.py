@@ -13,7 +13,7 @@ from advlab.loat import LoatSchedule
 from advlab.mlp import MlpConfig, init_weights
 from advlab.objectives import ObjectiveSpec, risk
 from advlab.trainer import (DivergenceError, MetricsRecord, TrainConfig, _batch_step,
-                            evaluate, metric_epochs, sgd_step, train)
+                            evaluate, metric_epochs, sgd_step, train, train_stack)
 
 from oracles import _batch_step as oracle_batch_step
 
@@ -220,7 +220,7 @@ class TestTrain:
                           objective=ObjectiveSpec(kind="standard"),
                           epochs=7, batch_size=64, seed=0, metrics_every=3)
         _, default = train(cfg, data)
-        _, chosen = train(cfg, data, record_epochs={1, 6, 7})
+        _, chosen = train_stack(cfg, data, [0], record_epochs={1, 6, 7})[0]
         assert [rec.epoch for rec in chosen] == [1, 6, 7]
         strip = lambda rec: dataclasses.replace(rec, epoch_wall_ms=0.0)
         assert [strip(r) for r in chosen[1:]] == [strip(r) for r in default[1:]]
