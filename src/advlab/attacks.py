@@ -18,11 +18,18 @@ outputs are bit-identical to forwarding every iterate twice.
 
 Batch-sized arrays held throughout: the iterate (a copy of the input,
 updated in place), best_x under track_best, and the l-inf clip bounds lo
-and hi, made before the iterate.  An l-inf step adds the input gradient,
-dropped once its sign is taken, and the step, dropped once added; the
-previous trace is dropped before the next forward.  So an l-inf
-track-best attack through widths [784, 256, 10] peaks at about 6.4
-batch-sized arrays.
+and hi, made before the iterate.  A step adds the input gradient, and the
+previous trace is dropped before the next forward.  The step itself, the
+l-inf bounds and the l2 random start's projection run one row block at a
+time: runs of rows (axis -2) of at most _BLOCK = 2^17 entries (1 MiB), or
+single rows where a row holds more.  So no step temporary is batch-sized,
+and a batch of at most 2^17 entries (a training batch of 128 x 784, a
+sweep stack) is one block, whose l-inf step is the same five numpy calls
+as an unblocked one.  Every operation of a step acts per row, so the
+blocks change no bit.  An l-inf track-best attack through widths
+[784, 256, 10] peaks at about 5.7 batch-sized arrays (the four above, the
+gradient, and the hidden activations and their delta while input_grad
+forms it), an l2 attack with a random start at about 3.7.
 
 pgd attacks one network; pgd_stack attacks a stacked batch (see core)
 through a stack of networks, every seed's attack in the same numpy calls.
@@ -48,6 +55,8 @@ from .core import (ParameterError, as_stack, check_count, check_labels, check_re
 from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, forward_stack, input_grad
 from .objectives import ce_loss, checked_ce_loss_and_grad
+
+_BLOCK = 2**17  # float64 entries per row block of a PGD step, bound or random start: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -111,20 +120,57 @@ def pgd_stack(weights: list, batch: LabeledBatch, spec: AttackSpec,
     return _pgd(weights, batch, spec, rngs, clean_trace, forward_stack)
 
 
+def _row_blocks(a) -> list:
+    """Index tuples of a's row blocks: runs of rows (axis -2) of at most _BLOCK entries in
+    all, and of one row where a row holds more."""
+    rows = max(1, _BLOCK // (a.size // a.shape[-2]))
+    return [np.s_[..., start:start + rows, :] for start in range(0, a.shape[-2], rows)]
+
+
+def _corner_projection(x0, corner: float, eps: float, blocks: list) -> np.ndarray:
+    """project(x0, the box corner of all-`corner` entries, "inf", eps), one row block at a
+    time; of one block, project's own output, so that a training batch pays no copy."""
+    if len(blocks) == 1:
+        return project(x0, np.full_like(x0, corner), "inf", eps)
+    out = np.empty_like(x0)
+    for b in blocks:
+        out[b] = project(x0[b], np.full_like(x0[b], corner), "inf", eps)
+    return out
+
+
+def _step(x, x0, grad, lo, hi, spec, blocks) -> None:
+    """One PGD step on the iterate x in place, one row block at a time; lo and hi are
+    the l-inf clip bounds."""
+    for b in blocks:
+        xb, gb = x[b], grad[b]
+        if spec.p == "inf":
+            moved = np.sign(gb)  # numpy's in-place sign is several times slower
+            moved *= spec.alpha
+            xb += moved
+            np.maximum(xb, lo[b], out=xb)
+            np.minimum(xb, hi[b], out=xb)
+        else:
+            norms = np.linalg.norm(gb, axis=-1, keepdims=True)
+            xb[...] = project(x0[b], xb + spec.alpha * gb / np.maximum(norms, 1e-300),
+                              "two", spec.eps)
+
+
 def _pgd(weights, batch, spec, rng, clean_trace, forward):
     """The attack of pgd and pgd_stack; `forward` is the forward pass of the caller."""
     x0 = batch.inputs
     if spec.eps == 0.0:
         return x0.copy()
+    blocks = _row_blocks(x0)
+    lo = hi = None
     if spec.p == "inf":
         # The l-inf projection acts per coordinate and is monotone, so it
         # equals one clip between the projections of the box corners 0 and 1.
         # Each step does that clip in place as a maximum with lo, then a
         # minimum with hi: neither the step nor lo or hi is ever -0.0, so
         # the ties np.clip breaks the other way hold equal bits.
-        lo = project(x0, np.zeros_like(x0), "inf", spec.eps)
-        hi = project(x0, np.ones_like(x0), "inf", spec.eps)
-    x = x0.copy()  # the iterate, which random starts and l-inf steps update in place
+        lo = _corner_projection(x0, 0.0, spec.eps, blocks)
+        hi = _corner_projection(x0, 1.0, spec.eps, blocks)
+    x = x0.copy()  # the iterate, which random starts and steps update in place
     if spec.random_start:
         if rng is None:
             raise ParameterError("random_start requires an rng")
@@ -135,11 +181,13 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
         else:
             # each generator draws its direction, then its radius
             direction = draw_per_seed(rng, lambda r: r.standard_normal(x0.shape[-2:]), seeds)
-            direction /= np.maximum(np.linalg.norm(direction, axis=-1, keepdims=True), 1e-300)
             radius = spec.eps * draw_per_seed(rng, lambda r: r.uniform(
                 0.0, 1.0, size=(x0.shape[-2], 1)), seeds) ** (1.0 / x0.shape[-1])
-            x += radius * direction
-            x = project(x0, x, "two", spec.eps)
+            for b in blocks:
+                unit = direction[b]
+                unit /= np.maximum(np.linalg.norm(unit, axis=-1, keepdims=True), 1e-300)
+                x[b] = project(x0[b], x[b] + radius[b] * unit, "two", spec.eps)
+            del direction, unit  # unit is a view, which would keep direction alive
 
     # The clean point is always a candidate: with a random start its CE is
     # the baseline, and without one it is iterate 0 over a -inf baseline.
@@ -154,19 +202,7 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
 
     for step in range(spec.k + 1):
         if step:
-            grad = input_grad(weights, trace, logit_grad)
-            if spec.p == "inf":
-                moved = np.sign(grad)  # numpy's in-place sign is several times slower
-                del grad
-                moved *= spec.alpha
-                x += moved
-                del moved
-                np.maximum(x, lo, out=x)
-                np.minimum(x, hi, out=x)
-            else:
-                norms = np.linalg.norm(grad, axis=-1, keepdims=True)
-                x = project(x0, x + spec.alpha * grad / np.maximum(norms, 1e-300), "two", spec.eps)
-                del grad
+            _step(x, x0, input_grad(weights, trace, logit_grad), lo, hi, spec, blocks)
             if step == spec.k and not spec.track_best:
                 break
             del trace

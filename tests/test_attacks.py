@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import tracemalloc
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from advlab.attacks import AttackSpec, eval_attack_pair, pgd, project
+from advlab import attacks
+from advlab.attacks import AttackSpec, eval_attack_pair, pgd, pgd_stack, project
 from advlab.core import ParameterError, ShapeError, make_rng
 from advlab.data import LabeledBatch
 from advlab.mlp import MlpConfig, forward, init_weights
@@ -295,21 +297,36 @@ class TestPgd:
             loss_exact = ce_loss(forward(weights, exact).logits, labels)[1]
             assert loss_pgd >= 0.99 * loss_exact, f"trial {trial}"
 
-    def test_peak_memory_in_iterates(self):
-        # the loop holds x, best_x, lo and hi, and during a step the gradient
-        # and the step; the clean trace and the hidden activations add 0.3.
-        # That reads 6.4 batch-sized arrays; 7 leaves room for numpy's own
-        # temporaries and still fails a loop that keeps one dead array (8.0).
-        rng = make_rng(20)
-        batch = LabeledBatch(rng.uniform(size=(2000, 784)), rng.integers(0, 10, size=2000), 10)
+    @staticmethod
+    def peak_in_arrays(spec, rng=None):
+        """tracemalloc's peak over one PGD on a 2000 x 784 batch through [784, 256, 10],
+        in batch-sized arrays."""
+        rng_data = make_rng(20)
+        batch = LabeledBatch(rng_data.uniform(size=(2000, 784)),
+                             rng_data.integers(0, 10, size=2000), 10)
         weights = init_weights(MlpConfig([784, 256, 10], seed=21))
         tracemalloc.start()
         try:
-            pgd(weights, batch, AttackSpec(k=10, track_best=True))
+            pgd(weights, batch, spec, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.0 * batch.inputs.nbytes
+        return peak / batch.inputs.nbytes
+
+    def test_peak_memory_in_iterates(self):
+        # the loop holds x, best_x, lo and hi; a step adds the input gradient,
+        # and while input_grad forms it the hidden activations and their delta
+        # add 0.7.  The step itself runs one 1 MiB row block at a time.  That
+        # reads 5.7 batch-sized arrays; 6 still fails a loop that keeps one
+        # dead array (6.7), or a step with one batch-sized temporary.
+        assert self.peak_in_arrays(AttackSpec(k=10, track_best=True)) <= 6.0
+
+    def test_peak_memory_l2_random_start(self):
+        # no bounds: x and best_x, the direction draw only until the start is
+        # projected (row block by row block), then the l-inf accounting less
+        # lo and hi.  That reads 3.7 batch-sized arrays; 4.5 fails one dead array.
+        spec = AttackSpec(p="two", eps=1.0, alpha=0.25, k=10, random_start=True)
+        assert self.peak_in_arrays(spec, make_rng(3)) <= 4.5
 
 
 class TestOneForwardPerIterate:
@@ -350,24 +367,30 @@ class TestOneForwardPerIterate:
 
 
 @st.composite
-def attack_cases(draw):
+def attack_cases(draw, rows=st.integers(1, 8), seeds=None):
     """A small random net, a batch with entries on the 0/1 edges (-0.0 too)
     or inside, and an attack with eps tiny, 8/255 or larger than the box.
     A zero init_scale gives all-zero input gradients, so a step can add
     +0.0 to a -0.0 entry: the l-inf step's maximum/minimum must then give
-    the bits of np.clip."""
+    the bits of np.clip.  Given `seeds`, a stack of that many nets and
+    batches, and one generator seed per net."""
     d, hidden, k, n = (draw(st.integers(1, 6)), draw(st.integers(1, 8)),
-                       draw(st.integers(2, 4)), draw(st.integers(1, 8)))
-    weights = init_weights(MlpConfig([d, hidden, k], seed=draw(st.integers(0, 2**31)),
-                                     init_scale=draw(st.sampled_from([None, 0.0, 0.3, 3.0]))))
-    inputs = draw(hnp.arrays(np.float64, (n, d),
+                       draw(st.integers(2, 4)), draw(rows))
+    stack = () if seeds is None else (seeds,)
+    init_scale = draw(st.sampled_from([None, 0.0, 0.3, 3.0]))
+    nets = [init_weights(MlpConfig([d, hidden, k], seed=draw(st.integers(0, 2**31)),
+                                   init_scale=init_scale)) for _ in range(seeds or 1)]
+    weights = nets[0] if seeds is None else [np.stack(layer) for layer in zip(*nets)]
+    inputs = draw(hnp.arrays(np.float64, stack + (n, d),
                              elements=st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)))
-    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    labels = draw(hnp.arrays(np.int64, stack + (n,), elements=st.integers(0, k - 1)))
     eps = draw(st.sampled_from([1e-6, 8.0 / 255.0, 1.5]))
     spec = AttackSpec(p=draw(st.sampled_from(["inf", "two"])), eps=eps,
                       alpha=eps * draw(st.sampled_from([0.25, 1.0])), k=draw(st.integers(1, 4)),
                       random_start=draw(st.booleans()), track_best=draw(st.booleans()))
-    return weights, LabeledBatch(inputs, labels, k), spec, draw(st.integers(0, 2**31))
+    rng_seeds = [draw(st.integers(0, 2**31)) for _ in range(seeds or 1)]
+    return (weights, LabeledBatch(inputs, labels, k), spec,
+            rng_seeds[0] if seeds is None else rng_seeds)
 
 
 class TestPgdProperties:
@@ -416,3 +439,61 @@ class TestPgdProperties:
         clean_loss, _ = ce_loss(forward(weights, batch.inputs).logits, batch.labels)
         adv_loss, _ = ce_loss(forward(weights, adv).logits, batch.labels)
         assert np.all(adv_loss >= clean_loss)
+
+
+@contextlib.contextmanager
+def three_row_blocks(x0):
+    """attacks' block constant set to three rows of x0, which must then split
+    into several blocks that end in a ragged one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attacks, "_BLOCK", 3 * x0.size // x0.shape[-2])
+        blocks = attacks._row_blocks(x0)
+        assert len(blocks) >= 2 and x0[blocks[-1]].shape[-2] < 3
+        yield
+
+
+class TestRowBlocks:
+    """A PGD step, the l-inf bounds and the l2 random start run one row block
+    at a time; the blocks must not change a bit."""
+
+    @pytest.mark.parametrize("shape, sizes", [
+        ((2000, 784), [167] * 11 + [163]),
+        ((128, 784), [128]),
+        ((6, 64, 32), [64]),
+        ((3, 2**17 + 1), [1, 1, 1]),
+    ], ids=["eval_analysis_test_split", "pgd_train_batch", "sweep_grid_stack", "rows_wider_than_a_block"])
+    def test_block_rule(self, shape, sizes):
+        a = np.zeros(shape)
+        blocks = attacks._row_blocks(a)
+        assert [a[b].shape[-2] for b in blocks] == sizes
+        assert all(a[b].size <= max(attacks._BLOCK, a[b].shape[-1]) for b in blocks)
+        covered = np.zeros(shape[-2], dtype=int)
+        for b in blocks:
+            covered[b[1]] += 1
+        assert np.all(covered == 1)
+
+    @settings(deadline=None, database=None, max_examples=100)
+    @given(attack_cases(rows=st.sampled_from([5, 7, 8, 10, 11])), st.booleans())
+    @pytest.mark.parametrize("p, random_start", itertools.product(["inf", "two"], [False, True]))
+    def test_pgd_equals_two_forward_oracle(self, p, random_start, case, use_clean_trace):
+        weights, batch, spec, seed = case
+        spec = dataclasses.replace(spec, p=p, random_start=random_start)
+        clean_trace = forward(weights, batch.inputs) if use_clean_trace else None
+        with three_row_blocks(batch.inputs):
+            got = pgd(weights, batch, spec, make_rng(seed), clean_trace=clean_trace)
+        want = pgd_two_forward_oracle(weights, batch, spec, make_rng(seed))
+        # the raw words, so that a block boundary cannot turn -0.0 into 0.0 unseen
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(deadline=None, database=None, max_examples=100)
+    @given(attack_cases(rows=st.sampled_from([5, 7, 8, 10, 11]), seeds=3))
+    @pytest.mark.parametrize("p, random_start", itertools.product(["inf", "two"], [False, True]))
+    def test_pgd_stack_equals_two_forward_oracle(self, p, random_start, case):
+        weights, batch, spec, seeds = case
+        spec = dataclasses.replace(spec, p=p, random_start=random_start)
+        with three_row_blocks(batch.inputs):
+            got = pgd_stack(weights, batch, spec, [make_rng(s) for s in seeds])
+        for s, seed in enumerate(seeds):
+            part = LabeledBatch(batch.inputs[s], batch.labels[s], batch.num_classes)
+            want = pgd_two_forward_oracle([w[s] for w in weights], part, spec, make_rng(seed))
+            assert np.array_equal(got[s].view(np.uint64), want.view(np.uint64))

@@ -1,12 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from advlab import trainer
-from advlab.attacks import AttackSpec, pgd
+from advlab.attacks import AttackSpec, eval_attack_pair, pgd
 from advlab.core import ParameterError, ShapeError, make_rng
-from advlab.data import LabeledBatch, blob_dataset
+from advlab.data import DatasetHandle, LabeledBatch, blob_dataset
 from advlab.fisher_rao import (BoundInputs, UndefinedMetricError,
                                complexity_bounds, gamma_ce, radius_estimates)
 from advlab.loat import LoatSchedule
@@ -287,6 +288,24 @@ class TestEvaluate:
                                       random_start=random_start, track_best=track_best)),
                    ("none", AttackSpec(eps=0.0)))
         assert evaluate(weights, data, attacks) == evaluate_oracle(weights, data, attacks)
+
+    def test_peak_memory_in_test_splits(self):
+        # a PGD-10 peak (5.7 test-split arrays, see test_attacks) plus the
+        # clean test trace, which every attack reuses, reads 6.0; 6.5 fails
+        # an evaluate that keeps the FGSM output alive through the PGD attack
+        # (7.0) or keeps any other dead test-split array.
+        rng = make_rng(20)
+        test = LabeledBatch(rng.uniform(size=(2000, 784)), rng.integers(0, 10, size=2000), 10)
+        train = LabeledBatch(test.inputs[:200].copy(), test.labels[:200].copy(), 10)
+        data = DatasetHandle(train, test, "uniform", "synthetic")
+        weights = init_weights(MlpConfig([784, 256, 10], seed=21))
+        tracemalloc.start()
+        try:
+            evaluate(weights, data, eval_attack_pair(AttackSpec()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * test.inputs.nbytes
 
     def test_zero_model_metrics(self):
         data = blob_data(seed=8, k=3)
