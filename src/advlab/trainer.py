@@ -173,10 +173,8 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
 
     adv_acc = {}
     for name, spec in eval_attacks:
-        adv_inputs = pgd(weights, data.test, spec, make_rng(EVAL_ATTACK_SEED),
-                         clean_trace=test_trace)
-        adv_logits = forward(weights, adv_inputs).logits
-        del adv_inputs  # so that the next attack runs without this one's output
+        adv_logits = forward(weights, pgd(weights, data.test, spec, make_rng(EVAL_ATTACK_SEED),
+                                          clean_trace=test_trace)).logits
         adv_acc[name] = float(correct_mask(adv_logits, data.test.labels).mean())
 
     est = radius_estimates_from_logits(train_logits, data.train.labels)

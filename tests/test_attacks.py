@@ -393,6 +393,29 @@ def attack_cases(draw, rows=st.integers(1, 8), seeds=None):
             rng_seeds[0] if seeds is None else rng_seeds)
 
 
+def cases_in_row_blocks(seeds=None):
+    """(case, blocked) pairs: an attack_cases case for attacks' own block size,
+    or, blocked, one of 5-11 rows (not a multiple of three) for three-row blocks."""
+    return st.one_of(
+        attack_cases(seeds=seeds).map(lambda case: (case, False)),
+        attack_cases(rows=st.sampled_from([5, 7, 8, 10, 11]), seeds=seeds)
+        .map(lambda case: (case, True)))
+
+
+@contextlib.contextmanager
+def row_blocks(x0, blocked):
+    """attacks' own block size, or if `blocked` its block constant set to three
+    rows of x0, which must then split into several blocks that end in a ragged one."""
+    if not blocked:
+        yield
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attacks, "_BLOCK", 3 * x0.size // x0.shape[-2])
+        blocks = attacks._row_blocks(x0)
+        assert len(blocks) >= 2 and x0[blocks[-1]].shape[-2] < 3
+        yield
+
+
 class TestPgdProperties:
     @settings(deadline=None, database=None, max_examples=200)
     @given(attack_cases(), st.booleans())
@@ -403,13 +426,26 @@ class TestPgdProperties:
         assert np.array_equal(got, pgd_two_forward_oracle(weights, batch, spec, make_rng(seed)))
 
     @settings(deadline=None, database=None, max_examples=200)
-    @given(attack_cases())
-    def test_oracle_bits_with_signed_zeros(self, case):
-        # array_equal reads -0.0 == 0.0; the raw words tell them apart
-        weights, batch, spec, seed = case
-        got = pgd(weights, batch, spec, make_rng(seed))
+    @given(cases_in_row_blocks())
+    def test_oracle_bits_with_signed_zeros(self, case_blocked):
+        # array_equal reads -0.0 == 0.0; the raw words tell them apart, at a
+        # block boundary too
+        (weights, batch, spec, seed), blocked = case_blocked
+        with row_blocks(batch.inputs, blocked):
+            got = pgd(weights, batch, spec, make_rng(seed))
         want = pgd_two_forward_oracle(weights, batch, spec, make_rng(seed))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(deadline=None, database=None, max_examples=100)
+    @given(cases_in_row_blocks(seeds=3))
+    def test_stack_oracle_bits_with_signed_zeros(self, case_blocked):
+        (weights, batch, spec, seeds), blocked = case_blocked
+        with row_blocks(batch.inputs, blocked):
+            got = pgd_stack(weights, batch, spec, [make_rng(s) for s in seeds])
+        for s, seed in enumerate(seeds):
+            part = LabeledBatch(batch.inputs[s], batch.labels[s], batch.num_classes)
+            want = pgd_two_forward_oracle([w[s] for w in weights], part, spec, make_rng(seed))
+            assert np.array_equal(got[s].view(np.uint64), want.view(np.uint64))
 
     @settings(deadline=None, database=None, max_examples=200)
     @given(attack_cases())
@@ -441,20 +477,9 @@ class TestPgdProperties:
         assert np.all(adv_loss >= clean_loss)
 
 
-@contextlib.contextmanager
-def three_row_blocks(x0):
-    """attacks' block constant set to three rows of x0, which must then split
-    into several blocks that end in a ragged one."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attacks, "_BLOCK", 3 * x0.size // x0.shape[-2])
-        blocks = attacks._row_blocks(x0)
-        assert len(blocks) >= 2 and x0[blocks[-1]].shape[-2] < 3
-        yield
-
-
 class TestRowBlocks:
     """A PGD step, the l-inf bounds and the l2 random start run one row block
-    at a time; the blocks must not change a bit."""
+    at a time (their bits are checked in TestPgdProperties)."""
 
     @pytest.mark.parametrize("shape, sizes", [
         ((2000, 784), [167] * 11 + [163]),
@@ -471,29 +496,3 @@ class TestRowBlocks:
         for b in blocks:
             covered[b[1]] += 1
         assert np.all(covered == 1)
-
-    @settings(deadline=None, database=None, max_examples=100)
-    @given(attack_cases(rows=st.sampled_from([5, 7, 8, 10, 11])), st.booleans())
-    @pytest.mark.parametrize("p, random_start", itertools.product(["inf", "two"], [False, True]))
-    def test_pgd_equals_two_forward_oracle(self, p, random_start, case, use_clean_trace):
-        weights, batch, spec, seed = case
-        spec = dataclasses.replace(spec, p=p, random_start=random_start)
-        clean_trace = forward(weights, batch.inputs) if use_clean_trace else None
-        with three_row_blocks(batch.inputs):
-            got = pgd(weights, batch, spec, make_rng(seed), clean_trace=clean_trace)
-        want = pgd_two_forward_oracle(weights, batch, spec, make_rng(seed))
-        # the raw words, so that a block boundary cannot turn -0.0 into 0.0 unseen
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    @settings(deadline=None, database=None, max_examples=100)
-    @given(attack_cases(rows=st.sampled_from([5, 7, 8, 10, 11]), seeds=3))
-    @pytest.mark.parametrize("p, random_start", itertools.product(["inf", "two"], [False, True]))
-    def test_pgd_stack_equals_two_forward_oracle(self, p, random_start, case):
-        weights, batch, spec, seeds = case
-        spec = dataclasses.replace(spec, p=p, random_start=random_start)
-        with three_row_blocks(batch.inputs):
-            got = pgd_stack(weights, batch, spec, [make_rng(s) for s in seeds])
-        for s, seed in enumerate(seeds):
-            part = LabeledBatch(batch.inputs[s], batch.labels[s], batch.num_classes)
-            want = pgd_two_forward_oracle([w[s] for w in weights], part, spec, make_rng(seed))
-            assert np.array_equal(got[s].view(np.uint64), want.view(np.uint64))
