@@ -16,20 +16,22 @@ forwarded the clean batch (the trainer does) passes that trace as
 `clean_trace`; it supplies the clean CE and the first gradient.  The
 outputs are bit-identical to forwarding every iterate twice.
 
-Batch-sized arrays held throughout: the iterate (a copy of the input,
-updated in place), best_x under track_best, and the l-inf clip bounds lo
-and hi, made before the iterate.  A step adds the input gradient, and the
-previous trace is dropped before the next forward.  The step itself, the
-l-inf bounds and the l2 random start's projection run one row block at a
-time: runs of rows (axis -2) of at most _BLOCK = 2^17 entries (1 MiB), or
-single rows where a row holds more.  So no step temporary is batch-sized,
-and a batch of at most 2^17 entries (a training batch of 128 x 784, a
-sweep stack) is one block, whose l-inf step is the same five numpy calls
-as an unblocked one.  Every operation of a step acts per row, so the
-blocks change no bit.  An l-inf track-best attack through widths
-[784, 256, 10] peaks at about 5.7 batch-sized arrays (the four above, the
-gradient, and the hidden activations and their delta while input_grad
-forms it), an l2 attack with a random start at about 3.7.
+Every row of an attack is independent (the CE gradient is per sample), so
+the whole attack runs once per row block: as few near-equal runs of rows
+(axis -2) as hold at most _BLOCK = 2^17 entries (1 MiB) of one seed's
+slice each, or single rows.  A random start is drawn for the whole batch
+first, so no generator stream depends on the blocks.  Only the output, a
+copy of the input that each block's iterate updates in place, is
+batch-sized: on 2000 x 784 through [784, 256, 10] an l-inf track-best
+attack peaks at about 1.6 batch-sized arrays, an l2 one with a random
+start at 2.5 (it holds the direction draw).  A block's gemm rows equal
+the whole batch's only outside OpenBLAS's small-matrix path (0.3.31:
+M*N <= 1200, so blocks of at most 120 rows at 10 classes).  A batch of
+at most 2^17 entries per seed (a 128 x 784 training batch, a sweep
+stack) is one block and equals the unblocked attack, as do 256 x 784
+and 2000 x 784 (blocks of 128 and 166-167 rows); the bits of any other
+multi-block attack are fixed by the batch shape.  A stack is cut as
+each seed's batch is, so pgd_stack equals each seed's pgd.
 
 pgd attacks one network; pgd_stack attacks a stacked batch (see core)
 through a stack of networks, every seed's attack in the same numpy calls.
@@ -56,7 +58,7 @@ from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, forward_stack, input_grad
 from .objectives import ce_loss, checked_ce_loss_and_grad
 
-_BLOCK = 2**17  # float64 entries per row block of a PGD step, bound or random start: 1 MiB
+_BLOCK = 2**17  # float64 entries of one seed's slice of a PGD row block: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -120,36 +122,25 @@ def pgd_stack(weights: list, batch: LabeledBatch, spec: AttackSpec,
     return _pgd(weights, batch, spec, rngs, clean_trace, forward_stack)
 
 
-def _row_blocks(a) -> list:
-    """Index tuples of a's row blocks: runs of rows (axis -2) of at most _BLOCK entries in
-    all, and of one row where a row holds more."""
-    rows = max(1, _BLOCK // (a.size // a.shape[-2]))
-    return [np.s_[..., start:start + rows, :] for start in range(0, a.shape[-2], rows)]
+def _row_blocks(x0) -> list:
+    """Row slices (axis -2) of x0's blocks: as few near-equal runs of rows as hold at
+    most _BLOCK entries of one seed's slice each, or single rows where a row holds more."""
+    n = x0.shape[-2]
+    count = -(-n // max(1, _BLOCK // x0.shape[-1]))
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
-def _corner_projection(x0, corner: float, eps: float, blocks: list) -> np.ndarray:
-    """project(x0, the box corner of all-`corner` entries, "inf", eps), one row block at a
-    time.  The blocks are joined once all are made: writing them into an output made
-    first measured twice as slow at one block (128 x 784) and slowed small-batch sweeps."""
-    return np.concatenate([project(x0[b], np.full_like(x0[b], corner), "inf", eps)
-                           for b in blocks], axis=-2)
-
-
-def _step(x, x0, grad, lo, hi, spec, blocks) -> None:
-    """One PGD step on the iterate x in place, one row block at a time; lo and hi are
-    the l-inf clip bounds."""
-    for b in blocks:
-        xb, gb = x[b], grad[b]
-        if spec.p == "inf":
-            moved = np.sign(gb)  # numpy's in-place sign is several times slower
-            moved *= spec.alpha
-            xb += moved
-            np.maximum(xb, lo[b], out=xb)
-            np.minimum(xb, hi[b], out=xb)
-        else:
-            norms = np.linalg.norm(gb, axis=-1, keepdims=True)
-            xb[...] = project(x0[b], xb + spec.alpha * gb / np.maximum(norms, 1e-300),
-                              "two", spec.eps)
+def _step(x, x0, grad, lo, hi, spec) -> None:
+    """One PGD step on the iterate x in place; lo and hi are the l-inf clip bounds."""
+    if spec.p == "inf":
+        moved = np.sign(grad)  # numpy's in-place sign is several times slower
+        moved *= spec.alpha
+        x += moved
+        np.maximum(x, lo, out=x)
+        np.minimum(x, hi, out=x)
+    else:
+        norms = np.linalg.norm(grad, axis=-1, keepdims=True)
+        x[...] = project(x0, x + spec.alpha * grad / np.maximum(norms, 1e-300), "two", spec.eps)
 
 
 def _pgd(weights, batch, spec, rng, clean_trace, forward):
@@ -157,16 +148,9 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
     x0 = batch.inputs
     if spec.eps == 0.0:
         return x0.copy()
-    blocks = _row_blocks(x0)
-    lo = hi = None
-    if spec.p == "inf":
-        # The l-inf projection acts per coordinate and is monotone, so it
-        # equals one clip between the projections of the box corners 0 and 1.
-        # Each step does that clip in place as a maximum with lo, then a
-        # minimum with hi: neither the step nor lo or hi is ever -0.0, so
-        # the ties np.clip breaks the other way hold equal bits.
-        lo = _corner_projection(x0, 0.0, spec.eps, blocks)
-        hi = _corner_projection(x0, 1.0, spec.eps, blocks)
+    labels = check_labels(batch.labels, *x0.shape[:-1], weights[-1].shape[-2])
+    if clean_trace is not None:
+        check_shape(clean_trace.logits, (*labels.shape, weights[-1].shape[-2]), "clean logits")
     x = x0.copy()  # the iterate, which random starts and steps update in place
     if spec.random_start:
         if rng is None:
@@ -174,40 +158,53 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
         seeds = x0.shape[0] if x0.ndim == 3 else None
         if spec.p == "inf":
             x += draw_per_seed(rng, lambda r: r.uniform(-spec.eps, spec.eps, x0.shape[-2:]), seeds)
-            np.clip(x, lo, hi, out=x)
         else:
             # each generator draws its direction, then its radius
             direction = draw_per_seed(rng, lambda r: r.standard_normal(x0.shape[-2:]), seeds)
             radius = spec.eps * draw_per_seed(rng, lambda r: r.uniform(
                 0.0, 1.0, size=(x0.shape[-2], 1)), seeds) ** (1.0 / x0.shape[-1])
-            for b in blocks:
-                unit = direction[b]
-                unit /= np.maximum(np.linalg.norm(unit, axis=-1, keepdims=True), 1e-300)
-                x[b] = project(x0[b], x[b] + radius[b] * unit, "two", spec.eps)
-            del direction, unit  # unit is a view, which would keep direction alive
 
-    # The clean point is always a candidate: with a random start its CE is
-    # the baseline, and without one it is iterate 0 over a -inf baseline.
-    if clean_trace is None and (spec.track_best or not spec.random_start):
-        clean_trace = forward(weights, x0)
-    trace = forward(weights, x) if spec.random_start else clean_trace
-    labels = check_labels(batch.labels, *trace.logits.shape)
-    if spec.track_best:
-        best_x = x0.copy()
-        best_loss = ce_loss(clean_trace.logits, labels)[0] if spec.random_start else -np.inf
-    del clean_trace  # so that the loop's `del trace` frees iterate 0's trace
+    for rows in _row_blocks(x0):
+        x0_b, x_b, labels_b = x0[..., rows, :], x[..., rows, :], labels[..., rows]
+        lo = hi = None
+        if spec.p == "inf":
+            # The l-inf projection acts per coordinate and is monotone, so it equals
+            # one clip between the projections of the box corners 0 and 1.  Each step
+            # clips in place, a maximum with lo then a minimum with hi: neither the step
+            # nor lo or hi is ever -0.0, so the ties np.clip breaks otherwise keep bits.
+            lo, hi = (project(x0_b, np.full_like(x0_b, corner), "inf", spec.eps)
+                      for corner in (0.0, 1.0))
+            if spec.random_start:
+                np.clip(x_b, lo, hi, out=x_b)
+        elif spec.random_start:
+            unit = direction[..., rows, :]
+            unit /= np.maximum(np.linalg.norm(unit, axis=-1, keepdims=True), 1e-300)
+            x_b[...] = project(x0_b, x_b + radius[..., rows, :] * unit, "two", spec.eps)
 
-    for step in range(spec.k + 1):
-        if step:
-            _step(x, x0, input_grad(weights, trace, logit_grad), lo, hi, spec, blocks)
-            if step == spec.k and not spec.track_best:
-                break
-            del trace
-            trace = forward(weights, x)
-        loss, logit_grad = checked_ce_loss_and_grad(trace.logits, labels)
+        # The clean point is always a candidate: with a random start its CE is
+        # the baseline, and without one it is iterate 0 over a -inf baseline.
+        clean = None if clean_trace is None else ForwardTrace(
+            clean_trace.inputs[..., rows, :], [h[..., rows, :] for h in clean_trace.hidden],
+            clean_trace.logits[..., rows, :])
+        if clean is None and (spec.track_best or not spec.random_start):
+            clean = forward(weights, x0_b)
+        trace = forward(weights, x_b) if spec.random_start else clean
         if spec.track_best:
-            improved = loss > best_loss
-            np.copyto(best_x, x, where=improved[..., None])
-            best_loss = np.maximum(best_loss, loss)
+            best_x = x0_b.copy()
+            best_loss = ce_loss(clean.logits, labels_b)[0] if spec.random_start else -np.inf
 
-    return best_x if spec.track_best else x
+        for step in range(spec.k + 1):
+            if step:
+                _step(x_b, x0_b, input_grad(weights, trace, logit_grad), lo, hi, spec)
+                if step == spec.k and not spec.track_best:
+                    break
+                trace = forward(weights, x_b)
+            loss, logit_grad = checked_ce_loss_and_grad(trace.logits, labels_b)
+            if spec.track_best:
+                improved = loss > best_loss
+                np.copyto(best_x, x_b, where=improved[..., None])
+                best_loss = np.maximum(best_loss, loss)
+        if spec.track_best:
+            x_b[...] = best_x
+
+    return x

@@ -314,19 +314,19 @@ class TestPgd:
         return peak / batch.inputs.nbytes
 
     def test_peak_memory_in_iterates(self):
-        # the loop holds x, best_x, lo and hi; a step adds the input gradient,
-        # and while input_grad forms it the hidden activations and their delta
-        # add 0.7.  The step itself runs one 1 MiB row block at a time.  That
-        # reads 5.7 batch-sized arrays; 6 still fails a loop that keeps one
-        # dead array (6.7), or a step with one batch-sized temporary.
-        assert self.peak_in_arrays(AttackSpec(k=10, track_best=True)) <= 6.0
+        # the iterate x is the one batch-sized array; each row block of at most
+        # 2^17 entries (1/12 of this batch) holds its bounds, best iterate,
+        # traces and gradient, and a block's arrays live on while the next
+        # block's bounds are made.  That reads 1.6 batch-sized arrays; 2 fails
+        # an attack that keeps one more (a whole-batch bound or best_x, 2.6).
+        assert self.peak_in_arrays(AttackSpec(k=10, track_best=True)) <= 2.0
 
     def test_peak_memory_l2_random_start(self):
-        # no bounds: x and best_x, the direction draw only until the start is
-        # projected (row block by row block), then the l-inf accounting less
-        # lo and hi.  That reads 3.7 batch-sized arrays; 4.5 fails one dead array.
+        # no bounds: x and the direction draw, which is drawn for the whole
+        # batch first and normalised block by block, then the blocks' arrays
+        # as above.  That reads 2.5 batch-sized arrays; 3 fails one more.
         spec = AttackSpec(p="two", eps=1.0, alpha=0.25, k=10, random_start=True)
-        assert self.peak_in_arrays(spec, make_rng(3)) <= 4.5
+        assert self.peak_in_arrays(spec, make_rng(3)) <= 3.0
 
 
 class TestOneForwardPerIterate:
@@ -395,7 +395,7 @@ def attack_cases(draw, rows=st.integers(1, 8), seeds=None):
 
 def cases_in_row_blocks(seeds=None):
     """(case, blocked) pairs: an attack_cases case for attacks' own block size,
-    or, blocked, one of 5-11 rows (not a multiple of three) for three-row blocks."""
+    or, blocked, one of 5-11 rows (not a multiple of three) for blocks of 2-3 rows."""
     return st.one_of(
         attack_cases(seeds=seeds).map(lambda case: (case, False)),
         attack_cases(rows=st.sampled_from([5, 7, 8, 10, 11]), seeds=seeds)
@@ -405,14 +405,13 @@ def cases_in_row_blocks(seeds=None):
 @contextlib.contextmanager
 def row_blocks(x0, blocked):
     """attacks' own block size, or if `blocked` its block constant set to three
-    rows of x0, which must then split into several blocks that end in a ragged one."""
+    rows of one seed's slice of x0, which must then split into several blocks."""
     if not blocked:
         yield
         return
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attacks, "_BLOCK", 3 * x0.size // x0.shape[-2])
-        blocks = attacks._row_blocks(x0)
-        assert len(blocks) >= 2 and x0[blocks[-1]].shape[-2] < 3
+        mp.setattr(attacks, "_BLOCK", 3 * x0.shape[-1])
+        assert len(attacks._row_blocks(x0)) >= 2
         yield
 
 
@@ -478,21 +477,43 @@ class TestPgdProperties:
 
 
 class TestRowBlocks:
-    """A PGD step, the l-inf bounds and the l2 random start run one row block
-    at a time (their bits are checked in TestPgdProperties)."""
+    """Each row block of a batch runs the whole attack (its bits against the
+    two-forward oracle are checked in TestPgdProperties)."""
 
     @pytest.mark.parametrize("shape, sizes", [
-        ((2000, 784), [167] * 11 + [163]),
+        ((2000, 784), [166, 167, 167] * 4),
         ((128, 784), [128]),
+        ((256, 784), [128, 128]),
         ((6, 64, 32), [64]),
+        ((2, 256, 784), [128, 128]),
         ((3, 2**17 + 1), [1, 1, 1]),
-    ], ids=["eval_analysis_test_split", "pgd_train_batch", "sweep_grid_stack", "rows_wider_than_a_block"])
+    ], ids=["eval_analysis_test_split", "pgd_train_batch", "sweep784_test_split",
+            "sweep_grid_stack", "stack_of_two_test_splits", "rows_wider_than_a_block"])
     def test_block_rule(self, shape, sizes):
-        a = np.zeros(shape)
-        blocks = attacks._row_blocks(a)
-        assert [a[b].shape[-2] for b in blocks] == sizes
-        assert all(a[b].size <= max(attacks._BLOCK, a[b].shape[-1]) for b in blocks)
-        covered = np.zeros(shape[-2], dtype=int)
-        for b in blocks:
-            covered[b[1]] += 1
-        assert np.all(covered == 1)
+        # near-equal blocks, as few as hold at most _BLOCK entries of one seed's slice
+        blocks = attacks._row_blocks(np.zeros(shape))
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert blocks[0].start == 0 and blocks[-1].stop == shape[-2]
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all((b.stop - b.start) * shape[-1] <= max(attacks._BLOCK, shape[-1])
+                   for b in blocks)
+
+    @pytest.mark.parametrize("spec", [
+        AttackSpec(k=3, track_best=True),
+        AttackSpec(p="two", eps=1.0, alpha=0.25, k=3, random_start=True),
+    ], ids=["linf_track_best", "l2_random_start"])
+    def test_stack_equals_each_seed_pgd(self, spec):
+        # a 2 x 256 x 784 stack is cut into the blocks of one seed's 256 x 784
+        # batch (128 + 128); blocks counted over the whole stack (four of 64
+        # rows) would run the last layer's gemm through OpenBLAS's small-matrix
+        # path, whose bits differ from the single network's
+        rng = make_rng(30)
+        nets = [init_weights(MlpConfig([784, 256, 10], seed=s)) for s in (31, 32)]
+        batch = LabeledBatch(rng.uniform(size=(2, 256, 784)),
+                             rng.integers(0, 10, size=(2, 256)), 10)
+        got = pgd_stack([np.stack(layer) for layer in zip(*nets)], batch, spec,
+                        [make_rng(s) for s in (33, 34)])
+        for s, net in enumerate(nets):
+            part = LabeledBatch(batch.inputs[s], batch.labels[s], 10)
+            want = pgd(net, part, spec, make_rng(33 + s))
+            assert np.array_equal(got[s].view(np.uint64), want.view(np.uint64))

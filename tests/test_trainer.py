@@ -290,10 +290,10 @@ class TestEvaluate:
         assert evaluate(weights, data, attacks) == evaluate_oracle(weights, data, attacks)
 
     def test_peak_memory_in_test_splits(self):
-        # a PGD-10 peak (5.7 test-split arrays, see test_attacks) plus the
-        # clean test trace, which every attack reuses, reads 6.0; 6.5 fails
+        # a PGD-10 peak (1.6 test-split arrays, see test_attacks) plus the
+        # clean test trace, which every attack reuses, reads 2.0; 2.5 fails
         # an evaluate that keeps the FGSM output alive through the PGD attack
-        # (7.0) or keeps any other dead test-split array.
+        # (3.0) or keeps any other dead test-split array.
         rng = make_rng(20)
         test = LabeledBatch(rng.uniform(size=(2000, 784)), rng.integers(0, 10, size=2000), 10)
         train = LabeledBatch(test.inputs[:200].copy(), test.labels[:200].copy(), 10)
@@ -305,7 +305,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.5 * test.inputs.nbytes
+        assert peak <= 2.5 * test.inputs.nbytes
 
     def test_zero_model_metrics(self):
         data = blob_data(seed=8, k=3)

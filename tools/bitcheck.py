@@ -15,6 +15,11 @@ fields are left out, so equal lines mean equal outputs:
   train_stack_4   weights and histories of one 4-seed trainer.train_stack call
   attacks         pgd and pgd_stack outputs for l-inf / l2, with and without a
                   random start and track-best, on inputs holding -0.0 entries
+  pgd_blocks      pgd on a 2000 x 784 batch (12 row blocks) and pgd_stack on a
+                  2 x 256 x 784 stack (two blocks per seed) through widths
+                  [784, 256, 10], l-inf track-best and l2 with a random start;
+                  the l2 outputs differ between OPENBLAS_NUM_THREADS=1 and two
+                  threads, so compare lines made at one thread count
   loat            loat.loat's penalty and both logit gradients, signs of zeros
                   included, for SLORE / LORE in the early, off and late phases,
                   over all-correct, all-wrong and mixed masks, with and without
@@ -167,6 +172,23 @@ def attack_digest(lab):
     return digest(parts)
 
 
+def pgd_blocks_digest(lab):
+    rng = np.random.default_rng(9)
+    inputs, labels = rng.uniform(size=(2000, 784)), rng.integers(0, 10, size=2000)
+    nets = [lab.mlp.init_weights(lab.mlp.MlpConfig([784, 256, 10], seed=s)) for s in (1, 2)]
+    stacked = [np.stack(layer) for layer in zip(*nets)]
+    stacked_batch = lab.data.LabeledBatch(inputs[:512].reshape(2, 256, 784),
+                                          labels[:512].reshape(2, 256), 10)
+    parts = []
+    for spec in (lab.attacks.AttackSpec(k=3),
+                 lab.attacks.AttackSpec(p="two", eps=1.0, alpha=0.25, k=3, random_start=True)):
+        parts.append(lab.attacks.pgd(nets[0], lab.data.LabeledBatch(inputs, labels, 10), spec,
+                                     np.random.default_rng(4)))
+        parts.append(lab.attacks.pgd_stack(stacked, stacked_batch, spec,
+                                           [np.random.default_rng(s) for s in (5, 6)]))
+    return digest(parts)
+
+
 def loat_digest(lab):
     parts = []
     for k in (2, 4):
@@ -269,7 +291,8 @@ def main(argv=None) -> int:
     import advlab.cli  # noqa: F401 - binds the submodules used below
     import advlab as lab
 
-    out = {**train_digests(lab), "attacks": attack_digest(lab), "loat": loat_digest(lab),
+    out = {**train_digests(lab), "attacks": attack_digest(lab),
+           "pgd_blocks": pgd_blocks_digest(lab), "loat": loat_digest(lab),
            "rademacher": rademacher_digest(
                lab, (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
                      np.random.SFC64, np.random.MT19937),
