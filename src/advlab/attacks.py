@@ -17,9 +17,8 @@ forwarded the clean batch (the trainer does) passes that trace as
 outputs are bit-identical to forwarding every iterate twice.
 
 Every row of an attack is independent (the CE gradient is per sample), so
-the whole attack runs once per row block: as few near-equal runs of rows
-(axis -2) as hold at most _BLOCK = 2^17 entries (1 MiB) of one seed's
-slice each, or single rows.  A random start is drawn for the whole batch
+the whole attack runs once per row block of core.row_blocks (at most 2^17
+entries of one seed's slice).  A random start is drawn for the whole batch
 first, so no generator stream depends on the blocks.  Only the output, a
 copy of the input that each block's iterate updates in place, is
 batch-sized: on 2000 x 784 through [784, 256, 10] an l-inf track-best
@@ -53,12 +52,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ParameterError, as_stack, check_count, check_labels, check_real, check_shape,
-                   draw_per_seed)
+                   draw_per_seed, row_blocks)
 from .data import LabeledBatch
 from .mlp import ForwardTrace, forward, forward_stack, input_grad
 from .objectives import ce_loss, checked_ce_loss_and_grad
-
-_BLOCK = 2**17  # float64 entries of one seed's slice of a PGD row block: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -122,14 +119,6 @@ def pgd_stack(weights: list, batch: LabeledBatch, spec: AttackSpec,
     return _pgd(weights, batch, spec, rngs, clean_trace, forward_stack)
 
 
-def _row_blocks(x0) -> list:
-    """Row slices (axis -2) of x0's blocks: as few near-equal runs of rows as hold at
-    most _BLOCK entries of one seed's slice each, or single rows where a row holds more."""
-    n = x0.shape[-2]
-    count = -(-n // max(1, _BLOCK // x0.shape[-1]))
-    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
-
-
 def _step(x, x0, grad, lo, hi, spec) -> None:
     """One PGD step on the iterate x in place; lo and hi are the l-inf clip bounds."""
     if spec.p == "inf":
@@ -164,7 +153,7 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
             radius = spec.eps * draw_per_seed(rng, lambda r: r.uniform(
                 0.0, 1.0, size=(x0.shape[-2], 1)), seeds) ** (1.0 / x0.shape[-1])
 
-    for rows in _row_blocks(x0):
+    for rows in row_blocks(x0):
         x0_b, x_b, labels_b = x0[..., rows, :], x[..., rows, :], labels[..., rows]
         lo = hi = None
         if spec.p == "inf":

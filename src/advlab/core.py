@@ -21,6 +21,9 @@ row reduction runs along the last axis, so each slice gets the bits of its
 own 2-D call.  stack_of builds a stack from per-seed parts, seeds_of splits
 one, per_seed maps a per-seed scalar rule over it, and draw_per_seed is the
 one rule for random draws: one generator, or a list with one per seed.
+
+row_blocks is the one row-block rule, of PGD and trainer.evaluate; it counts
+a block's entries per seed, so a stack is cut as each seed's batch is.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import numbers
 import struct
 
 import numpy as np
+
+_BLOCK = 2**17  # float64 entries of one seed's slice of a row block: 1 MiB
 
 
 class ShapeError(ValueError):
@@ -206,6 +211,14 @@ def exp_logsumexp_rows(m):
         if bad.any():
             lse[bad] = np.log(np.exp(m[bad]).sum(axis=-1, keepdims=True))
     return e, lse
+
+
+def row_blocks(a) -> list:
+    """Row slices (axis -2) of a's blocks: as few near-equal runs of rows as hold at
+    most _BLOCK entries of one seed's slice each, or single rows where a row holds more."""
+    n = a.shape[-2]
+    count = -(-n // max(1, _BLOCK // a.shape[-1]))
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
 def draw_per_seed(rng, draw, seeds: int | None = None):

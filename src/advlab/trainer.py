@@ -12,6 +12,10 @@ reproducible in isolation and a whole run replays bit-identically
 epoch_wall_ms measures the batch loop only, excluding the per-epoch
 metric evaluation, matching a training-time-per-epoch reading.
 
+evaluate runs each row block of a split end to end.  Its records equal
+those of whole-split forwards at 10 classes on 784-d splits, but their
+last bits differ at 4 or 2 classes (see evaluate).
+
 train_stack(cfg, data, seeds) trains one config under several seeds in
 lockstep, each seed setting both seed and model.seed, on arrays with a
 leading stack axis (see core): a sweep trains the seeds of one (width,
@@ -19,8 +23,7 @@ lambda) this way, and each numpy call of the batch step serves every
 seed.  Each seed keeps its own init, its own per-epoch generators,
 shuffle order and attack draws, so its weights and records equal those
 of its own train() run bit for bit.  The per-epoch metrics are evaluated
-one seed at a time, so the whole-split working set of evaluate is held
-for one network, not for the stack.  epoch_wall_ms is the stacked
+one seed at a time.  epoch_wall_ms is the stacked
 epoch's time, shared by the stack's seeds.  train runs the same loop on
 a stack of one, which has no stack axis.  A blow-up raises
 DivergenceError, with numpy's overflow warnings silenced.  sgd_step
@@ -40,7 +43,8 @@ from .attacks import AttackSpec, pgd, pgd_stack
 # softmax_rows is unused here but stays bound: perfbench's tracer counts the
 # softmax passes of this module through this name.
 from .core import (NonFiniteError, ParameterError, check_count, check_finite,  # noqa: F401
-                   check_real, check_shape, make_rng, seeds_of, softmax_rows, stack_of)
+                   check_real, check_shape, make_rng, row_blocks, seeds_of, softmax_rows,
+                   stack_of)
 from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule, loat
@@ -161,21 +165,38 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
     """Full-split metrics: risks, adversarial accuracies, radius estimates.
 
     Radius estimates (and hence gamma_ce and the complexity bounds) are
-    computed on the training split.  Undefined metrics stay None.  Each
-    split is forwarded once: the train logits serve the risk and the
-    radius estimates, the test trace the risk and every eval attack's
-    clean start.
-    """
-    train_logits = forward(weights, data.train.inputs).logits
-    train_report = risk_from_logits(train_logits, data.train.labels)
-    test_trace = forward(weights, data.test.inputs)
-    test_report = risk_from_logits(test_trace.logits, data.test.labels)
+    computed on the training split.  Undefined metrics stay None.  Both
+    splits run in the blocks of core.row_blocks, and only their n x K
+    logits and each attack's per-row correct mask outlive a block.  A test
+    block's one forward gives its logits and every eval attack's clean start.
 
-    adv_acc = {}
-    for name, spec in eval_attacks:
-        adv_logits = forward(weights, pgd(weights, data.test, spec, make_rng(EVAL_ATTACK_SEED),
-                                          clean_trace=test_trace)).logits
-        adv_acc[name] = float(correct_mask(adv_logits, data.test.labels).mean())
+    Each eval attack draws from one generator, seeded EVAL_ATTACK_SEED, block
+    after block: an l-inf random start draws a whole-split pgd call's stream,
+    an l2 one each block's directions, then its radii.  Block logits equal
+    the whole split's only where neither gemm takes OpenBLAS's small-matrix
+    path (0.3.31: M*N <= 1200, M rows, N outputs), as in pgd: at 10 classes
+    a 784-d split's 166-167-row blocks keep its bits, but at 4 or 2 classes
+    their last-layer gemm gives others (4,000 and about 3,980 of a
+    4000 x 784 split's logit rows differ).
+    """
+    k = weights[-1].shape[0]
+    train_logits = np.empty((data.train.n, k))
+    for rows in row_blocks(data.train.inputs):
+        train_logits[rows] = forward(weights, data.train.inputs[rows]).logits
+    test = data.test
+    test_logits = np.empty((test.n, k))
+    adv_correct = {name: np.empty(test.n, dtype=bool) for name, _ in eval_attacks}
+    rngs = [make_rng(EVAL_ATTACK_SEED) for _ in eval_attacks]
+    for rows in row_blocks(test.inputs):
+        block = LabeledBatch(test.inputs[rows], test.labels[rows], test.num_classes)
+        trace = forward(weights, block.inputs)
+        test_logits[rows] = trace.logits
+        for (name, spec), rng in zip(eval_attacks, rngs):
+            adv = pgd(weights, block, spec, rng, clean_trace=trace)
+            adv_correct[name][rows] = correct_mask(forward(weights, adv).logits, block.labels)
+    train_report = risk_from_logits(train_logits, data.train.labels)
+    test_report = risk_from_logits(test_logits, test.labels)
+    adv_acc = {name: float(mask.mean()) for name, mask in adv_correct.items()}
 
     est = radius_estimates_from_logits(train_logits, data.train.labels)
     g_ce, bound_lo, bound_hi = bounds_of(est, data.train.num_classes)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from advlab import attacks
+from advlab import core
 from advlab.attacks import AttackSpec, eval_attack_pair, pgd, pgd_stack, project
 from advlab.core import ParameterError, ShapeError, make_rng
 from advlab.data import LabeledBatch
@@ -394,7 +394,7 @@ def attack_cases(draw, rows=st.integers(1, 8), seeds=None):
 
 
 def cases_in_row_blocks(seeds=None):
-    """(case, blocked) pairs: an attack_cases case for attacks' own block size,
+    """(case, blocked) pairs: an attack_cases case for core's own block size,
     or, blocked, one of 5-11 rows (not a multiple of three) for blocks of 2-3 rows."""
     return st.one_of(
         attack_cases(seeds=seeds).map(lambda case: (case, False)),
@@ -404,14 +404,14 @@ def cases_in_row_blocks(seeds=None):
 
 @contextlib.contextmanager
 def row_blocks(x0, blocked):
-    """attacks' own block size, or if `blocked` its block constant set to three
+    """core's own block size, or if `blocked` its block constant set to three
     rows of one seed's slice of x0, which must then split into several blocks."""
     if not blocked:
         yield
         return
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attacks, "_BLOCK", 3 * x0.shape[-1])
-        assert len(attacks._row_blocks(x0)) >= 2
+        mp.setattr(core, "_BLOCK", 3 * x0.shape[-1])
+        assert len(core.row_blocks(x0)) >= 2
         yield
 
 
@@ -491,11 +491,11 @@ class TestRowBlocks:
             "sweep_grid_stack", "stack_of_two_test_splits", "rows_wider_than_a_block"])
     def test_block_rule(self, shape, sizes):
         # near-equal blocks, as few as hold at most _BLOCK entries of one seed's slice
-        blocks = attacks._row_blocks(np.zeros(shape))
+        blocks = core.row_blocks(np.zeros(shape))
         assert [b.stop - b.start for b in blocks] == sizes
         assert blocks[0].start == 0 and blocks[-1].stop == shape[-2]
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        assert all((b.stop - b.start) * shape[-1] <= max(attacks._BLOCK, shape[-1])
+        assert all((b.stop - b.start) * shape[-1] <= max(core._BLOCK, shape[-1])
                    for b in blocks)
 
     @pytest.mark.parametrize("spec", [

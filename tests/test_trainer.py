@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from advlab import trainer
+from advlab import core, trainer
 from advlab.attacks import AttackSpec, eval_attack_pair, pgd
 from advlab.core import ParameterError, ShapeError, make_rng
 from advlab.data import DatasetHandle, LabeledBatch, blob_dataset
@@ -277,23 +277,45 @@ def evaluate_oracle(weights, data, eval_attacks, attack_seed=12345):
 
 
 class TestEvaluate:
+    @staticmethod
+    def check_oracle(p, random_start, track_best, blocked=False):
+        data = blob_data(seed=11, spread=0.3)
+        weights = init_weights(MlpConfig([5, 7, 3], seed=4))
+        pgd_spec = AttackSpec(p=p, eps=0.06, alpha=0.02, k=4, random_start=random_start,
+                              track_best=track_best)
+        attacks = (("fgsm", AttackSpec(p="inf", eps=0.06, alpha=0.06, k=1)),
+                   ("pgd", pgd_spec), ("none", AttackSpec(eps=0.0)))
+        want = evaluate_oracle(weights, data, attacks)
+        if blocked and p == "two" and random_start:
+            # the documented exception: each block draws its directions, then its
+            # radii, from the attack's one generator
+            test, rng = data.test, make_rng(trainer.EVAL_ATTACK_SEED)
+            adv = np.concatenate([
+                pgd(weights, LabeledBatch(test.inputs[rows], test.labels[rows], 3), pgd_spec, rng)
+                for rows in core.row_blocks(test.inputs)])
+            acc = risk(weights, LabeledBatch(adv, test.labels, 3)).accuracy
+            want = dataclasses.replace(want, adv_test_acc={**want.adv_test_acc, "pgd": acc})
+        assert evaluate(weights, data, attacks) == want
+
     @pytest.mark.parametrize("p", ["inf", "two"])
     @pytest.mark.parametrize("random_start", [False, True])
     @pytest.mark.parametrize("track_best", [False, True])
     def test_equals_one_forward_per_use(self, p, random_start, track_best):
-        data = blob_data(seed=11, spread=0.3)
-        weights = init_weights(MlpConfig([5, 7, 3], seed=4))
-        attacks = (("fgsm", AttackSpec(p="inf", eps=0.06, alpha=0.06, k=1)),
-                   ("pgd", AttackSpec(p=p, eps=0.06, alpha=0.02, k=4,
-                                      random_start=random_start, track_best=track_best)),
-                   ("none", AttackSpec(eps=0.0)))
-        assert evaluate(weights, data, attacks) == evaluate_oracle(weights, data, attacks)
+        self.check_oracle(p, random_start, track_best)
+
+    @pytest.mark.parametrize("p", ["inf", "two"])
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("track_best", [False, True])
+    def test_equals_oracle_in_row_blocks(self, p, random_start, track_best, monkeypatch):
+        # blocks of three rows: 40 train and 20 test blocks of the 5-d splits
+        monkeypatch.setattr(core, "_BLOCK", 3 * 5)
+        self.check_oracle(p, random_start, track_best, blocked=True)
 
     def test_peak_memory_in_test_splits(self):
-        # a PGD-10 peak (1.6 test-split arrays, see test_attacks) plus the
-        # clean test trace, which every attack reuses, reads 2.0; 2.5 fails
-        # an evaluate that keeps the FGSM output alive through the PGD attack
-        # (3.0) or keeps any other dead test-split array.
+        # the PGD-10 of one 166-167-row block peaks at about 6.7 MiB, and the
+        # whole evaluate reads 0.66 test-split arrays (12.5 MB each); 1.0 fails
+        # one that holds any whole test-split array, as the clean test trace or
+        # an attack's output.
         rng = make_rng(20)
         test = LabeledBatch(rng.uniform(size=(2000, 784)), rng.integers(0, 10, size=2000), 10)
         train = LabeledBatch(test.inputs[:200].copy(), test.labels[:200].copy(), 10)
@@ -305,7 +327,24 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * test.inputs.nbytes
+        assert peak <= 1.0 * test.inputs.nbytes
+
+    def test_peak_memory_in_train_splits(self):
+        # the train split is forwarded block by block and only its 4000 x 10
+        # logits are kept: 0.05 train-split arrays; the hidden layer of one
+        # whole-split forward alone is 0.33 (4000 x 256)
+        rng = make_rng(22)
+        train = LabeledBatch(rng.uniform(size=(4000, 784)), rng.integers(0, 10, size=4000), 10)
+        test = LabeledBatch(train.inputs[:200].copy(), train.labels[:200].copy(), 10)
+        data = DatasetHandle(train, test, "uniform", "synthetic")
+        weights = init_weights(MlpConfig([784, 256, 10], seed=21))
+        tracemalloc.start()
+        try:
+            evaluate(weights, data, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * train.inputs.nbytes
 
     def test_zero_model_metrics(self):
         data = blob_data(seed=8, k=3)

@@ -20,6 +20,13 @@ fields are left out, so equal lines mean equal outputs:
                   [784, 256, 10], l-inf track-best and l2 with a random start;
                   the l2 outputs differ between OPENBLAS_NUM_THREADS=1 and two
                   threads, so compare lines made at one thread count
+  evaluate_blocks trainer.evaluate's record without epoch_wall_ms on the 4000 x 784
+                  train and 2000 x 784 test splits of a 10-class blob dataset
+                  (24 and 12 row blocks), through widths [784, 256, 10] after
+                  one clean epoch, with the eval attacks of the default
+                  AttackSpec (track-best FGSM and PGD-10) and an l-inf PGD-10
+                  with a random start, and the weights; like pgd_blocks it
+                  differs between OPENBLAS_NUM_THREADS=1 and two threads
   loat            loat.loat's penalty and both logit gradients, signs of zeros
                   included, for SLORE / LORE in the early, off and late phases,
                   over all-correct, all-wrong and mixed masks, with and without
@@ -189,6 +196,18 @@ def pgd_blocks_digest(lab):
     return digest(parts)
 
 
+def evaluate_blocks_digest(lab):
+    # one clean epoch, so that the attacks leave some test rows correct
+    data = lab.data.blob_dataset(10, 4000, 2000, 784, 10, 2.0)
+    weights, _ = lab.trainer.train(lab.trainer.TrainConfig(
+        model=lab.mlp.MlpConfig([784, 256, 10], seed=3),
+        objective=lab.objectives.ObjectiveSpec(kind="standard"), epochs=1, seed=3), data)
+    spec = lab.attacks.AttackSpec()
+    attacks = lab.attacks.eval_attack_pair(spec) + (
+        ("pgd_random_start", dataclasses.replace(spec, random_start=True)),)
+    return digest(run_parts(weights, [lab.trainer.evaluate(weights, data, attacks)]))
+
+
 def loat_digest(lab):
     parts = []
     for k in (2, 4):
@@ -292,7 +311,8 @@ def main(argv=None) -> int:
     import advlab as lab
 
     out = {**train_digests(lab), "attacks": attack_digest(lab),
-           "pgd_blocks": pgd_blocks_digest(lab), "loat": loat_digest(lab),
+           "pgd_blocks": pgd_blocks_digest(lab), "evaluate_blocks": evaluate_blocks_digest(lab),
+           "loat": loat_digest(lab),
            "rademacher": rademacher_digest(
                lab, (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
                      np.random.SFC64, np.random.MT19937),
