@@ -18,25 +18,27 @@ outputs are bit-identical to forwarding every iterate twice.
 
 Every row of an attack is independent (the CE gradient is per sample), so
 the whole attack runs once per row block of core.row_blocks (at most 2^17
-entries of one seed's slice).  A random start is drawn for the whole batch
-first, so no generator stream depends on the blocks.  Only the output, a
-copy of the input that each block's iterate updates in place, is
-batch-sized: on 2000 x 784 through [784, 256, 10] an l-inf track-best
-attack peaks at about 1.6 batch-sized arrays, an l2 one with a random
-start at 2.5 (it holds the direction draw).  A block's gemm rows equal
-the whole batch's only outside OpenBLAS's small-matrix path (0.3.31:
-M*N <= 1200, so blocks of at most 120 rows at 10 classes).  A batch of
-at most 2^17 entries per seed (a 128 x 784 training batch, a sweep
-stack) is one block and equals the unblocked attack, as do 256 x 784
-and 2000 x 784 (blocks of 128 and 166-167 rows); the bits of any other
+entries of one seed's slice), random start included: an l-inf one is
+uniform in [-eps, eps] per entry, an l2 one the first d of d + 2 standard
+normals scaled to norm eps, which is uniform in the eps-ball (Voelker,
+Gosmann & Stewart 2017).  Both fill the stream row by row, so pgd on a
+batch equals pgd on each of its blocks in turn with one generator.  Only
+the output, a copy of the input that each block's iterate updates in
+place, is batch-sized: on 2000 x 784 through [784, 256, 10] PGD peaks at
+about 1.6 batch-sized arrays, with or without a random start.  A block's
+gemm rows equal the whole batch's only outside OpenBLAS's small-matrix
+path (0.3.31: M*N <= 1200, so blocks of at most 120 rows at 10 classes).
+A batch of at most 2^17 entries per seed (a 128 x 784 training batch, a
+sweep stack) is one block and equals the unblocked attack, as do 256 x
+784 and 2000 x 784 (blocks of 128 and 166-167 rows); the bits of any other
 multi-block attack are fixed by the batch shape.  A stack is cut as
 each seed's batch is, so pgd_stack equals each seed's pgd.
 
 pgd attacks one network; pgd_stack attacks a stacked batch (see core)
 through a stack of networks, every seed's attack in the same numpy calls.
-Its generators are a list, one per seed, and each seed's random start is
-drawn from its own, in seed order.  The labels are checked once per
-attack, not once per iterate.
+Its generators are a list, one per seed: each block draws every seed's
+random start from that seed's own generator, in seed order.  The labels
+are checked once per attack, not once per iterate.
 
 FGSM is PGD with p="inf", alpha=eps, k=1: with track_best=False the
 output is clip(x + eps*sign(grad), 0, 1) bit for bit (for eps=0 any
@@ -140,18 +142,10 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
     labels = check_labels(batch.labels, *x0.shape[:-1], weights[-1].shape[-2])
     if clean_trace is not None:
         check_shape(clean_trace.logits, (*labels.shape, weights[-1].shape[-2]), "clean logits")
+    if spec.random_start and rng is None:
+        raise ParameterError("random_start requires an rng")
+    seeds = x0.shape[0] if x0.ndim == 3 else None
     x = x0.copy()  # the iterate, which random starts and steps update in place
-    if spec.random_start:
-        if rng is None:
-            raise ParameterError("random_start requires an rng")
-        seeds = x0.shape[0] if x0.ndim == 3 else None
-        if spec.p == "inf":
-            x += draw_per_seed(rng, lambda r: r.uniform(-spec.eps, spec.eps, x0.shape[-2:]), seeds)
-        else:
-            # each generator draws its direction, then its radius
-            direction = draw_per_seed(rng, lambda r: r.standard_normal(x0.shape[-2:]), seeds)
-            radius = spec.eps * draw_per_seed(rng, lambda r: r.uniform(
-                0.0, 1.0, size=(x0.shape[-2], 1)), seeds) ** (1.0 / x0.shape[-1])
 
     for rows in row_blocks(x0):
         x0_b, x_b, labels_b = x0[..., rows, :], x[..., rows, :], labels[..., rows]
@@ -164,11 +158,15 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
             lo, hi = (project(x0_b, np.full_like(x0_b, corner), "inf", spec.eps)
                       for corner in (0.0, 1.0))
             if spec.random_start:
+                x_b += draw_per_seed(rng, lambda r: r.uniform(-spec.eps, spec.eps,
+                                                              x_b.shape[-2:]), seeds)
                 np.clip(x_b, lo, hi, out=x_b)
         elif spec.random_start:
-            unit = direction[..., rows, :]
-            unit /= np.maximum(np.linalg.norm(unit, axis=-1, keepdims=True), 1e-300)
-            x_b[...] = project(x0_b, x_b + radius[..., rows, :] * unit, "two", spec.eps)
+            # d of d + 2 coordinates uniform on the eps-sphere are uniform in the ball
+            start = draw_per_seed(rng, lambda r: r.standard_normal(
+                (x_b.shape[-2], x_b.shape[-1] + 2)), seeds)
+            start *= spec.eps / np.linalg.norm(start, axis=-1, keepdims=True)
+            x_b[...] = project(x0_b, x0_b + start[..., :-2], "two", spec.eps)
 
         # The clean point is always a candidate: with a random start its CE is
         # the baseline, and without one it is iterate 0 over a -inf baseline.

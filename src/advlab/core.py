@@ -1,9 +1,10 @@
 """Array checks, stable row softmax/logsumexp, and seeded randomness.
 
 check_labels is the one label rule, check_count the one integer rule, check_real the
-one real-number rule and check_shape the one shape-agreement rule (labels, masks, adversarial
-logits, attack iterates, logit gradients, SGD grads and velocities); losses, masks, metrics,
-batches, specs and loaders apply them.
+one real-number rule, check_shape the one shape-agreement rule (labels, masks, adversarial
+logits, attack iterates, logit gradients, SGD grads and velocities) and check_unique the one
+no-repeat rule (sweep grid axes, eval attack names); losses, masks, metrics, batches, specs
+and loaders apply them.
 unpack_at and body_at are the one layout rule of the binary files (IDX, logit dump,
 checkpoint): each part of a file is where its header says, and the body ends the file.
 exp_logsumexp_rows is the only row logsumexp: one exp pass gives both the
@@ -126,6 +127,13 @@ def check_shape(a, shape: tuple, what: str):
     if np.shape(a) != shape:
         raise ShapeError(f"{what} must have shape {shape}, got {np.shape(a)}")
     return a
+
+
+def check_unique(values, what: str) -> None:
+    """ParameterError naming the first of `values` that repeats an earlier one."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ParameterError(f"{what} {value!r} is repeated")
 
 
 def check_labels(labels, *shape) -> np.ndarray:

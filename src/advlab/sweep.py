@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackSpec, eval_attack_pair
-from .core import ParameterError, check_count, check_real
+from .core import ParameterError, check_count, check_real, check_unique
 from .data import DatasetHandle
 from .loat import LoatSchedule
 from .mlp import MlpConfig
@@ -76,10 +76,9 @@ class SweepSpec:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ParameterError(f"{name} must be nonempty")
-            for i, value in enumerate(values):
+            for value in values:
                 rule(value, f"{name} entry")
-                if value in values[:i]:
-                    raise ParameterError(f"{name} entry {value!r} is repeated")
+            check_unique(values, f"{name} entry")
         check_count(self.batch_size, "batch_size")
         check_real(self.lr, "lr", "[0, inf)")
         check_real(self.momentum, "momentum", "[0, 1)")

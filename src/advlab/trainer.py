@@ -43,8 +43,8 @@ from .attacks import AttackSpec, pgd, pgd_stack
 # softmax_rows is unused here but stays bound: perfbench's tracer counts the
 # softmax passes of this module through this name.
 from .core import (NonFiniteError, ParameterError, check_count, check_finite,  # noqa: F401
-                   check_real, check_shape, make_rng, row_blocks, seeds_of, softmax_rows,
-                   stack_of)
+                   check_real, check_shape, check_unique, make_rng, row_blocks, seeds_of,
+                   softmax_rows, stack_of)
 from .data import DatasetHandle, LabeledBatch, batches
 from .fisher_rao import bounds_of, radius_estimates_from_logits
 from .loat import LoatSchedule, loat
@@ -81,6 +81,7 @@ class TrainConfig:
         check_count(self.seed, "seed", least=0)
         check_real(self.lr, "lr", "[0, inf)")
         check_real(self.momentum, "momentum", "[0, 1)")
+        check_unique([name for name, _ in self.eval_attacks], "eval_attacks name")
 
 
 @dataclass(frozen=True)
@@ -170,15 +171,16 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
     logits and each attack's per-row correct mask outlive a block.  A test
     block's one forward gives its logits and every eval attack's clean start.
 
-    Each eval attack draws from one generator, seeded EVAL_ATTACK_SEED, block
-    after block: an l-inf random start draws a whole-split pgd call's stream,
-    an l2 one each block's directions, then its radii.  Block logits equal
+    Each eval attack draws from its own generator, seeded EVAL_ATTACK_SEED,
+    block after block, so its output is that of one pgd call on the whole
+    split; a repeated name is a ParameterError.  Block logits equal
     the whole split's only where neither gemm takes OpenBLAS's small-matrix
     path (0.3.31: M*N <= 1200, M rows, N outputs), as in pgd: at 10 classes
     a 784-d split's 166-167-row blocks keep its bits, but at 4 or 2 classes
     their last-layer gemm gives others (4,000 and about 3,980 of a
     4000 x 784 split's logit rows differ).
     """
+    check_unique([name for name, _ in eval_attacks], "eval_attacks name")
     k = weights[-1].shape[0]
     train_logits = np.empty((data.train.n, k))
     for rows in row_blocks(data.train.inputs):

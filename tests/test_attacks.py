@@ -68,10 +68,10 @@ def pgd_two_forward_oracle(weights, batch, spec, rng=None):
         if spec.p == "inf":
             x = x0 + rng.uniform(-spec.eps, spec.eps, size=x0.shape)
         else:
-            direction = rng.standard_normal(x0.shape)
-            direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
-            radius = spec.eps * rng.uniform(0.0, 1.0, size=(x0.shape[0], 1)) ** (1.0 / x0.shape[1])
-            x = x0 + radius * direction
+            # uniform in the l2 ball: the first d of d + 2 standard normals per row,
+            # the row scaled to norm eps
+            normals = rng.standard_normal((x0.shape[0], x0.shape[1] + 2))
+            x = x0 + (normals * (spec.eps / np.linalg.norm(normals, axis=1, keepdims=True)))[:, :-2]
         x = project(x0, x, spec.p, spec.eps)
     else:
         x = x0.copy()
@@ -322,11 +322,30 @@ class TestPgd:
         assert self.peak_in_arrays(AttackSpec(k=10, track_best=True)) <= 2.0
 
     def test_peak_memory_l2_random_start(self):
-        # no bounds: x and the direction draw, which is drawn for the whole
-        # batch first and normalised block by block, then the blocks' arrays
-        # as above.  That reads 2.5 batch-sized arrays; 3 fails one more.
+        # no bounds: x, then the blocks' arrays as above, each block's random
+        # start drawn at the block's size.  That reads 1.6 batch-sized arrays;
+        # 2 fails an attack that keeps one more (a whole-batch start draw, 2.5).
         spec = AttackSpec(p="two", eps=1.0, alpha=0.25, k=10, random_start=True)
-        assert self.peak_in_arrays(spec, make_rng(3)) <= 3.0
+        assert self.peak_in_arrays(spec, make_rng(3)) <= 2.0
+
+    def test_l2_random_start_is_uniform_in_the_ball(self):
+        # a zero net has a zero input gradient, so with k=1 and no track-best the
+        # output is the start: in the ball at d = 3 P(|delta| <= q*eps) = q^3, every
+        # coordinate has mean 0 and E[delta_i^2] = eps^2 / (d + 2)
+        n, d, eps = 20000, 3, 0.1
+        batch = LabeledBatch(np.full((n, d), 0.5), np.zeros(n, dtype=np.int64), 2)
+        weights = init_weights(MlpConfig([d, 4, 2], seed=0, init_scale=0.0))
+        spec = AttackSpec(p="two", eps=eps, alpha=0.05, k=1, random_start=True,
+                          track_best=False)
+        delta = pgd(weights, batch, spec, make_rng(40)) - batch.inputs
+        radius = np.linalg.norm(delta, axis=1)
+        assert radius.max() <= eps * (1 + 1e-12)
+        for q in (0.25, 0.5, 0.75, 0.9):
+            share = q**d
+            assert abs(np.mean(radius <= q * eps) - share) <= 5 * np.sqrt(share * (1 - share) / n)
+        sd = eps / np.sqrt(d + 2)  # per coordinate
+        assert np.all(np.abs(delta.mean(axis=0)) <= 5 * sd / np.sqrt(n))
+        assert np.allclose((delta**2).mean(axis=0), sd**2, rtol=0.05)
 
 
 class TestOneForwardPerIterate:
@@ -497,6 +516,23 @@ class TestRowBlocks:
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         assert all((b.stop - b.start) * shape[-1] <= max(core._BLOCK, shape[-1])
                    for b in blocks)
+
+    @pytest.mark.parametrize("spec", [
+        AttackSpec(k=3, random_start=True),
+        AttackSpec(p="two", eps=1.0, alpha=0.25, k=3, random_start=True),
+    ], ids=["linf_random_start", "l2_random_start"])
+    def test_per_block_calls_equal_one_call(self, spec):
+        # each block draws its own start from the shared stream, so pgd on the
+        # 2000 x 784 batch equals pgd called on each of its 12 blocks in turn
+        rng = make_rng(35)
+        batch = LabeledBatch(rng.uniform(size=(2000, 784)), rng.integers(0, 10, size=2000), 10)
+        weights = init_weights(MlpConfig([784, 256, 10], seed=36))
+        got = pgd(weights, batch, spec, make_rng(37))
+        shared = make_rng(37)
+        want = np.concatenate([
+            pgd(weights, LabeledBatch(batch.inputs[rows], batch.labels[rows], 10), spec, shared)
+            for rows in core.row_blocks(batch.inputs)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("spec", [
         AttackSpec(k=3, track_best=True),

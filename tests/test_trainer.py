@@ -105,6 +105,13 @@ class TestTrainConfig:
                     TrainConfig(model=model, **{field: bad})
             assert getattr(TrainConfig(model=model, **{field: np.int64(3)}), field) == 3
 
+    def test_repeated_eval_attack_name_rejected(self):
+        # so train fails before its first epoch, not after the last with a record
+        # that lost one attack's accuracy
+        fgsm, pgd10 = (spec for _, spec in eval_attack_pair(AttackSpec()))
+        with pytest.raises(ParameterError, match="^eval_attacks name 'pgd' is repeated$"):
+            TrainConfig(model=MlpConfig([4, 2]), eval_attacks=(("pgd", fgsm), ("pgd", pgd10)))
+
 
 class TestTrain:
     def test_dimension_mismatch_rejected(self):
@@ -278,24 +285,14 @@ def evaluate_oracle(weights, data, eval_attacks, attack_seed=12345):
 
 class TestEvaluate:
     @staticmethod
-    def check_oracle(p, random_start, track_best, blocked=False):
+    def check_oracle(p, random_start, track_best):
         data = blob_data(seed=11, spread=0.3)
         weights = init_weights(MlpConfig([5, 7, 3], seed=4))
         pgd_spec = AttackSpec(p=p, eps=0.06, alpha=0.02, k=4, random_start=random_start,
                               track_best=track_best)
         attacks = (("fgsm", AttackSpec(p="inf", eps=0.06, alpha=0.06, k=1)),
                    ("pgd", pgd_spec), ("none", AttackSpec(eps=0.0)))
-        want = evaluate_oracle(weights, data, attacks)
-        if blocked and p == "two" and random_start:
-            # the documented exception: each block draws its directions, then its
-            # radii, from the attack's one generator
-            test, rng = data.test, make_rng(trainer.EVAL_ATTACK_SEED)
-            adv = np.concatenate([
-                pgd(weights, LabeledBatch(test.inputs[rows], test.labels[rows], 3), pgd_spec, rng)
-                for rows in core.row_blocks(test.inputs)])
-            acc = risk(weights, LabeledBatch(adv, test.labels, 3)).accuracy
-            want = dataclasses.replace(want, adv_test_acc={**want.adv_test_acc, "pgd": acc})
-        assert evaluate(weights, data, attacks) == want
+        assert evaluate(weights, data, attacks) == evaluate_oracle(weights, data, attacks)
 
     @pytest.mark.parametrize("p", ["inf", "two"])
     @pytest.mark.parametrize("random_start", [False, True])
@@ -309,7 +306,16 @@ class TestEvaluate:
     def test_equals_oracle_in_row_blocks(self, p, random_start, track_best, monkeypatch):
         # blocks of three rows: 40 train and 20 test blocks of the 5-d splits
         monkeypatch.setattr(core, "_BLOCK", 3 * 5)
-        self.check_oracle(p, random_start, track_best, blocked=True)
+        self.check_oracle(p, random_start, track_best)
+
+    def test_repeated_attack_name_rejected(self):
+        # the second "x" used to overwrite the first one's accuracy
+        data = blob_data(seed=9)
+        weights = init_weights(MlpConfig([5, 6, 3], seed=1))
+        attacks = (("x", AttackSpec(eps=0.05, alpha=0.05, k=1)), ("y", AttackSpec(eps=0.0)),
+                   ("x", AttackSpec(eps=0.05, alpha=0.02, k=5)))
+        with pytest.raises(ParameterError, match="^eval_attacks name 'x' is repeated$"):
+            evaluate(weights, data, attacks)
 
     def test_peak_memory_in_test_splits(self):
         # the PGD-10 of one 166-167-row block peaks at about 6.7 MiB, and the

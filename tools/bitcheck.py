@@ -11,15 +11,20 @@ fields are left out, so equal lines mean equal outputs:
                   standard, mixture lambda 0 / 0.5 / 1 and TRADES, x LOAT
                   variants LORE / SLORE / OFF, x attacks l-inf PGD and l2 PGD
                   with a random start, x 1 or 2 hidden layers; 5 epochs each,
-                  evaluated every epoch with the FGSM + PGD eval attacks
+                  evaluated every epoch with the FGSM + PGD eval attacks; the
+                  18 runs that attack with l2 PGD (lambda 0.5 / 1 and TRADES)
+                  draw an l2 random start in every batch
   train_stack_4   weights and histories of one 4-seed trainer.train_stack call
   attacks         pgd and pgd_stack outputs for l-inf / l2, with and without a
                   random start and track-best, on inputs holding -0.0 entries
+                  (4 of its 24 parts draw an l2 random start: pgd and pgd_stack
+                  at p="two" with a random start, with and without track-best)
   pgd_blocks      pgd on a 2000 x 784 batch (12 row blocks) and pgd_stack on a
                   2 x 256 x 784 stack (two blocks per seed) through widths
-                  [784, 256, 10], l-inf track-best and l2 with a random start;
-                  the l2 outputs differ between OPENBLAS_NUM_THREADS=1 and two
-                  threads, so compare lines made at one thread count
+                  [784, 256, 10], l-inf track-best and l2 with a random start
+                  (the two l2 parts draw an l2 random start); the l2 outputs
+                  differ between OPENBLAS_NUM_THREADS=1 and two threads, so
+                  compare lines made at one thread count
   evaluate_blocks trainer.evaluate's record without epoch_wall_ms on the 4000 x 784
                   train and 2000 x 784 test splits of a 10-class blob dataset
                   (24 and 12 row blocks), through widths [784, 256, 10] after
