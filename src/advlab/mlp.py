@@ -7,7 +7,9 @@ homogeneity).  The ReLU subgradient at exactly 0 is taken as 0.
 backward (weight gradients) and input_grad read one reverse chain:
 backward forms no input product delta @ W_1, and input_grad no weight
 gradient.  A ForwardTrace keeps each activation once (inputs, hidden,
-logits): a hidden activation relu(z) is also its mask.
+logits): a hidden activation relu(z) is also its mask.  The ReLU
+overwrites its pre-activation z, so a forward holds one n x H_l array per
+hidden layer.
 forward and backward take one network.  forward_stack and backward_stack
 run a stack of networks (weights S x H_l x H_{l-1}) on a stack of batches,
 or on one batch shared by the stack, and input_grad takes either; each
@@ -103,7 +105,8 @@ def _forward(weights: list, inputs: np.ndarray) -> ForwardTrace:
     hidden = []
     h = inputs
     for w in weights[:-1]:
-        h = np.maximum(h @ _t(w), 0.0)
+        h = h @ _t(w)
+        np.maximum(h, 0.0, out=h)
         hidden.append(h)
     logits = check_finite(h @ _t(weights[-1]), "logits")
     return ForwardTrace(inputs=inputs, hidden=hidden, logits=logits)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,39 @@ class TestForward:
         assert len(trace.hidden) == 2
         assert np.array_equal(trace.hidden[0], h1) and np.array_equal(trace.hidden[1], h2)
         assert np.array_equal(trace.logits, h2 @ w[2].T)
+
+    @staticmethod
+    def is_relu_bits(hidden, z):
+        """hidden equals np.maximum(z, 0.0) in raw bits and holds no -0.0."""
+        want = np.maximum(z, 0.0)
+        return (np.array_equal(hidden.view(np.int64), want.view(np.int64))
+                and not np.signbit(hidden).any())
+
+    def test_hidden_is_relu_in_raw_bits(self):
+        # the zero rows meet negative weights, so their pre-activations are
+        # zeros, signed as the matmul leaves them; the other rows give both
+        # signs.  A ReLU written as z *= z > 0 leaves -0.0 at each negative
+        w = [np.array([[-1.0, -2.0], [1.0, -1.0], [0.5, 0.5]]), np.ones((2, 3))]
+        x = np.array([[0.0, 0.0], [-0.0, -0.0], [1.0, 1.0], [1.0, 3.0]])
+        z = x @ w[0].T
+        assert (z < 0).any() and (z > 0).any() and (z[:2] == 0).all()
+        assert self.is_relu_bits(forward(w, x).hidden[0], z)
+        assert not self.is_relu_bits(z * (z > 0), z)
+
+    def test_peak_memory_in_hidden_arrays(self):
+        # the ReLU overwrites its pre-activation, so a forward holds one
+        # 4000 x 256 array and the 4000 x 10 logits: 1.04 such arrays.  A ReLU
+        # into a second array reads 2.0
+        rng = make_rng(23)
+        x = rng.uniform(size=(4000, 784))
+        w = init_weights(MlpConfig([784, 256, 10], seed=24))
+        tracemalloc.start()
+        try:
+            forward(w, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 4000 * 256 * 8
 
     def test_last_layer_homogeneity(self):
         w = init_weights(MlpConfig([5, 4, 3], seed=4))
