@@ -1,12 +1,5 @@
-"""Adversarial-training laboratory for bias-free ReLU MLPs.
-
-Building blocks: seeded linear algebra (core), dataset handling (data),
-MLPs with exact gradients (mlp), training objectives (objectives), PGD
-attacks with FGSM as its one-step case (attacks), Fisher-Rao complexity
-metrics (fisher_rao), logit-oriented regularization (loat), the training
-loop (trainer), and sweep/correlation tooling (sweep) with a CLI front
-end (cli).
-"""
+"""Adversarial-training laboratory for bias-free ReLU MLPs: the public names of its
+modules, which the README's module map describes."""
 
 from .attacks import AttackSpec, pgd, project
 from .core import ParameterError, ShapeError, make_rng, softmax_rows

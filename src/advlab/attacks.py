@@ -9,36 +9,22 @@ CE(output) >= CE(clean) holds per sample by construction.
 The attack is one loop over iterates 0..k, the start (clean or random)
 and each step's output.  Each iterate is forwarded once, and its one CE
 pass gives both its track-best candidate update and the input gradient
-of the next step; without track_best the last iterate is not forwarded.
-Gradients use mlp.input_grad, the input-only backward, which skips the
-weight gradients an attack would throw away.  A caller that has already
-forwarded the clean batch (the trainer does) passes that trace as
-`clean_trace`; it supplies the clean CE and the first gradient.  The
-outputs are bit-identical to forwarding every iterate twice.
+of the next step (mlp.input_grad); without track_best the last iterate
+is not forwarded.  A caller that has already forwarded the clean batch
+(the trainer does) passes that trace as `clean_trace`; it supplies the
+clean CE and the first gradient.
 
 Every row of an attack is independent (the CE gradient is per sample), so
-the whole attack runs once per row block of core.row_blocks (at most 2^17
-entries of one seed's slice), random start included: an l-inf one is
-uniform in [-eps, eps] per entry, an l2 one the first d of d + 2 standard
-normals scaled to norm eps, which is uniform in the eps-ball (Voelker,
-Gosmann & Stewart 2017).  Both fill the stream row by row, so pgd on a
-batch equals pgd on each of its blocks in turn with one generator.  Only
-the output, a copy of the input that each block's iterate updates in
-place, is batch-sized: on 2000 x 784 through [784, 256, 10] PGD peaks at
-about 1.6 batch-sized arrays, with or without a random start.  A block's
-gemm rows equal the whole batch's only outside OpenBLAS's small-matrix
-path (0.3.31: M*N <= 1200, so blocks of at most 120 rows at 10 classes).
-A batch of at most 2^17 entries per seed (a 128 x 784 training batch, a
-sweep stack) is one block and equals the unblocked attack, as do 256 x
-784 and 2000 x 784 (blocks of 128 and 166-167 rows); the bits of any other
-multi-block attack are fixed by the batch shape.  A stack is cut as
-each seed's batch is, so pgd_stack equals each seed's pgd.
-
-pgd attacks one network; pgd_stack attacks a stacked batch (see core)
-through a stack of networks, every seed's attack in the same numpy calls.
-Its generators are a list, one per seed: each block draws every seed's
-random start from that seed's own generator, in seed order.  The labels
-are checked once per attack, not once per iterate.
+the whole attack runs once per row block of core.row_blocks, random start
+included: an l-inf one is uniform in [-eps, eps] per entry, an l2 one the
+first d of d + 2 standard normals scaled to norm eps, which is uniform in
+the eps-ball (Voelker, Gosmann & Stewart 2017).  Both fill the stream row
+by row, so pgd on a batch equals pgd on each of its blocks in turn with one
+generator; pgd_stack, pgd on a stack (see core), draws each seed's rows
+from that seed's own generator, in seed order.  Only the output, a copy of
+the input that each block's iterate updates in place, is batch-sized: on
+2000 x 784 through [784, 256, 10] PGD peaks at about 1.6 batch-sized
+arrays, with or without a random start.
 
 FGSM is PGD with p="inf", alpha=eps, k=1: with track_best=False the
 output is clip(x + eps*sign(grad), 0, 1) bit for bit (for eps=0 any
@@ -162,7 +148,6 @@ def _pgd(weights, batch, spec, rng, clean_trace, forward):
                                                               x_b.shape[-2:]), seeds)
                 np.clip(x_b, lo, hi, out=x_b)
         elif spec.random_start:
-            # d of d + 2 coordinates uniform on the eps-sphere are uniform in the ball
             start = draw_per_seed(rng, lambda r: r.standard_normal(
                 (x_b.shape[-2], x_b.shape[-1] + 2)), seeds)
             start *= spec.eps / np.linalg.norm(start, axis=-1, keepdims=True)

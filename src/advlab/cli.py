@@ -1,12 +1,4 @@
-"""Command-line front end.
-
-Subcommands:
-  train       run one training config; writes history CSV, checkpoint, manifest
-  sweep       run a width/lambda/seed/budget grid; writes a long-format CSV
-  correlate   Pearson/Spearman between gamma_ce and the generalization gap
-  bounds      radius estimates and complexity bounds from a logit dump
-  plotscript  write a figure's data (figN.json, from sweep.figure_data) and
-              plot_figN.py, a script that draws it and needs only matplotlib
+"""Command-line front end: the `advlab` command, whose subcommands main lists.
 
 Exit codes: 0 success, 1 input error (an invalid config, or an input file
 that is missing, unreadable or malformed), 2 runtime error.

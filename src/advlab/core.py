@@ -1,14 +1,8 @@
 """Array checks, stable row softmax/logsumexp, and seeded randomness.
 
-check_labels is the one label rule, check_count the one integer rule, check_real the
-one real-number rule, check_shape the one shape-agreement rule (labels, masks, adversarial
-logits, attack iterates, logit gradients, SGD grads and velocities) and check_unique the one
-no-repeat rule (sweep grid axes, eval attack names); losses, masks, metrics, batches, specs
-and loaders apply them.
-unpack_at and body_at are the one layout rule of the binary files (IDX, logit dump,
-checkpoint): each part of a file is where its header says, and the body ends the file.
-exp_logsumexp_rows is the only row logsumexp: one exp pass gives both the
-softmax numerator and scipy's split-max logsumexp of a logit matrix.
+The rules the other modules share live here, each once: check_labels, check_count,
+check_real, check_shape, check_unique, unpack_at and body_at (binary file layouts),
+exp_logsumexp_rows (the only row logsumexp), row_blocks, and the stack convention below.
 
 All numeric arrays are float64 and row-major (C order).  Random streams
 use numpy's PCG64 generator: the same seed replays the same draw
@@ -20,11 +14,8 @@ out x in weights), so one numpy call serves S trajectories.  A matrix is a
 stack of one read without that axis: the same code runs on both, and every
 row reduction runs along the last axis, so each slice gets the bits of its
 own 2-D call.  stack_of builds a stack from per-seed parts, seeds_of splits
-one, per_seed maps a per-seed scalar rule over it, and draw_per_seed is the
-one rule for random draws: one generator, or a list with one per seed.
-
-row_blocks is the one row-block rule, of PGD and trainer.evaluate; it counts
-a block's entries per seed, so a stack is cut as each seed's batch is.
+one, per_seed maps a per-seed scalar rule over it, and draw_per_seed draws
+from one generator per seed.
 """
 
 from __future__ import annotations
@@ -172,7 +163,9 @@ def unpack_at(raw: bytes, offset: int, fmt: str, part: str) -> tuple:
 
 def body_at(raw: bytes, offset: int, dtype, count: int, part: str) -> np.ndarray:
     """The `count` entries of `dtype` at `offset`, a read-only view of raw that callers copy
-    as they need; FormatError naming `part` unless they end raw exactly."""
+    as they need.  With unpack_at for headers, the one layout rule of the binary files (IDX,
+    logit dump, checkpoint): each part is where its header says and the body ends the file,
+    else FormatError naming the part and its expected and found byte counts."""
     dtype = np.dtype(dtype)
     if len(raw) != offset + dtype.itemsize * count:
         raise _layout_error(raw, offset, dtype.itemsize * count, part)
@@ -223,7 +216,16 @@ def exp_logsumexp_rows(m):
 
 def row_blocks(a) -> list:
     """Row slices (axis -2) of a's blocks: as few near-equal runs of rows as hold at
-    most _BLOCK entries of one seed's slice each, or single rows where a row holds more."""
+    most _BLOCK entries of one seed's slice each, or single rows where a row holds more.
+
+    The one row-block rule, of attacks.pgd and trainer.evaluate.  It counts entries per
+    seed, so a stack is cut as each seed's batch is, and a batch of at most 2^17 entries
+    per seed (a 128 x 784 training batch, a sweep stack) is one block.  A block's gemm
+    rows equal the whole batch's only outside OpenBLAS's small-matrix path (0.3.31:
+    M*N <= 1200, M rows, N outputs).  So at 10 classes the blocks of 256 x 784 (128
+    rows) and 2000 x 784 (166-167) keep the whole batch's bits, but at 4 or 2 classes a
+    784-d split's last-layer gemm takes that path (4,000 and about 3,980 of a 4000 x 784
+    split's logit rows differ); other multi-block bits are fixed by the batch shape."""
     n = a.shape[-2]
     count = -(-n // max(1, _BLOCK // a.shape[-1]))
     return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]

@@ -1,17 +1,14 @@
 """Dataset ingestion and batching.
 
-Inputs are always matrices with entries in [0, 1]; labels follow
-core.check_labels.  A batch of a seed stack (see core) holds one matrix
-and one label row per seed; `batches` gathers one with a generator per
-seed.  MNIST-style IDX files are read bit-exactly per the canonical
-format (big-endian magic + dimension sizes + raw bytes).
+Inputs have entries in [0, 1], labels follow core.check_labels, and a
+batch may be a stack (see core).  MNIST-style IDX files are read
+bit-exactly per the canonical format (big-endian magic + dimension sizes
++ raw bytes).
 
 dump_array/load_array round-trip a matrix (batch inputs, or logits for
 `advlab bounds`) with its labels: little-endian ``magic "ALB1" | u32 d |
 u32 n | u32 K``, then n*d float64 entries (row-major) and n int32 labels.
-Both formats, like mlp's checkpoints, are read through core's one layout
-rule (unpack_at, body_at): a file that ends early or runs on past its body
-raises FormatError, naming the part and its expected and found byte counts.
+Both formats are read through core.unpack_at and core.body_at.
 """
 
 from __future__ import annotations
@@ -119,6 +116,8 @@ def blob_dataset(seed: int = 0, n_train: int = 1000, n_test: int = 500, d: int =
                  spread: float = 0.08) -> DatasetHandle:
     """Train/test splits sampled around one shared set of cluster centers."""
     check_count(seed, "seed", least=0)
+    for name, value in (("n_train", n_train), ("n_test", n_test), ("d", d), ("K", K)):
+        check_count(value, name)
     train, test = _blobs(make_rng(seed), [n_train, n_test], d, K, spread)
     return DatasetHandle(train, test, name=f"blobs-{d}d-{K}k", source="synthetic")
 
@@ -133,12 +132,8 @@ def idx_dataset(train_images: str, train_labels: str, test_images: str, test_lab
 
 
 def batches(b: LabeledBatch, batch_size: int, rng):
-    """Seeded shuffle split into consecutive chunks; last may be smaller.
-
-    `rng` is one generator, or a list of generators, one per seed of a
-    stack: each draws its own order of b's rows, and every chunk is then
-    the stacked gather of those orders.
-    """
+    """Seeded shuffle split into consecutive chunks; last may be smaller.  For a
+    stack, each seed's generator (core.draw_per_seed) draws its own order of b's rows."""
     check_count(batch_size, "batch_size")
     order = draw_per_seed(rng, lambda r: r.permutation(b.n))
     for start in range(0, b.n, batch_size):
@@ -147,9 +142,8 @@ def batches(b: LabeledBatch, batch_size: int, rng):
 
 
 def dump_array(matrix: np.ndarray, labels: np.ndarray, num_classes: int, path) -> None:
-    """Write {d, n, K} header + float64 matrix + int32 labels (little-endian); K must fit
-    the u32 header field and the labels pass check_labels, each below 2^31 to fit int32,
-    before anything is written."""
+    """Write the module docstring's dump format; K must fit the u32 header field and the
+    labels pass check_labels, each below 2^31 to fit int32, before anything is written."""
     check_count(num_classes, "num_classes")
     if num_classes >= 2**32:
         raise ParameterError(f"num_classes must be below 2^32, got {num_classes}")

@@ -7,7 +7,7 @@ sqrt(mean(u^2)).  The empirical radius estimators replace u by the
 per-sample maximal logit gap  max_{k != y} |f_k - f_y|  averaged over
 all / correctly classified / misclassified samples; the relative gap
 Gamma = (gamma_C - gamma_M) / gamma_M drives the closed-form complexity
-bounds below; bounds_of gives both, or None for each where undefined.
+bounds below.
 
 All radius estimators are meant to be fed training-split logits.
 """
@@ -217,30 +217,24 @@ def empirical_rademacher(loss_table, rng: np.random.Generator, draws: int):
     estimate of the sup over the full hypothesis ball.
 
     The draws go in chunks of min(4096, 2^24 // n) rows.  The signs are
-    read off uint32 words, one word per sign: numpy's integers(0, 2) is the
-    top bit of one 32-bit output, so copysign(1, word as int32) writes -xi
-    in one pass into one reused float64 sign buffer, and a gemm against
-    -loss_table gives products equal to xi * loss bit for bit.  The words
-    are those of integers(0, 2**32, dtype=np.uint32), generator state
-    afterwards included (_uint32_words): PCG64, PCG64DXSM, Philox and
-    SFC64 give two words per bit_generator.random_raw output, MT19937 and
-    any other bit generator draw them through integers.  So the signs and
-    the state afterwards are those of integers(0, 2) draws, and
-    consecutive draws continue one generator stream, so neither depends
-    on how the rows are cut.  For 2 <= h < 32 each chunk of c rows is cut
-    into max(1, c // b) near-equal row blocks, b = max(17, ceil(2^20 /
-    (h * n))), and the buffer holds one block, so it stays in cache.  A
-    block's gemm rows keep the bits of the whole chunk's: with OpenBLAS
-    0.3.31 (SkylakeX kernels, 1 to 8 threads) a row's bits were measured to
-    change only at up to 10^6 products, where a small-matrix kernel runs,
-    at up to 16 rows on more than one thread, where the gemm runs on one
-    thread, whose bits can differ from the threaded driver's, and for
-    h >= 32, where blocks of 17 to 74 rows changed at 2 to 8 threads.  So
-    h >= 32 keeps whole chunks, and so does h = 1: there the product is a
-    matrix-vector product, whose bits depend on its row count.
-    Up to n = 4096 the chunks are 4096 rows as they always were; for
-    larger n the last bits of the estimate can differ from the 4096-row
-    chunks of earlier versions.
+    read off the words of _uint32_words, one word per sign: numpy's
+    integers(0, 2) is the top bit of one 32-bit output, so copysign(1, word
+    as int32) writes -xi in one pass into one reused float64 sign buffer,
+    and a gemm against -loss_table gives products equal to xi * loss bit
+    for bit.  So the signs and the generator state afterwards are those of
+    integers(0, 2) draws, and consecutive draws continue one generator
+    stream, so neither depends on how the rows are cut.  For 2 <= h < 32
+    each chunk of c rows is cut into max(1, c // b) near-equal row blocks,
+    b = max(17, ceil(2^20 / (h * n))), and the buffer holds one block, so
+    it stays in cache.  A block's gemm rows keep the bits of the whole
+    chunk's: with OpenBLAS 0.3.31 (SkylakeX kernels, 1 to 8 threads) a
+    row's bits were measured to change only at up to 10^6 products, where a
+    small-matrix kernel runs, at up to 16 rows on more than one thread,
+    where the gemm runs on one thread, whose bits can differ from the
+    threaded driver's, and for h >= 32, where blocks of 17 to 74 rows
+    changed at 2 to 8 threads.  So h >= 32 keeps whole chunks, and so does
+    h = 1: there the product is a matrix-vector product, whose bits depend
+    on its row count.
     """
     table = _loss_table(loss_table)
     check_count(draws, "draws")

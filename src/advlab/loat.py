@@ -15,17 +15,14 @@ The scheduled loss adds tau*(P_C_low - P_M_low) in early epochs
 (epoch <= E1), the negated difference in late epochs (epoch >= E2), and
 nothing in between (LoatSchedule.phase); the LORE variant additionally
 adds gamma*AP_M early and gamma*AP_C late.  A penalty whose sample subset
-is empty contributes zero for that batch.  `loat` is the penalty: it
-computes only these applied terms and their logit gradients, in one pass.
-P_C, P_M and the Jensen term are never applied; the tests hold standalone
+is empty contributes zero for that batch.  `loat` is the penalty.  P_C,
+P_M and the Jensen term are never applied; the tests hold standalone
 forms of all six definitions and check `loat` against them.
 
 Correct/wrong masks come from clean logits (objectives.correct_mask), one
 entry per row, and are treated as stop-gradient constants (argmax has no
 useful derivative).  Labels follow core.check_labels.  `loat` also takes a
-stack of logit matrices with one label and mask row per seed; each seed's
-subset means stay boolean selections of its own row, in one pass over
-the seeds, since a zero-filled sum would regroup numpy's pairwise sum.
+stack (see core), with one mask row per seed.
 """
 
 from __future__ import annotations
@@ -87,7 +84,8 @@ def _softmax_chain(probs: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:
 
 
 def _subset_means(*pairs) -> np.ndarray:
-    """(..., pairs): per seed, values[subset].mean() of each (values, subset) pair, 0 if empty."""
+    """(..., pairs): per seed, values[subset].mean() of each (values, subset) pair, 0 if empty.
+    A boolean selection, not a zero-filled sum, which would regroup numpy's pairwise sum."""
     return np.asarray(per_seed(lambda *rows: [c.mean() if c.size else 0.0 for c in (
         v[s] for v, s in zip(rows[::2], rows[1::2]))], *pairs))
 
@@ -96,14 +94,11 @@ def loat(clean_logits, labels, mask, epoch: int, sched: LoatSchedule, adv_logits
     """The scheduled penalty of one batch and its exact logit gradients.
 
     Returns (penalty_loss, clean_logit_grad, adv_logit_grad), the loss one
-    value per seed for a stack.  Only the applied terms are computed, from
-    one softmax per logit matrix (or stack):
-    tau*(P_C_low - P_M_low) early, its negation late, and for LORE with
-    adv logits supplied gamma*AP_M early or gamma*AP_C late.  Outside
-    both phases the loss is 0 and the gradients are zero matrices, and
-    the adversarial gradient is zero unless the pairing term applies.
-    Masks are constants: no gradient flows through the correctness
-    indicators.  adv_logits, if given, must have the shape of clean_logits.
+    value per seed for a stack.  Only the applied terms of the module
+    docstring are computed, from one softmax per logit matrix (or stack);
+    the pairing term needs adv_logits, of the shape of clean_logits.
+    Outside both phases the loss is 0 and the gradients are zero matrices,
+    and the adversarial gradient is zero unless the pairing term applies.
     """
     clean_logits, labels, mask = _validate(clean_logits, labels, mask)
     if adv_logits is not None:

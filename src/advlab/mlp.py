@@ -10,16 +10,11 @@ gradient.  A ForwardTrace keeps each activation once (inputs, hidden,
 logits): a hidden activation relu(z) is also its mask.  The ReLU
 overwrites its pre-activation z, so a forward holds one n x H_l array per
 hidden layer.
-forward and backward take one network.  forward_stack and backward_stack
-run a stack of networks (weights S x H_l x H_{l-1}) on a stack of batches,
-or on one batch shared by the stack, and input_grad takes either; each
-slice gets the bits of its own 2-D call (see core).
+forward_stack and backward_stack are forward and backward for a stack (see core).
 
 Checkpoint format (little-endian): magic "AMLP" | u8 version=1 |
-u32 L+1 | (L+1) x u32 widths | per layer row-major float64 entries.
-It is read through core's one layout rule, like data's IDX and dump
-files: a file that is shorter or longer than its widths imply, or whose
-header is bad, raises FormatError.
+u32 L+1 | (L+1) x u32 widths | per layer row-major float64 entries,
+read through core.unpack_at and core.body_at.
 
 Note on figure conventions elsewhere in this project: a "1-layer MLP"
 means one hidden layer, i.e. widths [d, H, K].

@@ -4,11 +4,10 @@ Cross-entropy is computed as logsumexp(logits) - logits[y] with max
 subtraction, so it is exact under arbitrary logit shifts.  Each softmax,
 log-softmax and logsumexp comes from one core.exp_logsumexp_rows call per
 logit matrix (scipy's algorithm, without scipy's per-call dispatch).
-Accuracy uses argmax with lowest-index tie-breaking (numpy's argmax
-convention); correct_mask is the one correct/misclassified split.
-Standard training is the mixture at lambda=0: ObjectiveSpec sets its lam to 0.
-The losses, gradients and masks also take a stack of logit matrices with
-one label row per seed (see core); a loss is then one value per seed.
+correct_mask is the one correct/misclassified split.  Standard training
+is the mixture at lambda=0.
+The losses, gradients and masks also take a stack (see core); a loss then
+has one value per seed.
 """
 
 from __future__ import annotations

@@ -2,24 +2,13 @@
 
 A sweep trains the full grid {widths x lambdas x seeds x epoch budgets}
 with the mixture objective, always including a lambda=0 standard-training
-family per (width, seed, budget) so the cross-family generalization gap
-(min test risk over the adversarial family minus min over the standard
-family, at the same epoch budget) can be attached to every adversarial
-cell.  One CSV row per run per recorded epoch, whose columns are the
-MetricsRecord fields by name.  Each (width, lambda, seed) trains once, to
-the largest budget; the shorter budgets' runs are read off that
-trajectory.  The seeds of one (width, lambda) train in lockstep, as one
-trainer.train_stack(cfg, data, seeds) call (a task) on that cell's one
-config; a grid with fewer (width, lambda) stacks than pool workers splits
-each stack's seeds so that every worker gets a task.  A repeated grid
-value is a ParameterError.  Every task runs in a pool worker at one OpenBLAS
-thread, `jobs=1` included, so a sweep's bits depend on its spec and data
-alone, not on `jobs` or the core count; `jobs` = nproc is the fast setting.
-correlate(rows, regime) gives Pearson's r and Spearman's rho of gamma_ce
-against the gap, in numpy alone and with scipy.stats' bits.
-slopes_by(rows, key) fits the radius scatter per width or lambda, and
-figure_data(rows, figure) gives the series of Figures 2-4 that `advlab
-plotscript` writes.
+family per (width, seed, budget) so that attach_gaps can give every
+adversarial cell its cross-family generalization gap.  One CSV row
+(record_row) per run per recorded epoch.  Each (width, lambda, seed)
+trains once, to the largest budget (_run_cell); the seeds of one (width,
+lambda) train in lockstep, one train_stack call per task (_tasks), and
+every task runs in a pool worker (_pool).  correlate, slopes_by and
+figure_data read the rows back.
 """
 
 from __future__ import annotations
@@ -161,7 +150,9 @@ def _share_data(data) -> None:
 def _pool(data, workers: int) -> ProcessPoolExecutor:
     """`workers` processes holding `data`, each at one OpenBLAS thread whatever
     `workers` and nproc are; without a known OpenBLAS symbol, one warning and
-    the library's default threads."""
+    the library's default threads.  Every sweep task runs in such a worker,
+    jobs=1 included, so a sweep's bits depend on its spec and data alone, not
+    on jobs or the core count, and jobs = nproc is the fast setting."""
     if openblas_threads() is None:
         logging.getLogger(__name__).warning(
             "no OpenBLAS thread-count symbol found; pool workers keep their default threads")
@@ -262,6 +253,7 @@ def write_csv(rows, path) -> None:
 
 
 def read_csv(path) -> list:
+    """The rows of a schema-v1 CSV, numbers parsed; a ParameterError names a bad cell's row."""
     numeric = set(CSV_COLUMNS) - {"run_id"}
     rows = []
     with open(path, newline="") as fh:
@@ -278,7 +270,10 @@ def read_csv(path) -> list:
                 raise ParameterError(f"CSV row {i}: {empty[0]} is empty")
             row = dict(raw)
             for k in numeric:
-                row[k] = float(raw[k]) if raw[k] != "" else None
+                try:
+                    row[k] = float(raw[k]) if raw[k] != "" else None
+                except ValueError:
+                    raise ParameterError(f"CSV row {i}: {k} {raw[k]!r} is not a number") from None
                 if row[k] is not None:
                     check_real(row[k], f"CSV row {i}: {k}", "(-inf, inf)")
             for k in ("width", "seed", "epoch_budget", "epoch"):

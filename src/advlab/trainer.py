@@ -10,25 +10,8 @@ reproducible in isolation and a whole run replays bit-identically
 (timing fields excepted).
 
 epoch_wall_ms measures the batch loop only, excluding the per-epoch
-metric evaluation, matching a training-time-per-epoch reading.
-
-evaluate runs each row block of a split end to end.  Its records equal
-those of whole-split forwards at 10 classes on 784-d splits, but their
-last bits differ at 4 or 2 classes (see evaluate).
-
-train_stack(cfg, data, seeds) trains one config under several seeds in
-lockstep, each seed setting both seed and model.seed, on arrays with a
-leading stack axis (see core): a sweep trains the seeds of one (width,
-lambda) this way, and each numpy call of the batch step serves every
-seed.  Each seed keeps its own init, its own per-epoch generators,
-shuffle order and attack draws, so its weights and records equal those
-of its own train() run bit for bit.  The per-epoch metrics are evaluated
-one seed at a time.  epoch_wall_ms is the stacked
-epoch's time, shared by the stack's seeds.  train runs the same loop on
-a stack of one, which has no stack axis.  A blow-up raises
-DivergenceError, with numpy's overflow warnings silenced.  sgd_step
-checks every layer's grad and velocity against its weight
-(core.check_shape) before it updates any layer.
+metric evaluation, matching a training-time-per-epoch reading; the seeds
+of a stack (train_stack) share their stacked epoch's.
 """
 
 from __future__ import annotations
@@ -40,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackSpec, pgd, pgd_stack
-# softmax_rows is unused here but stays bound: perfbench's tracer counts the
-# softmax passes of this module through this name.
+# softmax_rows is unused but stays bound: perfbench counts softmax passes by it.
 from .core import (NonFiniteError, ParameterError, check_count, check_finite,  # noqa: F401
                    check_real, check_shape, check_unique, make_rng, row_blocks, seeds_of,
                    softmax_rows, stack_of)
@@ -125,11 +107,8 @@ def _epoch_rngs(seed: int, epoch: int):
 
 def _batch_step(weights, batch: LabeledBatch, cfg: TrainConfig, epoch: int,
                 attack_rng) -> tuple:
-    """One gradient computation; returns (loss, weight_grads).
-
-    For a stack, attack_rng holds one generator per seed and the loss has
-    one value per seed.  Non-finite logits or loss raise NonFiniteError.
-    """
+    """One gradient computation of a network or a stack; returns (loss, weight_grads).
+    Non-finite logits or loss raise NonFiniteError."""
     fwd, bwd, attack = ((forward_stack, backward_stack, pgd_stack) if weights[0].ndim == 3
                         else (forward, backward, pgd))
     obj = cfg.objective
@@ -167,18 +146,13 @@ def evaluate(weights: list, data: DatasetHandle, eval_attacks=(),
 
     Radius estimates (and hence gamma_ce and the complexity bounds) are
     computed on the training split.  Undefined metrics stay None.  Both
-    splits run in the blocks of core.row_blocks, and only their n x K
+    splits run in the blocks of core.row_blocks (whose logits keep the
+    whole split's bits only where that rule says), and only their n x K
     logits and each attack's per-row correct mask outlive a block.  A test
     block's one forward gives its logits and every eval attack's clean start.
-
     Each eval attack draws from its own generator, seeded EVAL_ATTACK_SEED,
     block after block, so its output is that of one pgd call on the whole
-    split; a repeated name is a ParameterError.  Block logits equal
-    the whole split's only where neither gemm takes OpenBLAS's small-matrix
-    path (0.3.31: M*N <= 1200, M rows, N outputs), as in pgd: at 10 classes
-    a 784-d split's 166-167-row blocks keep its bits, but at 4 or 2 classes
-    their last-layer gemm gives others (4,000 and about 3,980 of a
-    4000 x 784 split's logit rows differ).
+    split; a repeated name is a ParameterError.
     """
     check_unique([name for name, _ in eval_attacks], "eval_attacks name")
     k = weights[-1].shape[0]

@@ -261,6 +261,19 @@ class TestCorrelateCommand:
         assert captured.err == (f"error: CSV row 4: cell count differs from the header's "
                                 f"{len(lines[0].split(','))}\n")
 
+    def test_non_number_cell_exit_one(self, tmp_path, capsys):
+        # printed "error: could not convert string to float: 'abc'", naming no cell
+        path = csv_with_empty_key_cell(tmp_path, "gamma_hat")
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[lines[0].split(",").index("clean_train_loss")] = "abc"
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["correlate", str(path), "--regime", "early"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: CSV row 4: clean_train_loss 'abc' is not a number\n"
+
     @pytest.mark.parametrize("column", KEY_COLUMNS + ["lambda", None])
     def test_empty_key_cell_exit_one(self, tmp_path, capsys, column):
         # an empty epoch used to reach _final_rows and exit 2 comparing None with an int

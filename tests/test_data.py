@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advlab.core import ParameterError, make_rng
-from advlab.data import (DatasetHandle, FormatError, LabeledBatch, batches, dump_array,
-                         load_array, load_idx)
+from advlab.data import (DatasetHandle, FormatError, LabeledBatch, batches, blob_dataset,
+                         dump_array, load_array, load_idx)
 from advlab.mlp import MlpConfig, init_weights, load_checkpoint, save_checkpoint
 
 from oracles import synth_blobs
@@ -132,6 +132,13 @@ class TestSynthBlobs:
             synth_blobs(make_rng(0), 10, 4, 1, 0.1)
         with pytest.raises(ParameterError):
             synth_blobs(make_rng(0), 10, 4, 2, 0.0)
+
+    @pytest.mark.parametrize("bad", [10.5, 2.0, True])
+    @pytest.mark.parametrize("name", ["n_train", "n_test", "d", "K"])
+    def test_counts_must_be_integers(self, name, bad):
+        # n_train=10.5 raised numpy's AxisError and d=2.0 a TypeError, naming nothing
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer >= 1, got {bad!r}$"):
+            blob_dataset(**{name: bad})
 
     def test_tight_blobs_linearly_separable(self):
         # near-zero spread: a linear model fits the training set perfectly

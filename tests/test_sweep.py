@@ -348,9 +348,9 @@ class TestCsvRoundTrip:
         write_csv(rows, path)
         assert read_csv(path)[1][column] == 2
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("column", ["gap_ce", "gamma_hat_c", "lambda", "width"])
-    def test_non_finite_value_rejected(self, column, value, tmp_path):
+    @staticmethod
+    def csv_with_cell(tmp_path, column, value):
+        """A two-row CSV whose row 2 holds the text `value` in `column`."""
         rows = [{c: None for c in CSV_COLUMNS} for _ in range(2)]
         for i, row in enumerate(rows):
             row.update(run_id=f"r{i}", width=4, seed=0, epoch_budget=2, epoch=2, gap_ce=0.5,
@@ -362,7 +362,20 @@ class TestCsvRoundTrip:
         cells = text[2].split(",")
         cells[header.index(column)] = value
         path.write_text("\n".join([*text[:2], ",".join(cells)]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["gap_ce", "gamma_hat_c", "lambda", "width"])
+    def test_non_finite_value_rejected(self, column, value, tmp_path):
+        path = self.csv_with_cell(tmp_path, column, value)
         with pytest.raises(ParameterError, match=f"^CSV row 2: {column} must be a finite real"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("column", ["clean_train_loss", "lambda", "epoch"])
+    def test_non_number_cell_rejected(self, column, tmp_path):
+        # float's own "could not convert string to float: 'abc'" named no row or column
+        path = self.csv_with_cell(tmp_path, column, "abc")
+        with pytest.raises(ParameterError, match=f"^CSV row 2: {column} 'abc' is not a number$"):
             read_csv(path)
 
     def test_missing_column_rejected(self, tmp_path):
